@@ -24,15 +24,12 @@ from .algebra import (
     trace_property_check,
 )
 from .perron import (
-    CylinderSpec,
     NoConvergence,
     NotPrimitive,
     PerronData,
     compute_perron,
     entropy,
     mu_bowen,
-    mu_s,
-    mu_u,
 )
 from .points import (
     HeteroclinicPoint,

@@ -16,6 +16,14 @@ compatibility test is equality of ray restrictions.  The shift acts as
 an automorphism by sliding every ray one step (window N -> N-1), under
 which the stable trace scales by lambda and the unstable one by 1/lambda
 (the leaf measures' shift scaling).
+
+Composition and refinement are written for the stable side only.  The
+unstable side goes through time reversal x_m -> x_{-1-m} (`points.reflect`):
+an unstable bisection at window M over A is the stable bisection at
+window -M over the transpose whose rays are the reflected rays, with
+phase (p - 1 - phase - t) % p over the reversed orbit (t its rotation).
+Reflection preserves composition and refinement, so the unstable result
+is the reflected stable one.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from .perron import PerronData, mu_s_data, mu_u_data
-from .points import LeftRay, RightRay
-from .sft import Sft
+from .points import LeftRay, RightRay, reflect
+from .sft import Sft, word_levels
 
 COEFF_EPS = 1e-15  # coefficients below this magnitude are dropped on reduction
 
@@ -179,49 +187,28 @@ def refine(sft: Sft, e: Bisection, window: int) -> list:
     if isinstance(e, StableBisection):
         if window < e.window:
             raise ValueError("stable refinement must not shrink the window")
-        exts = _words_from(sft, e.target.terminal, window - e.window)
+        *_, exts = word_levels(sft, sft.successors(e.target.terminal), window - e.window)
         return [StableBisection(e.target.extend(w), e.source.extend(w)) for w in exts]
     if isinstance(e, UnstableBisection):
         if window > e.window:
             raise ValueError("unstable refinement must not shrink the window")
-        exts = _words_into(sft, e.target.initial, e.window - window)
-        return [UnstableBisection(e.target.extend(w), e.source.extend(w)) for w in exts]
+        return [_reflect(x) for x in refine(sft.transpose, _reflect(e), -window)]
     raise TypeError(f"not a bisection: {e!r}")
 
 
-def _words_from(sft, start_symbol, length):
-    words = [()]
-    last = {(): start_symbol}
-    for _ in range(length):
-        nxt = []
-        nlast = {}
-        for w in words:
-            for s in range(sft.n):
-                if sft.allowed(last[w], s):
-                    w2 = w + (s,)
-                    nxt.append(w2)
-                    nlast[w2] = s
-        words, last = nxt, nlast
-    return words
+def _reflect(e: Bisection) -> Bisection:
+    """The time-reversed bisection, on the other side."""
+    cls = StableBisection if isinstance(e, UnstableBisection) else UnstableBisection
+    return cls(reflect(e.target), reflect(e.source))
 
 
-def _words_into(sft, end_symbol, length):
-    words = [()]
-    first = {(): end_symbol}
-    for _ in range(length):
-        nxt = []
-        nfirst = {}
-        for w in words:
-            for s in range(sft.n):
-                if sft.allowed(s, first[w]):
-                    w2 = (s,) + w
-                    nxt.append(w2)
-                    nfirst[w2] = s
-        words, first = nxt, nfirst
-    return words
+def _reflect_element(a: AlgebraElement) -> AlgebraElement:
+    """The time-reversed element, on the other side."""
+    side = "stable" if a.side == "unstable" else "unstable"
+    return element(side, [(c, _reflect(e)) for c, e in a.terms])
 
 
-def _compose_stable(e: StableBisection, f: StableBisection):
+def _compose(e: StableBisection, f: StableBisection):
     """Graph composition e o f (f acts first); None when the graphs miss."""
     ne, nf = e.window, f.window
     if ne >= nf:
@@ -235,28 +222,16 @@ def _compose_stable(e: StableBisection, f: StableBisection):
     return StableBisection(e.target.extend(ext), f.source)
 
 
-def _compose_unstable(e: UnstableBisection, f: UnstableBisection):
-    me, mf = e.window, f.window
-    if me <= mf:
-        if f.target != e.source.truncate(mf):
-            return None
-        ext = tuple(e.source.symbol_at(m) for m in range(me, mf))
-        return UnstableBisection(e.target, f.source.extend(ext))
-    if f.target.truncate(me) != e.source:
-        return None
-    ext = tuple(f.target.symbol_at(m) for m in range(mf, me))
-    return UnstableBisection(e.target.extend(ext), f.source)
-
-
 def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Groupoid convolution (operator product a o b; b acts first)."""
     if a.side != b.side:
         raise SideMismatch("convolution needs elements of the same side")
-    compose = _compose_stable if a.side == "stable" else _compose_unstable
+    if a.side == "unstable":
+        return _reflect_element(convolve(_reflect_element(a), _reflect_element(b)))
     out = []
     for ca, ea in a.terms:
         for cb, eb in b.terms:
-            comp = compose(ea, eb)
+            comp = _compose(ea, eb)
             if comp is not None:
                 out.append((ca * cb, comp))
     return element(a.side, out)

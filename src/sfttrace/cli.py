@@ -46,8 +46,6 @@ from dataclasses import dataclass
 from . import acceptance
 from .algebra import (
     AlgebraElement,
-    BisectionError,
-    SideMismatch,
     StableBisection,
     UnstableBisection,
     element,
@@ -69,6 +67,7 @@ from .rep import (
     OrbitsNotDisjoint,
     WindowOverflow,
     commutator_decay,
+    format_complex,
     product_operator,
     scaled_trace_sequence,
     vanishing_product_check,
@@ -179,7 +178,8 @@ def _parse_element(sft, doc, p_set, q_set, field) -> AlgebraElement:
             raise
         except (KeyError, IndexError, TypeError) as exc:
             raise ValidationError(f"{field}.terms[{i}]: malformed term ({exc})") from exc
-        except (InadmissibleOrbit, InadmissibleRay, BisectionError, SideMismatch) as exc:
+        except ValueError as exc:
+            # unknown labels, inadmissible orbits or rays, mismatched bisections
             raise ValidationError(f"{field}.terms[{i}]: {exc}") from exc
     return element(side, terms)
 
@@ -204,12 +204,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
                        p_set, q_set, "b")
     k_range = doc.get("k_range", [0, 10])
     if (not isinstance(k_range, (list, tuple)) or len(k_range) != 2
-            or k_range[1] < k_range[0]):
-        raise ValidationError("k_range must be [first, last] with first <= last")
+            or not all(type(k) is int for k in k_range)
+            or not 0 <= k_range[0] <= k_range[1]):
+        raise ValidationError(
+            "k_range must be [first, last] with integers 0 <= first <= last")
+    tolerances = doc.get("tolerances", {})
+    if not isinstance(tolerances, dict) or not all(
+            type(t) in (int, float) for t in tolerances.values()):
+        raise ValidationError("tolerances must map names to numbers")
     return ExperimentConfig(sft, p_set, q_set, a, b,
-                            (int(k_range[0]), int(k_range[1])),
-                            dict(doc.get("tolerances", {})),
+                            (k_range[0], k_range[1]),
+                            dict(tolerances),
                             doc.get("output"))
+
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -267,9 +274,9 @@ def cmd_measures(config: ExperimentConfig) -> int:
                 print(f"  [{sft.label(i)}{sft.label(j)}] {mu_bowen(p, Word(0, (i, j)))!r}")
     ts = tau_s(config.a, p)
     tu = tau_u(config.b, p)
-    print(f"tau_s(a) = {_fmt_complex(ts)}")
-    print(f"tau_u(b) = {_fmt_complex(tu)}")
-    print(f"tau_s(a) * tau_u(b) = {_fmt_complex(ts * tu)}")
+    print(f"tau_s(a) = {format_complex(ts)}")
+    print(f"tau_u(b) = {format_complex(tu)}")
+    print(f"tau_s(a) * tau_u(b) = {format_complex(ts * tu)}")
     return EXIT_OK
 
 
@@ -304,7 +311,7 @@ def cmd_trace_run(config: ExperimentConfig, out: str | None, kmax: int | None,
         print(f"wrote {path} ({len(report.rows)} rows)")
     else:
         print("\n".join(lines))
-    print(f"target tau_s(a)*tau_u(b) = {_fmt_complex(report.target)}")
+    print(f"target tau_s(a)*tau_u(b) = {format_complex(report.target)}")
     print(f"final abs error          = {report.final_error()!r}")
     rate = report.fitted_decay_rate()
     if not math.isnan(rate):
@@ -357,12 +364,6 @@ def cmd_verify(config: ExperimentConfig | None) -> int:
         return EXIT_NUMERICAL
     print("all criteria passed")
     return EXIT_OK
-
-
-def _fmt_complex(z: complex) -> str:
-    if z.imag == 0:
-        return repr(z.real)
-    return f"{z.real!r}{z.imag:+}j"
 
 
 def build_parser() -> argparse.ArgumentParser:

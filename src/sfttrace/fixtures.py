@@ -27,6 +27,7 @@ from .points import (
     make_right_ray,
     periodic_left_ray,
     periodic_right_ray,
+    reflect,
 )
 from .sft import Sft, make_sft
 
@@ -176,29 +177,7 @@ def random_left_ray(rng, sft, orbit, end):
 
 
 def random_right_ray(rng, sft, orbit, start):
-    while True:
-        length = rng.randrange(0, 4)
-        body = []
-        for _ in range(length):
-            prev = body[-1] if body else None
-            choices = (
-                [s for s in range(sft.n) if sft.allowed(prev, s)]
-                if prev is not None
-                else list(range(sft.n))
-            )
-            if not choices:
-                break
-            body.append(rng.choice(choices))
-        else:
-            phases = [
-                ph
-                for ph in range(orbit.period)
-                if not body or sft.allowed(body[-1], orbit.word[ph])
-            ]
-            if phases:
-                return make_right_ray(
-                    sft, orbit, rng.choice(phases), start, tuple(body), start + len(body)
-                )
+    return reflect(random_left_ray(rng, sft.transpose, orbit.reversal[0], -start))
 
 
 def random_dyadic(rng) -> complex:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,10 +44,6 @@ class InadmissibleWord(ValueError):
     pass
 
 
-class InadmissibleRay(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class PerronData:
     """Dominant eigen-data of a primitive SFT; carries the system it came from.
@@ -62,43 +57,6 @@ class PerronData:
     v: tuple[float, ...]
     u: tuple[float, ...]
     residual: float
-
-    def entropy(self) -> float:
-        return math.log(self.lam)
-
-
-@dataclass(frozen=True)
-class CylinderSpec:
-    """A basic cylinder set: word (two-sided), unstable (past) or stable (future).
-
-    kind "bowen":    word w, fixes coordinates [w.start, w.end).
-    kind "unstable": a left ray plus cutoff N <= ray.end, fixes coordinates < N.
-    kind "stable":   a right ray plus base M >= ray.start, fixes coordinates >= M.
-    """
-
-    kind: str
-    word: Optional[Word] = None
-    ray: object = None
-    cut: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in ("bowen", "unstable", "stable"):
-            raise ValueError(f"unknown cylinder kind {self.kind!r}")
-        if self.kind == "bowen":
-            if self.word is None:
-                raise ValueError("bowen cylinder needs a word")
-        elif self.ray is None or self.cut is None:
-            raise ValueError(f"{self.kind} cylinder needs a ray and a cut index")
-        if self.kind == "unstable" and self.cut > self.ray.end:
-            raise InadmissibleRay("cutoff beyond the ray's defined coordinates")
-        if self.kind == "stable" and self.cut < self.ray.start:
-            raise InadmissibleRay("base before the ray's defined coordinates")
-
-    def shift(self, n: int) -> "CylinderSpec":
-        """The image of the cylinder under the n-th shift power (indices drop by n)."""
-        if self.kind == "bowen":
-            return CylinderSpec("bowen", word=Word(self.word.start - n, self.word.symbols))
-        return CylinderSpec(self.kind, ray=self.ray.shift(n), cut=self.cut - n)
 
 
 def compute_perron(sft: Sft, tol: float = 1e-13) -> PerronData:
@@ -158,27 +116,13 @@ def mu_bowen(p: PerronData, w: Word) -> float:
     return p.u[w.symbols[0]] * p.v[w.symbols[-1]] * p.lam ** (-span)
 
 
-def mu_u(p: PerronData, c: CylinderSpec) -> float:
-    """Unstable-leaf mass of a past cylinder: lambda^{-N} * v[symbol at N-1]."""
-    if c.kind != "unstable":
-        raise ValueError("mu_u expects an unstable cylinder")
-    n = c.cut
-    return p.lam ** (-n) * p.v[c.ray.symbol_at(n - 1)]
-
-
-def mu_s(p: PerronData, c: CylinderSpec) -> float:
-    """Stable-leaf mass of a future cylinder: lambda^{M+1} * u[symbol at M]."""
-    if c.kind != "stable":
-        raise ValueError("mu_s expects a stable cylinder")
-    m = c.cut
-    return p.lam ** (m + 1) * p.u[c.ray.symbol_at(m)]
-
-
 def mu_u_data(p: PerronData, terminal_symbol: int, n: int) -> float:
-    """mu_u from raw (terminal symbol, cutoff) data; the formula's inputs."""
+    """Unstable-leaf mass of a past cylinder fixing all coordinates < n,
+    with `terminal_symbol` at n - 1: lambda^{-n} * v[terminal symbol]."""
     return p.lam ** (-n) * p.v[terminal_symbol]
 
 
 def mu_s_data(p: PerronData, initial_symbol: int, m: int) -> float:
-    """mu_s from raw (initial symbol, base) data."""
+    """Stable-leaf mass of a future cylinder fixing all coordinates >= m,
+    with `initial_symbol` at m: lambda^{m+1} * u[initial symbol]."""
     return p.lam ** (m + 1) * p.u[initial_symbol]

@@ -18,13 +18,28 @@ underlying sequences is plain tuple equality:
 
 Phases are anchored at the splice: a left ray's symbol at splice-1 is
 orbit.word[phase]; a right ray's symbol at its splice is orbit.word[phase].
+
+Right rays are built and edited through time reversal, x_m -> x_{-1-m},
+which maps the shift of A onto the shift of its transpose and a future
+onto a past (`reflect`).  An orbit of period p reverses to the minimal
+rotation of its reversed word, reached by rotating t places
+(`Orbit.reversal`), and
+
+  RightRay(orbit, phase, start, body, splice)
+    <-> LeftRay(reversed orbit, (p - 1 - phase - t) % p, -splice,
+                reversed body, -start)
+
+over the transpose; the map is its own inverse and keeps canonical forms
+canonical.  Reading symbols, shifting, and everything on points works on
+right rays directly, so the brute-force oracle never goes through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .sft import Sft, Word, is_admissible
+from .sft import Sft, Word, is_admissible, word_levels
 
 
 class InadmissibleRay(ValueError):
@@ -62,6 +77,18 @@ class Orbit:
     @property
     def period(self) -> int:
         return len(self.word)
+
+    @cached_property
+    def reversal(self) -> tuple["Orbit", int]:
+        """The time-reversed orbit and the rotation t that reaches it:
+        reversed.word[i] == word[(p - 1 - i - t) % p]."""
+        rev = self.word[::-1]
+        t = min(range(len(rev)), key=lambda i: rev[i:] + rev[:i])
+        orbit = Orbit(rev[t:] + rev[:t])
+        # reversing twice returns this very object, so repeated reflections
+        # of one ray reuse both cached reversals
+        orbit.__dict__["reversal"] = (self, t)
+        return orbit, t
 
     def validate(self, sft: Sft) -> None:
         wrapped = Word(0, self.word + (self.word[0],))
@@ -180,20 +207,22 @@ class RightRay:
 
     def extend(self, symbols) -> "RightRay":
         """Prepend symbols on [start - len, start)."""
-        symbols = tuple(symbols)
-        return _canonical_right(self.orbit, self.phase, self.start - len(symbols),
-                                symbols + self.body, self.splice)
+        return reflect(reflect(self).extend(tuple(symbols)[::-1]))
 
     def truncate(self, c: int) -> "RightRay":
         """Restriction to coordinates >= c (c >= start)."""
-        if c < self.start:
-            raise IndexError("cannot truncate before defined coordinates")
-        if c <= self.splice:
-            return _canonical_right(self.orbit, self.phase, c,
-                                    self.body[c - self.start:], self.splice)
-        p = self.orbit.period
-        phase = (self.phase + (c - self.splice)) % p
-        return RightRay(self.orbit, phase, c, (), c)
+        return reflect(reflect(self).truncate(-c))
+
+
+def reflect(ray):
+    """Time reversal x_m -> x_{-1-m}: a right ray as the left ray over the
+    transposed system, and back."""
+    orbit, t = ray.orbit.reversal
+    p = orbit.period
+    phase = (p - 1 - ray.phase - t) % p
+    if isinstance(ray, RightRay):
+        return LeftRay(orbit, phase, -ray.splice, ray.body[::-1], -ray.start)
+    return RightRay(orbit, phase, -ray.end, ray.body[::-1], -ray.splice)
 
 
 def _canonical_left(orbit, phase, splice, body, end):
@@ -206,36 +235,21 @@ def _canonical_left(orbit, phase, splice, body, end):
     return LeftRay(orbit, phase, splice, body, end)
 
 
-def _canonical_right(orbit, phase, start, body, splice):
-    p = orbit.period
-    body = tuple(body)
-    while body and body[-1] == orbit.word[(phase - 1) % p]:
-        phase = (phase - 1) % p
-        splice -= 1
-        body = body[:-1]
-    return RightRay(orbit, phase, start, body, splice)
-
-
 def make_left_ray(sft: Sft, orbit: Orbit, phase: int, splice: int, body, end: int) -> LeftRay:
     """Validated, canonical left ray."""
     body = tuple(body)
+    LeftRay(orbit, phase, splice, body, end)  # raises on a bad length or phase
     orbit.validate(sft)
-    if body:
-        junction = orbit.word[phase % orbit.period]
-        if not is_admissible(sft, Word(0, (junction,) + body)):
-            raise InadmissibleRay(f"ray body {body} breaks admissibility")
+    if body and not is_admissible(sft, Word(0, (orbit.word[phase],) + body)):
+        raise InadmissibleRay("ray body breaks admissibility")
     return _canonical_left(orbit, phase, splice, body, end)
 
 
 def make_right_ray(sft: Sft, orbit: Orbit, phase: int, start: int, body, splice: int) -> RightRay:
-    """Validated, canonical right ray."""
-    body = tuple(body)
-    orbit.validate(sft)
-    if body:
-        junction = orbit.word[phase % orbit.period]
-        if not is_admissible(sft, Word(0, body + (junction,))):
-            raise InadmissibleRay(f"ray body {body} breaks admissibility")
-    return _canonical_right(orbit, phase, start, body, splice)
+    """Validated, canonical right ray: the reflected left ray over the transpose."""
+    mirror = reflect(RightRay(orbit, phase, start, tuple(body), splice))
+    return reflect(make_left_ray(sft.transpose, mirror.orbit, mirror.phase,
+                                 mirror.splice, mirror.body, mirror.end))
 
 
 def periodic_left_ray(sft: Sft, orbit: Orbit, end: int, phase_at_end: int = None) -> LeftRay:
@@ -300,12 +314,16 @@ class HeteroclinicPoint:
 
     def future_ray(self, c: int) -> RightRay:
         """The point's coordinates at and above c as a canonical right ray."""
-        if c >= self.m_right:
-            p = self.right_orbit.period
-            phase = (self.right_phase + (c - self.m_right)) % p
-            return RightRay(self.right_orbit, phase, c, (), c)
-        return _canonical_right(self.right_orbit, self.right_phase, c,
-                                self.segment(c, self.m_right), self.m_right)
+        orbit, phase, splice = self.right_orbit, self.right_phase, self.m_right
+        p = orbit.period
+        if c >= splice:
+            return RightRay(orbit, (phase + (c - splice)) % p, c, (), c)
+        # symbols below m_right can still continue the pattern backwards
+        # (an empty middle's junction is slid right, not left)
+        while splice > c and self.symbol_at(splice - 1) == orbit.word[(phase - 1) % p]:
+            phase = (phase - 1) % p
+            splice -= 1
+        return RightRay(orbit, phase, c, self.segment(c, splice), splice)
 
     def render(self, sft: Sft | None = None) -> str:
         lab = (lambda s: sft.label(s)) if sft is not None else str
@@ -436,7 +454,8 @@ def in_stable_class(z: HeteroclinicPoint, p: PeriodicOrbitSet) -> bool:
     return z.right_orbit in p
 
 
-def _sort_key(z: HeteroclinicPoint):
+def point_key(z: HeteroclinicPoint):
+    """Total sort key: the window first, then the middle, orbits and phases."""
     return (z.n_left, z.m_right, z.middle, z.left_orbit.word, z.left_phase,
             z.right_orbit.word, z.right_phase)
 
@@ -454,46 +473,34 @@ def enumerate_heteroclinic(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrb
     out = []
     for q_orbit in q_set.orbits:
         q_orbit.validate(sft)
-        pl = q_orbit.period
         for p_orbit in p_set.orbits:
             p_orbit.validate(sft)
-            pr = p_orbit.period
-            for lphase in range(pl):
-                for rphase in range(pr):
-                    for n in range(-window, window + 1):
-                        _emit_middles(sft, q_orbit, lphase, n, p_orbit, rphase,
-                                      window, out)
-    out.sort(key=_sort_key)
+            for lphase in range(q_orbit.period):
+                for rphase in range(p_orbit.period):
+                    _emit_points(sft, q_orbit, lphase, p_orbit, rphase, window, out)
+    out.sort(key=point_key)
     return out
 
 
-def _emit_middles(sft, lorb, lphase, n, rorb, rphase, window, out):
+def _emit_points(sft, lorb, lphase, rorb, rphase, window, out):
     pl, pr = lorb.period, rorb.period
     left_sym = lorb.word[lphase]           # symbol at n - 1
     left_cont = lorb.word[(lphase + 1) % pl]   # the symbol a longer periodic past would put at n
-    right_sym = rorb.word[rphase]          # symbol at the junction for empty middles
-    right_pre = rorb.word[(rphase - 1) % pr]
+    right_sym = rorb.word[rphase]          # symbol at m
+    right_pre = rorb.word[(rphase - 1) % pr]   # the symbol a longer periodic future would put at m - 1
+    periodic = lorb == rorb and (lphase + 1) % pl == rphase
+    junction = sft.allowed(left_sym, right_sym) and (periodic or right_sym != left_cont)
 
-    # empty middle: junction at n
-    if sft.allowed(left_sym, right_sym):
-        if lorb == rorb and (lphase + 1) % pl == rphase:
-            if n == 0:
-                out.append(HeteroclinicPoint(lorb, lphase, 0, (), rorb, rphase, 0))
-        elif right_sym != left_cont:
+    # canonical middles on [n, n + length): the same words serve every n
+    firsts = [s for s in sft.successors(left_sym) if s != left_cont]
+    levels = word_levels(sft, firsts, 2 * window)
+    next(levels)  # the empty middle is the junction case below
+    middles = [[w for w in level if w[-1] != right_pre and sft.allowed(w[-1], right_sym)]
+               for level in levels]
+    for n in range(-window, window + 1):
+        # empty middle: junction at n; a fully periodic point only at 0
+        if junction and (not periodic or n == 0):
             out.append(HeteroclinicPoint(lorb, lphase, n, (), rorb, rphase, n))
-
-    # nonempty middles on [n, m), m <= window
-    def grow(prefix, last):
-        m = n + len(prefix)
-        if (prefix[-1] != right_pre and sft.allowed(last, right_sym)):
-            out.append(HeteroclinicPoint(lorb, lphase, n, prefix, rorb, rphase, m))
-        if m >= window:
-            return
-        for s in range(sft.n):
-            if sft.allowed(last, s):
-                grow(prefix + (s,), s)
-
-    if n < window:
-        for s in range(sft.n):
-            if s != left_cont and sft.allowed(left_sym, s):
-                grow((s,), s)
+        for length, words in enumerate(middles[:window - n], 1):
+            out.extend(HeteroclinicPoint(lorb, lphase, n, w, rorb, rphase, n + length)
+                       for w in words)

@@ -49,13 +49,11 @@ from .points import (
     enumerate_heteroclinic,
     matches_future,
     matches_past,
+    point_key,
     shift_point,
     splice_point,
 )
-from .sft import count_paths
-
-# basis vectors are indexed by heteroclinic points
-BasisVector = HeteroclinicPoint
+from .sft import count_paths, word_levels
 
 
 class WindowOverflow(RuntimeError):
@@ -131,10 +129,7 @@ class ExactTrace:
         re, im = self.exact_total()
         if im == 0 and re.denominator == 1:
             return str(re.numerator)
-        z = self.total()
-        if z.imag == 0:
-            return repr(z.real)
-        return f"{z.real!r}{z.imag:+}j"
+        return format_complex(self.total())
 
     def __eq__(self, other):
         if not isinstance(other, ExactTrace):
@@ -237,8 +232,8 @@ class FiniteOperator:
         return sum((c for (r, co), c in self.entries.items() if r == co), 0j)
 
     def _matrix(self):
-        rows = sorted({r for r, _ in self.entries}, key=_point_key)
-        cols = sorted({c for _, c in self.entries}, key=_point_key)
+        rows = sorted({r for r, _ in self.entries}, key=point_key)
+        cols = sorted({c for _, c in self.entries}, key=point_key)
         ridx = {p: i for i, p in enumerate(rows)}
         cidx = {p: i for i, p in enumerate(cols)}
         mat = np.zeros((len(rows), len(cols)), dtype=complex)
@@ -252,37 +247,11 @@ class FiniteOperator:
         return int(np.linalg.matrix_rank(self._matrix(), tol=tol))
 
 
-def _point_key(z: HeteroclinicPoint):
-    return (z.n_left, z.m_right, z.middle, z.left_orbit.word, z.left_phase,
-            z.right_orbit.word, z.right_phase)
-
-
 def operator_norm(t: FiniteOperator) -> float:
     """Largest singular value of the finite matrix (0 for the zero operator)."""
     if t.is_zero:
         return 0.0
     return float(np.linalg.svd(t._matrix(), compute_uv=False)[0])
-
-
-def _bridges(sft, start_symbol, end_symbol, width):
-    """Admissible words w of the given width with start -> w -> end allowed."""
-    if width == 0:
-        return [()] if sft.allowed(start_symbol, end_symbol) else []
-    out = []
-
-    def grow(prefix, last):
-        if len(prefix) == width:
-            if sft.allowed(last, end_symbol):
-                out.append(prefix)
-            return
-        for s in range(sft.n):
-            if sft.allowed(last, s):
-                grow(prefix + (s,), s)
-
-    for s in range(sft.n):
-        if sft.allowed(start_symbol, s):
-            grow((s,), s)
-    return out
 
 
 def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
@@ -314,7 +283,10 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
                     raise WindowOverflow(
                         f"free window of width {width} exceeds cap {window_cap}"
                     )
-                for mid in _bridges(sft, beta.terminal, delta.initial, width):
+                *_, words = word_levels(sft, sft.successors(beta.terminal), width)
+                for mid in words:
+                    if not sft.allowed(mid[-1] if mid else beta.terminal, delta.initial):
+                        continue
                     w_pt = splice_point(beta, mid, delta)
                     v_pt = splice_point(alpha, mid, gamma)
                     entries[(v_pt, w_pt)] = entries.get((v_pt, w_pt), 0j) + coeff
@@ -464,7 +436,8 @@ class TraceReport:
         lines = ["k,trace,scaled,target,abs_err"]
         for r in self.rows:
             lines.append(
-                f"{r.k},{r.trace.render()},{_fmt(r.scaled)},{_fmt(r.target)},{r.abs_err!r}"
+                f"{r.k},{r.trace.render()},{format_complex(r.scaled)},"
+                f"{format_complex(r.target)},{r.abs_err!r}"
             )
         return lines
 
@@ -483,7 +456,8 @@ class TraceReport:
         return float(math.exp(slope))
 
 
-def _fmt(z: complex) -> str:
+def format_complex(z: complex) -> str:
+    """repr of the real part, plus the signed imaginary part when nonzero."""
     if z.imag == 0:
         return repr(z.real)
     return f"{z.real!r}{z.imag:+}j"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class ZeroRowOrColumn(ValueError):
@@ -63,16 +64,24 @@ class Sft:
     def successors(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in range(self.n) if self.trans[i][j])
 
-    def predecessors(self, j: int) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if self.trans[i][j])
+    @cached_property
+    def transpose(self) -> "Sft":
+        """The system of the transposed matrix: the time reversal of this one."""
+        return Sft(tuple(zip(*self.trans)), self.labels)
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
 
     def symbol_of(self, lab: str) -> int:
+        """The symbol with this label; ValueError for an unknown label."""
         if self.labels is not None:
+            if lab not in self.labels:
+                raise ValueError(f"unknown symbol label {lab!r}")
             return self.labels.index(lab)
-        return int(lab)
+        s = int(lab)
+        if not 0 <= s < self.n:
+            raise ValueError(f"symbol {s} out of range")
+        return s
 
 
 @dataclass(frozen=True)
@@ -136,6 +145,26 @@ def is_admissible(sft: Sft, w: Word) -> bool:
         if not 0 <= s < sft.n:
             raise ValueError(f"symbol {s} out of range")
     return all(sft.allowed(a, b) for a, b in zip(w.symbols, w.symbols[1:]))
+
+
+def word_levels(sft: Sft, first, depth: int):
+    """Yield, for each length 0..depth, the list of admissible words of that
+    length whose first symbol lies in `first`.
+
+    Each level extends the one before by a symbol, so a sweep over every
+    length visits each word once; within a level the words are in
+    lexicographic order when `first` is sorted.
+    """
+    level = [()]
+    yield level
+    if depth < 1:
+        return
+    level = [(s,) for s in first]
+    yield level
+    succ = [sft.successors(i) for i in range(sft.n)]
+    for _ in range(depth - 1):
+        level = [w + (s,) for w in level for s in succ[w[-1]]]
+        yield level
 
 
 def _mat_mul(a, b, n):

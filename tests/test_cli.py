@@ -78,11 +78,32 @@ def test_config_empty_rejected():
         parse_config({})
 
 
-def test_config_bad_k_range(tmp_path):
+@pytest.mark.parametrize("k_range", [[5, 2], [-3, 5], [0, "5"]],
+                         ids=["reversed", "negative", "string"])
+def test_config_bad_k_range(tmp_path, k_range):
     doc = json.loads(json.dumps(GOLDEN_DOC))
-    doc["k_range"] = [5, 2]
+    doc["k_range"] = k_range
     with pytest.raises(ValidationError):
         load_config(write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize("keys, value", [
+    (("a", "terms", 0, "source_ray", "body"), ["x"]),
+    (("b", "terms", 0, "source_ray", "body"), ["0", "2"]),
+    (("tolerances",), [1]),
+    (("tolerances",), {"final_abs_err": "small"}),
+], ids=["stable-label", "unstable-label", "tolerance-list", "tolerance-string"])
+def test_config_bad_field_exits_2(tmp_path, capsys, keys, value):
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = write_doc(tmp_path, doc)
+    with pytest.raises(ValidationError):
+        load_config(path)
+    assert main(["trace-run", "--config", path, "--no-timestamp"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_config_round_trip(tmp_path):
@@ -229,3 +250,37 @@ def test_shipped_configs_load():
     for name in ("golden_mean.json", "full_shift.json"):
         config = load_config(str(CONFIG_DIR / name))
         assert not config.a.is_zero and not config.b.is_zero
+
+
+def _three_symbol_mixed_config(path):
+    from sfttrace.cli import ExperimentConfig
+    from sfttrace.fixtures import mixed_pair, three_symbol
+
+    sys = three_symbol()
+    a, b = mixed_pair(sys)
+    write_config(ExperimentConfig(sys.sft, sys.p_set, sys.q_set, a, b, (0, 20), {}, None),
+                 str(path))
+    return str(path)
+
+
+# sha256 of `trace-run --no-timestamp` output; any change in a trace, its
+# scaling or its formatting shows up here
+GOLDEN_CSV_SHA256 = {
+    "golden_mean.json": "a164b8149758720f5cc5e68dc020f74dd37b1877dfdcd07baa39c035ca62c685",
+    "full_shift.json": "ef8247a1613b33e983ea53eb9036a49ade5f050b341acf42f4f04dbe1a876436",
+    "three_symbol_mixed": "ad6a2aa1025d4a8aedc30b4e2ed5532abcdad64249973074ea6c6ae6933d0f02",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
+def test_trace_run_csv_digest(tmp_path, capsys, name):
+    import hashlib
+
+    if name.endswith(".json"):
+        config_path = str(CONFIG_DIR / name)
+    else:
+        config_path = _three_symbol_mixed_config(tmp_path / "mixed.json")
+    out = tmp_path / "trace.csv"
+    assert main(["trace-run", "--config", config_path, "--out", str(out),
+                 "--no-timestamp"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[name]

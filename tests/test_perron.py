@@ -1,20 +1,16 @@
 import math
-from dataclasses import dataclass
 
 import pytest
 
 import sfttrace.perron as perron_mod
 from sfttrace.perron import (
-    CylinderSpec,
     InadmissibleWord,
     NoConvergence,
     NotPrimitive,
     compute_perron,
     entropy,
     mu_bowen,
-    mu_s,
     mu_s_data,
-    mu_u,
     mu_u_data,
 )
 from sfttrace.sft import Word, make_sft
@@ -24,33 +20,6 @@ PHI = (1 + math.sqrt(5)) / 2
 FULL = make_sft([[1, 1], [1, 1]], ["0", "1"])
 GOLDEN = make_sft([[1, 1], [1, 0]], ["0", "1"])
 THREE = make_sft([[1, 1, 0], [1, 0, 1], [1, 1, 1]], ["a", "b", "c"])
-
-
-@dataclass(frozen=True)
-class ConstPast:
-    # stand-in left ray: constant symbol on all coordinates < end
-    symbol: int
-    end: int
-
-    def symbol_at(self, m):
-        assert m < self.end
-        return self.symbol
-
-    def shift(self, n):
-        return ConstPast(self.symbol, self.end - n)
-
-
-@dataclass(frozen=True)
-class ConstFuture:
-    symbol: int
-    start: int
-
-    def symbol_at(self, m):
-        assert m >= self.start
-        return self.symbol
-
-    def shift(self, n):
-        return ConstFuture(self.symbol, self.start - n)
 
 
 def all_words(sft, length):
@@ -131,16 +100,16 @@ def test_mu_bowen_position_invariant():
 
 def test_mu_u_examples():
     p = compute_perron(FULL)
-    assert mu_u(p, CylinderSpec("unstable", ray=ConstPast(1, 0), cut=0)) == pytest.approx(1.0, abs=1e-12)
+    assert mu_u_data(p, 1, 0) == pytest.approx(1.0, abs=1e-12)
     g = compute_perron(GOLDEN)
-    assert mu_u(g, CylinderSpec("unstable", ray=ConstPast(0, 0), cut=0)) == pytest.approx(PHI, abs=1e-11)
+    assert mu_u_data(g, 0, 0) == pytest.approx(PHI, abs=1e-11)
 
 
 def test_mu_s_examples():
     p = compute_perron(FULL)
-    assert mu_s(p, CylinderSpec("stable", ray=ConstFuture(0, 0), cut=0)) == pytest.approx(1.0, abs=1e-12)
+    assert mu_s_data(p, 0, 0) == pytest.approx(1.0, abs=1e-12)
     g = compute_perron(GOLDEN)
-    assert mu_s(g, CylinderSpec("stable", ray=ConstFuture(0, 0), cut=0)) == pytest.approx(PHI / math.sqrt(5), abs=1e-11)
+    assert mu_s_data(g, 0, 0) == pytest.approx(PHI / math.sqrt(5), abs=1e-11)
 
 
 @pytest.mark.parametrize("sft", [FULL, GOLDEN, THREE])
@@ -178,14 +147,8 @@ def test_total_mass(sft):
 def test_shift_scaling_exact_bookkeeping():
     # the shift image of a cylinder only moves the cut index: N -> N-1, M -> M-1
     g = compute_perron(GOLDEN)
-    cu = CylinderSpec("unstable", ray=ConstPast(0, 3), cut=2)
-    cu1 = cu.shift(1)
-    assert (cu1.cut, cu1.ray.symbol_at(cu1.cut - 1)) == (cu.cut - 1, 0)
-    assert mu_u(g, cu1) / mu_u(g, cu) == pytest.approx(g.lam, abs=1e-12)
-    cs = CylinderSpec("stable", ray=ConstFuture(0, -1), cut=0)
-    cs1 = cs.shift(1)
-    assert (cs1.cut, cs1.ray.symbol_at(cs1.cut)) == (cs.cut - 1, 0)
-    assert mu_s(g, cs1) / mu_s(g, cs) == pytest.approx(1 / g.lam, abs=1e-12)
+    assert mu_u_data(g, 0, 1) / mu_u_data(g, 0, 2) == pytest.approx(g.lam, abs=1e-12)
+    assert mu_s_data(g, 0, -1) / mu_s_data(g, 0, 0) == pytest.approx(1 / g.lam, abs=1e-12)
 
 
 def test_product_identity_detects_broken_normalization():
@@ -198,11 +161,3 @@ def test_product_identity_detects_broken_normalization():
     product = mu_u_data(p, syms[-1], w.end) * broken
     assert abs(mu_bowen(p, w) - product) > 0.1
 
-
-def test_cylinder_spec_validation():
-    with pytest.raises(ValueError):
-        CylinderSpec("bowen")
-    with pytest.raises(ValueError):
-        CylinderSpec("nonsense", word=Word(0, (0,)))
-    with pytest.raises(perron_mod.InadmissibleRay):
-        CylinderSpec("unstable", ray=ConstPast(0, 0), cut=5)

@@ -415,3 +415,44 @@ def test_commutator_decays_and_decouples():
     decoupled = [norm for n, norm in rows if 2 * n >= 2]
     assert all(norm == 0.0 for norm in decoupled)
     assert rows[-1][1] < rows[0][1]
+
+
+def test_unstable_side_on_non_palindromic_orbit():
+    # the futures run over the 3-cycle (a b c), whose reversal is a
+    # different cyclic word, so the unstable side cannot lean on symmetry;
+    # the oracle applies rays coordinate by coordinate and is the check
+    from sfttrace.algebra import UnstableBisection, involute, refine
+    from sfttrace.fixtures import System, random_element
+    from sfttrace.points import make_orbit_set
+
+    sft = THREE.sft
+    sys = System("three-symbol-cycle", sft, make_orbit_set([[0, 1, 2]], sft),
+                 make_orbit_set([[2]], sft), THREE.perron)
+    points = enumerate_heteroclinic(sft, sys.p_set, sys.q_set, 3)
+    rng = random.Random(2024)
+    for _ in range(3):
+        b2 = random_element(rng, sys, "unstable", 2)
+        b1 = random_element(rng, sys, "unstable", 2) + involute(b2)
+        prod = convolve(b1, b2)
+        assert not prod.is_zero
+        for w in points:
+            assert apply_element(prod, w) == apply_to_combination(b1, apply_element(b2, w))
+        for _, f in b1.terms:
+            pieces = refine(sft, f, f.window - 2)
+            assert all(isinstance(e, UnstableBisection) for e in pieces)
+            whole = element("unstable", [(1, f)])
+            split = element("unstable", [(1, e) for e in pieces])
+            for w in points:
+                assert apply_element(whole, w) == apply_element(split, w)
+    # keep the oracle's enumeration window small: redraw wide pairs
+    pairs = 0
+    while pairs < 2:
+        a = random_element(rng, sys, "stable", 2)
+        b = random_element(rng, sys, "unstable", 2)
+        if required_window(a, b, 3) > 5:
+            continue
+        pairs += 1
+        for k in range(0, 4):
+            assert trace_product(a, b, k, sys.perron) == trace_product_oracle(
+                a, b, k, required_window(a, b, k), sys.perron, sys.p_set, sys.q_set
+            )
