@@ -52,7 +52,14 @@ from .algebra import (
     tau_s,
     tau_u,
 )
-from .perron import NotPrimitive, PerronData, compute_perron, entropy, mu_bowen
+from .perron import (
+    NoConvergence,
+    NotPrimitive,
+    PerronData,
+    compute_perron,
+    entropy,
+    mu_bowen,
+)
 from .points import (
     InadmissibleOrbit,
     InadmissibleRay,
@@ -136,7 +143,23 @@ def _element_doc(x: AlgebraElement, lab) -> dict:
     return {"side": x.side, "terms": terms}
 
 
+def _field(doc: dict, key: str, kind: type, default=None, where: str = ""):
+    """doc[key], or `default` when the key is absent; ValidationError when
+    it is absent without a default or is not a JSON value of type `kind`.
+    `where` prefixes the field name in the message."""
+    if key not in doc:
+        if default is None:
+            raise ValidationError(f"missing field '{where}{key}'")
+        return default
+    if not isinstance(doc[key], kind):
+        raise ValidationError(
+            f"{where}{key} must be a JSON {'object' if kind is dict else 'list'}")
+    return doc[key]
+
+
 def _parse_orbit_set(sft, words, field) -> PeriodicOrbitSet:
+    if not all(isinstance(w, list) for w in words):
+        raise ValidationError(f"{field}: each orbit must be a list of symbol labels")
     try:
         return make_orbit_set(
             [[sft.symbol_of(lab) for lab in w] for w in words], sft
@@ -151,7 +174,7 @@ def _parse_element(sft, doc, p_set, q_set, field) -> AlgebraElement:
         raise ValidationError(f"{field}: side must be 'stable' or 'unstable'")
     orbit_set = q_set if side == "stable" else p_set
     terms = []
-    for i, term in enumerate(doc.get("terms", [])):
+    for i, term in enumerate(_field(doc, "terms", list, [], f"{field}.")):
         try:
             coeff = complex(term["coeff"][0], term["coeff"][1])
             window = int(term["window"])
@@ -188,20 +211,23 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document; all admissibility checks run eagerly."""
     if not isinstance(doc, dict) or not doc:
         raise ValidationError("empty config document")
+    sft_doc = _field(doc, "sft", dict)
+    matrix = _field(sft_doc, "matrix", list, where="sft.")
+    symbols = sft_doc.get("symbols")
+    if not all(isinstance(row, list) for row in matrix) or not isinstance(
+            symbols, (list, type(None))):
+        raise ValidationError("sft: matrix must be a list of rows, symbols a list of labels")
     try:
-        sft = make_sft(doc["sft"]["matrix"], doc["sft"].get("symbols"))
-    except KeyError as exc:
-        raise ValidationError(f"missing field {exc}") from exc
-    except (InvalidMatrix, ZeroRowOrColumn) as exc:
+        sft = make_sft(matrix, symbols)
+    except (TypeError, ValueError) as exc:
+        # InvalidMatrix, ZeroRowOrColumn, or an entry that is not a number
         raise ValidationError(f"sft: {exc}") from exc
-    p_set = _parse_orbit_set(sft, doc.get("P", []), "P")
-    q_set = _parse_orbit_set(sft, doc.get("Q", []), "Q")
+    p_set = _parse_orbit_set(sft, _field(doc, "P", list, []), "P")
+    q_set = _parse_orbit_set(sft, _field(doc, "Q", list, []), "Q")
     if not p_set.orbits or not q_set.orbits:
         raise ValidationError("P and Q must each contain at least one orbit")
-    a = _parse_element(sft, doc.get("a", {"side": "stable", "terms": []}),
-                       p_set, q_set, "a")
-    b = _parse_element(sft, doc.get("b", {"side": "unstable", "terms": []}),
-                       p_set, q_set, "b")
+    a = _parse_element(sft, _field(doc, "a", dict, {"side": "stable"}), p_set, q_set, "a")
+    b = _parse_element(sft, _field(doc, "b", dict, {"side": "unstable"}), p_set, q_set, "b")
     k_range = doc.get("k_range", [0, 10])
     if (not isinstance(k_range, (list, tuple)) or len(k_range) != 2
             or not all(type(k) is int for k in k_range)
@@ -212,10 +238,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(tolerances, dict) or not all(
             type(t) in (int, float) for t in tolerances.values()):
         raise ValidationError("tolerances must map names to numbers")
+    output = doc.get("output")
+    if not isinstance(output, (str, type(None))):
+        raise ValidationError("output must be a path string or null")
     return ExperimentConfig(sft, p_set, q_set, a, b,
                             (k_range[0], k_range[1]),
                             dict(tolerances),
-                            doc.get("output"))
+                            output)
 
 
 
@@ -293,10 +322,12 @@ def cmd_enumerate(config: ExperimentConfig, window: int) -> int:
 
 def cmd_trace_run(config: ExperimentConfig, out: str | None, kmax: int | None,
                   timestamp: bool) -> int:
-    p = compute_perron(config.sft)
     k_lo, k_hi = config.k_range
     if kmax is not None:
+        if kmax < k_lo:
+            raise ValidationError(f"--kmax {kmax} is below the first k ({k_lo}) of k_range")
         k_hi = kmax
+    p = compute_perron(config.sft)
     if config.a.is_zero or config.b.is_zero:
         raise ValidationError("trace runs need nonzero elements a and b")
     report = scaled_trace_sequence(config.a, config.b, range(k_lo, k_hi + 1), p)
@@ -415,6 +446,9 @@ def main(argv=None) -> int:
             InadmissibleOrbit, InadmissibleRay, ZeroRowOrColumn, InvalidMatrix) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except NoConvergence as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except WindowOverflow as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

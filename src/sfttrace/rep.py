@@ -18,7 +18,10 @@ alter a pinned coordinate).  When the regions overlap, all coordinates
 of a candidate fixed point are pinned, and the contribution is 1 or 0
 according to four ray-segment consistency checks.  Everything is exact
 integer arithmetic; the lambda^{-2k} scaling is applied through
-logarithms of big integers when plain floats would overflow.
+logarithms of big integers when plain floats would overflow.  The bridge
+counts come from exact row vectors of the transfer matrix that
+`sft.count_paths` keeps per system and source symbol and advances by one
+step per unit of path length, so a sweep over k pays for each length once.
 
 An independent brute-force route (`trace_product_oracle`) enumerates
 basis points inside a sufficient window and applies the operators

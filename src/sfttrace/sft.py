@@ -11,8 +11,15 @@ trace computation downstream.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+
+# rows of trans^L kept per source symbol: a trace sweep asks, within one k,
+# for lengths that differ by the spread of the term windows, and moves on
+# by 2 per k, so a short window serves it while bounding the memory of
+# rows whose entries grow like lambda^L
+_ROW_WINDOW = 64
 
 
 class ZeroRowOrColumn(ValueError):
@@ -33,7 +40,9 @@ class Sft:
     """Shift of finite type given by an n x n 0/1 transition matrix.
 
     trans[i][j] == 1 means symbol j may follow symbol i.  Immutable;
-    all operations on it are pure functions.
+    all operations on it are pure functions.  `count_paths` keeps a memo
+    of rows of trans^L on the instance; the memo is observationally pure:
+    it changes no field, no comparison or hash, and no returned count.
     """
 
     trans: tuple[tuple[int, ...], ...]
@@ -69,6 +78,10 @@ class Sft:
         """The system of the transposed matrix: the time reversal of this one."""
         return Sft(tuple(zip(*self.trans)), self.labels)
 
+    @cached_property
+    def _path_rows(self) -> "_PathRows":
+        return _PathRows(self)
+
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
 
@@ -82,6 +95,37 @@ class Sft:
         if not 0 <= s < self.n:
             raise ValueError(f"symbol {s} out of range")
         return s
+
+
+class _PathRows:
+    """The memo behind `count_paths`: for each source symbol i, a window of
+    at most _ROW_WINDOW consecutive rows (trans^L)[i], L = first, first + 1, ...
+
+    A longer length advances the newest row by the successor lists, one
+    step at a time, and drops the oldest; a shorter one restarts from the
+    identity row.
+    """
+
+    def __init__(self, sft: Sft):
+        self._succ = [sft.successors(i) for i in range(sft.n)]
+        self._windows: dict[int, tuple[int, deque]] = {}
+
+    def row(self, i: int, length: int) -> list[int]:
+        n = len(self._succ)
+        first, rows = self._windows.get(i, (0, None))
+        if rows is None or length < first:
+            first, rows = 0, deque([[int(s == i) for s in range(n)]], maxlen=_ROW_WINDOW)
+        while first + len(rows) <= length:
+            nxt = [0] * n
+            for s, c in enumerate(rows[-1]):
+                if c:
+                    for t in self._succ[s]:
+                        nxt[t] += c
+            if len(rows) == rows.maxlen:
+                first += 1
+            rows.append(nxt)
+        self._windows[i] = (first, rows)
+        return rows[length - first]
 
 
 @dataclass(frozen=True)
@@ -167,36 +211,20 @@ def word_levels(sft: Sft, first, depth: int):
         yield level
 
 
-def _mat_mul(a, b, n):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_pow(m, e, n):
-    # repeated squaring over exact integers
-    result = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    base = m
-    while e > 0:
-        if e & 1:
-            result = _mat_mul(result, base, n)
-        base = _mat_mul(base, base, n)
-        e >>= 1
-    return result
-
-
 def count_paths(sft: Sft, i: int, j: int, length: int) -> int:
     """Exact number of admissible paths of `length` steps from i to j.
 
     Returns (trans^length)[i][j] as an arbitrary-precision integer;
-    length 0 gives the identity matrix entry.
+    length 0 gives the identity matrix entry.  The row (trans^length)[i]
+    is advanced from the rows memoized on `sft` by the successor lists, so
+    a sweep of growing lengths costs one pass over the transitions per
+    unit of length.
     """
     if length < 0:
         raise ValueError("path length must be >= 0")
     if not (0 <= i < sft.n and 0 <= j < sft.n):
         raise ValueError("symbol out of range")
-    return _mat_pow(sft.trans, length, sft.n)[i][j]
+    return sft._path_rows.row(i, length)[j]
 
 
 def sft_to_json(sft: Sft) -> str:

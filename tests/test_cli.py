@@ -92,7 +92,16 @@ def test_config_bad_k_range(tmp_path, k_range):
     (("b", "terms", 0, "source_ray", "body"), ["0", "2"]),
     (("tolerances",), [1]),
     (("tolerances",), {"final_abs_err": "small"}),
-], ids=["stable-label", "unstable-label", "tolerance-list", "tolerance-string"])
+    (("sft",), [1]),
+    (("sft", "matrix"), [[1, "x"], [1, 0]]),
+    (("a",), []),
+    (("b", "terms"), 5),
+    (("P",), 5),
+    (("Q",), [None]),
+    (("output",), 5),
+], ids=["stable-label", "unstable-label", "tolerance-list", "tolerance-string",
+        "sft-list", "matrix-entry", "a-list", "terms-number", "P-number", "Q-orbit-null",
+        "output-number"])
 def test_config_bad_field_exits_2(tmp_path, capsys, keys, value):
     doc = json.loads(json.dumps(GOLDEN_DOC))
     node = doc
@@ -103,7 +112,8 @@ def test_config_bad_field_exits_2(tmp_path, capsys, keys, value):
     with pytest.raises(ValidationError):
         load_config(path)
     assert main(["trace-run", "--config", path, "--no-timestamp"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_config_round_trip(tmp_path):
@@ -171,6 +181,25 @@ def test_cli_trace_run_csv_deterministic(tmp_path, capsys):
     assert len(lines) == 14
     # k = 1 row: trace Fib(4) = 3
     assert lines[2].startswith("1,3,")
+
+
+def test_cli_trace_run_kmax_below_first_k(tmp_path, capsys):
+    out = tmp_path / "empty.csv"
+    code = main(["trace-run", "--config", write_doc(tmp_path, GOLDEN_DOC), "--kmax", "-4",
+                 "--out", str(out), "--no-timestamp"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --kmax -4 ")
+    assert not out.exists()
+
+
+def test_cli_no_convergence_exits_3(tmp_path, capsys, monkeypatch):
+    from sfttrace import perron
+
+    monkeypatch.setattr(perron, "ITERATION_CAP", 1)
+    code = main(["inspect", "--config", write_doc(tmp_path, GOLDEN_DOC)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 def test_cli_trace_run_timestamp_header(tmp_path):

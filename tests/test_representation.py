@@ -265,6 +265,29 @@ def test_scaled_sequence_empty_range():
     assert report.rows == ()
 
 
+def test_scaled_sequence_matches_cold_counts():
+    # the sweep carries each system's path-count memo from k to k (lengths
+    # up to 2k + 5 pass the memo's row window); every reference trace
+    # counts on an equal system built afresh, whose memo starts cold
+    import dataclasses
+
+    from sfttrace.fixtures import random_element
+    from sfttrace.sft import Sft
+
+    sys = three_symbol()
+    rng = random.Random(31)
+    a, b = (random_element(rng, sys, side, 6) for side in ("stable", "unstable"))
+    # add the diagonal of every term: only diagonal pairs count bridges
+    a, b = (element(x.side, list(x.terms) + [(c, type(t)(t.source, t.source))
+                                             for c, t in x.terms])
+            for x in (a, b))
+    report = scaled_trace_sequence(a, b, range(0, 41), sys.perron)
+    assert report.rows[-1].trace.pairs
+    for row in report.rows:
+        cold = dataclasses.replace(sys.perron, sft=Sft(sys.sft.trans, sys.sft.labels))
+        assert trace_product(a, b, row.k, cold).pairs == row.trace.pairs
+
+
 def test_trace_product_period_two_orbits():
     # orbit sets built on the 2-cycle orbit of the golden mean: phases move
     # under conjugation, the bridge formula and the oracle must still agree

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
+from sfttrace import sft as sft_mod
 from sfttrace.sft import (
     InvalidMatrix,
     Sft,
@@ -138,6 +141,38 @@ def test_count_paths_matches_brute_force():
             for i in range(sft.n):
                 for j in range(sft.n):
                     assert count_paths(sft, i, j, L) == brute_count_paths(sft, i, j, L)
+
+
+@st.composite
+def small_mixing_sfts(draw):
+    n = draw(st.integers(2, 5))
+    cells = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+    sft = Sft(tuple(tuple(cells[r * n:(r + 1) * n]) for r in range(n)))
+    assume(is_mixing(sft))
+    return sft
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_count_paths_any_order_matches_brute_force(data):
+    # a fresh system per example, so every memo starts cold; a window of 4
+    # rows makes lengths up to 12 both advance past it and fall below it
+    sft = data.draw(small_mixing_sfts())
+    symbol = st.integers(0, sft.n - 1)
+    queries = data.draw(st.lists(st.tuples(symbol, symbol, st.integers(0, 12)),
+                                 min_size=1, max_size=24))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sft_mod, "_ROW_WINDOW", 4)
+        for i, j, length in queries:
+            assert count_paths(sft, i, j, length) == brute_count_paths(sft, i, j, length)
+
+
+def test_count_paths_crosses_the_row_window():
+    # 3 lies far below the rows kept after 400, so the memo restarts
+    golden = make_sft([[1, 1], [1, 0]])
+    for length in (400, 3, 400):
+        assert count_paths(golden, 0, 0, length) == fib(length + 1)
 
 
 def test_count_paths_big_exponent_exact():
