@@ -51,6 +51,7 @@ from .points import (
 from .rep import (
     ExactTrace,
     FiniteOperator,
+    NonFiniteCoefficient,
     OrbitsNotDisjoint,
     TraceReport,
     WindowOverflow,

@@ -71,6 +71,7 @@ from .points import (
     make_right_ray,
 )
 from .rep import (
+    NonFiniteCoefficient,
     OrbitsNotDisjoint,
     WindowOverflow,
     commutator_decay,
@@ -177,6 +178,8 @@ def _parse_element(sft, doc, p_set, q_set, field) -> AlgebraElement:
     for i, term in enumerate(_field(doc, "terms", list, [], f"{field}.")):
         try:
             coeff = complex(term["coeff"][0], term["coeff"][1])
+            if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
+                raise ValidationError(f"{field}.terms[{i}]: coefficient must be finite")
             window = int(term["window"])
             rays = []
             for key in ("target_ray", "source_ray"):
@@ -219,8 +222,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ValidationError("sft: matrix must be a list of rows, symbols a list of labels")
     try:
         sft = make_sft(matrix, symbols)
-    except (TypeError, ValueError) as exc:
-        # InvalidMatrix, ZeroRowOrColumn, or an entry that is not a number
+    except ValueError as exc:
+        # InvalidMatrix or ZeroRowOrColumn
         raise ValidationError(f"sft: {exc}") from exc
     p_set = _parse_orbit_set(sft, _field(doc, "P", list, []), "P")
     q_set = _parse_orbit_set(sft, _field(doc, "Q", list, []), "Q")
@@ -446,7 +449,7 @@ def main(argv=None) -> int:
             InadmissibleOrbit, InadmissibleRay, ZeroRowOrColumn, InvalidMatrix) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NoConvergence as exc:
+    except (NoConvergence, NonFiniteCoefficient) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except WindowOverflow as exc:

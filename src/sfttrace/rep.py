@@ -22,6 +22,9 @@ logarithms of big integers when plain floats would overflow.  The bridge
 counts come from exact row vectors of the transfer matrix that
 `sft.count_paths` keeps per system and source symbol and advances by one
 step per unit of path length, so a sweep over k pays for each length once.
+Each finite float coefficient is exactly p / 2^e, so a trace's total is
+summed as one integer numerator over the largest such denominator, with a
+single exact rational built at the end.
 
 An independent brute-force route (`trace_product_oracle`) enumerates
 basis points inside a sufficient window and applies the operators
@@ -75,6 +78,10 @@ class OrbitsNotDisjoint(ValueError):
 # exact traces
 
 
+class NonFiniteCoefficient(ArithmeticError):
+    """A coefficient product overflowed to inf or nan: the trace has no exact value."""
+
+
 def _frac_to_float(x: Fraction) -> float:
     try:
         return float(x)
@@ -82,36 +89,52 @@ def _frac_to_float(x: Fraction) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _dyadic_sum(terms) -> Fraction:
+    """The exact sum of x * n over (finite float x, int n) pairs.
+
+    Each float is p / 2^e exactly, so the sum is one integer numerator over
+    the largest denominator: integer multiply-adds and one Fraction.
+    """
+    ratios = [(x.as_integer_ratio(), n) for x, n in terms]
+    den = max((d for (_, d), _ in ratios), default=1)
+    return Fraction(sum(p * n * (den // d) for (p, d), n in ratios), den)
+
+
 @dataclass(frozen=True)
 class ExactTrace:
     """A trace value as a sum of coefficient x big-integer-count pairs.
 
     Counts are nonnegative path counts; coefficients are the complex term
-    products.  Aggregation happens over exact rationals so two routes to
-    the same trace compare exactly, independent of summation order.
+    products, always finite.  Aggregation is exact, so two routes to the
+    same trace compare exactly, independent of summation order: the real
+    and imaginary totals are dyadic rationals, each summed as integers over
+    the largest power-of-two denominator of its coefficients.
     """
 
     pairs: tuple[tuple[complex, int], ...]
 
     @staticmethod
     def from_pairs(pairs) -> "ExactTrace":
+        """Merge equal coefficients and drop zero terms; raises
+        NonFiniteCoefficient for an inf or nan coefficient."""
         merged: dict = {}
         for c, n in pairs:
             if n and c != 0:
                 merged[c] = merged.get(c, 0) + n
+        for c in merged:
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise NonFiniteCoefficient(f"trace coefficient {c!r} is not finite")
         return ExactTrace(tuple(sorted(
             ((c, n) for c, n in merged.items() if n),
             key=lambda p: (p[0].real, p[0].imag),
         )))
 
     def exact_total(self) -> tuple[Fraction, Fraction]:
-        re = sum((Fraction(c.real) * n for c, n in self.pairs), Fraction(0))
-        im = sum((Fraction(c.imag) * n for c, n in self.pairs), Fraction(0))
-        return re, im
+        return (_dyadic_sum((c.real, n) for c, n in self.pairs),
+                _dyadic_sum((c.imag, n) for c, n in self.pairs))
 
     def total(self) -> complex:
-        re, im = self.exact_total()
-        return complex(_frac_to_float(re), _frac_to_float(im))
+        return _to_complex(*self.exact_total())
 
     def as_int(self) -> int:
         """The exact value when it is a plain integer (raises otherwise)."""
@@ -132,7 +155,7 @@ class ExactTrace:
         re, im = self.exact_total()
         if im == 0 and re.denominator == 1:
             return str(re.numerator)
-        return format_complex(self.total())
+        return format_complex(_to_complex(re, im))
 
     def __eq__(self, other):
         if not isinstance(other, ExactTrace):
@@ -141,6 +164,10 @@ class ExactTrace:
 
     def __hash__(self):
         return hash(self.exact_total())
+
+
+def _to_complex(re: Fraction, im: Fraction) -> complex:
+    return complex(_frac_to_float(re), _frac_to_float(im))
 
 
 def _scaled_count(n: int, lam: float, k: int) -> float:
@@ -334,12 +361,13 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
     sft = p.sft
     pairs = []
     bridge = overlap = offdiag = fixed = 0
+    b_side = [(cb, f, f.window + k, f.is_diagonal) for cb, f in b.terms]
     for ca, e in a.terms:
-        for cb, f in b.terms:
+        n = e.window - k
+        e_diag = e.is_diagonal
+        for cb, f, m, f_diag in b_side:
             coeff = ca * cb
-            n = e.window - k
-            m = f.window + k
-            diag = e.is_diagonal and f.is_diagonal
+            diag = e_diag and f_diag
             if not diag:
                 offdiag += 1
             if m >= n:

@@ -32,7 +32,8 @@ class ZeroRowOrColumn(ValueError):
 
 
 class InvalidMatrix(ValueError):
-    """Matrix is not square 0/1 (edge shifts with entries > 1 are rejected)."""
+    """Matrix is not square 0/1 (edge shifts with entries > 1 are rejected),
+    or the labels do not name its symbols one to one."""
 
 
 @dataclass(frozen=True)
@@ -56,12 +57,18 @@ class Sft:
             if len(row) != n:
                 raise InvalidMatrix("transition matrix must be square")
             for e in row:
-                if e not in (0, 1):
+                # type() rather than isinstance(): True and 1.0 also equal 1
+                if type(e) is not int or e not in (0, 1):
                     raise InvalidMatrix(
-                        f"entry {e!r} not in {{0, 1}}; recode edge shifts as vertex shifts"
+                        f"entry {e!r} is not the integer 0 or 1; "
+                        "recode edge shifts as vertex shifts"
                     )
-        if self.labels is not None and len(self.labels) != n:
-            raise InvalidMatrix("label count does not match matrix size")
+        if self.labels is not None:
+            if len(self.labels) != n:
+                raise InvalidMatrix("label count does not match matrix size")
+            for i, lab in enumerate(self.labels):
+                if lab in self.labels[:i]:
+                    raise InvalidMatrix(f"duplicate symbol label {lab!r}")
 
     @property
     def n(self) -> int:
@@ -145,7 +152,7 @@ class Word:
 
 def make_sft(matrix, labels=None) -> Sft:
     """Build and validate an Sft from nested sequences."""
-    sft = Sft(tuple(tuple(int(e) for e in row) for row in matrix),
+    sft = Sft(tuple(tuple(row) for row in matrix),
               tuple(labels) if labels is not None else None)
     validate(sft)
     return sft

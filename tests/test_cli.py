@@ -99,9 +99,15 @@ def test_config_bad_k_range(tmp_path, k_range):
     (("P",), 5),
     (("Q",), [None]),
     (("output",), 5),
+    (("sft", "matrix"), [[1.5, 1], [1, 0]]),
+    (("sft", "matrix"), [[True, 1], [1, 0]]),
+    (("sft", "symbols"), ["0", "0"]),
+    (("a", "terms", 0, "coeff"), [math.inf, 0]),
+    (("b", "terms", 0, "coeff"), [0, math.nan]),
 ], ids=["stable-label", "unstable-label", "tolerance-list", "tolerance-string",
         "sft-list", "matrix-entry", "a-list", "terms-number", "P-number", "Q-orbit-null",
-        "output-number"])
+        "output-number", "matrix-float", "matrix-bool", "symbols-duplicate",
+        "coeff-infinity", "coeff-nan"])
 def test_config_bad_field_exits_2(tmp_path, capsys, keys, value):
     doc = json.loads(json.dumps(GOLDEN_DOC))
     node = doc
@@ -200,6 +206,17 @@ def test_cli_no_convergence_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+def test_cli_overflowing_coefficient_product_exits_3(tmp_path, capsys):
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    doc["a"]["terms"][0]["coeff"] = [1e308, 0.0]
+    doc["b"]["terms"][0]["coeff"] = [1e308, 0.0]
+    code = main(["trace-run", "--config", write_doc(tmp_path, doc), "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_cli_trace_run_timestamp_header(tmp_path):

@@ -1,7 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from sfttrace.algebra import (
     StableBisection,
@@ -399,6 +402,39 @@ def test_exact_trace_render():
     assert ExactTrace.from_pairs([((1 + 0j), 5)]).render() == "5"
     assert ExactTrace.from_pairs([((1 + 0j), 2 ** 200)]).render() == str(2 ** 200)
     assert ExactTrace.from_pairs([((0.5 + 0j), 3)]).render() == "1.5"
+
+
+# subnormals, the extremes of the exponent range and both zeros
+_EDGE_FLOATS = [5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300,
+                1.7976931348623157e308, -1e308, 0.0, -0.0, 1.0, -0.375]
+_COEFFS = st.builds(
+    complex,
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS),
+)
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(pairs=st.lists(st.tuples(_COEFFS, st.integers(0, 2 ** 5000)), max_size=10),
+       cancel=st.booleans())
+@example(pairs=[(complex(5e-324, -0.0), 3), (complex(1e300, 0.5), 2 ** 5000),
+                (complex(-0.0, 1e-310), 1)], cancel=False)
+@example(pairs=[(complex(5e-324, 1e308), 2 ** 4999), (complex(-0.375, -0.0), 7)],
+         cancel=True)
+def test_exact_total_matches_fraction_reference(pairs, cancel):
+    if cancel:
+        # every coefficient meets its negative with the same count
+        pairs = pairs + [(-c, n) for c, n in pairs]
+    reference = (sum((Fraction(c.real) * n for c, n in pairs), Fraction(0)),
+                 sum((Fraction(c.imag) * n for c, n in pairs), Fraction(0)))
+    trace = ExactTrace.from_pairs(pairs)
+    assert trace.exact_total() == reference
+    if cancel:
+        assert reference == (0, 0)
+    # other pairs, same total: equal traces hash equally
+    padded = ExactTrace.from_pairs(list(reversed(pairs)) + [(0.75 - 2j, 7), (-0.75 + 2j, 7)])
+    assert padded == trace and hash(padded) == hash(trace)
 
 
 def test_vanishing_product_disjoint_orbits():
