@@ -158,6 +158,14 @@ def _field(doc: dict, key: str, kind: type, default=None, where: str = ""):
     return doc[key]
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer; a float, a bool or a string is a ValidationError, not
+    something int() would silently convert."""
+    if type(value) is not int:
+        raise ValidationError(f"{field} must be an integer")
+    return value
+
+
 def _parse_orbit_set(sft, words, field) -> PeriodicOrbitSet:
     if not all(isinstance(w, list) for w in words):
         raise ValidationError(f"{field}: each orbit must be a list of symbol labels")
@@ -180,7 +188,7 @@ def _parse_element(sft, doc, p_set, q_set, field) -> AlgebraElement:
             coeff = complex(term["coeff"][0], term["coeff"][1])
             if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
                 raise ValidationError(f"{field}.terms[{i}]: coefficient must be finite")
-            window = int(term["window"])
+            window = _integer(term["window"], f"{field}.terms[{i}].window")
             rays = []
             for key in ("target_ray", "source_ray"):
                 rdoc = term[key]
@@ -191,7 +199,7 @@ def _parse_element(sft, doc, p_set, q_set, field) -> AlgebraElement:
                         f"{'Q' if side == 'stable' else 'P'} orbit set"
                     )
                 body = tuple(sft.symbol_of(lab) for lab in rdoc["body"])
-                phase = int(rdoc.get("phase", 0))
+                phase = _integer(rdoc.get("phase", 0), f"{field}.terms[{i}].{key}.phase")
                 if side == "stable":
                     rays.append(make_left_ray(sft, orbit, phase,
                                               window - len(body), body, window))

@@ -58,6 +58,13 @@ def _min_rotation(word):
     return min(tuple(word[i:] + word[:i]) for i in range(len(word)))
 
 
+def _cycle(word, phase, length):
+    """`length` symbols of the periodic word, starting at word[phase] (mod
+    its length)."""
+    phase %= len(word)
+    return (word * ((phase + length) // len(word) + 1))[phase:phase + length]
+
+
 @dataclass(frozen=True)
 class Orbit:
     """A primitive admissible cyclic word, stored as its minimal rotation."""
@@ -301,7 +308,18 @@ class HeteroclinicPoint:
         return self.right_orbit.word[(self.right_phase + (m - self.m_right)) % p]
 
     def segment(self, lo: int, hi: int) -> tuple[int, ...]:
-        return tuple(self.symbol_at(m) for m in range(lo, hi))
+        """Symbols on [lo, hi), empty when hi <= lo."""
+        if hi <= lo:
+            return ()
+        n, m = self.n_left, self.m_right
+        out = self.middle[max(lo - n, 0):max(min(hi, m) - n, 0)]
+        if lo < n:
+            end = min(hi, n)
+            out = _cycle(self.left_orbit.word, self.left_phase + lo - n + 1, end - lo) + out
+        if m < hi:
+            start = max(lo, m)
+            out += _cycle(self.right_orbit.word, self.right_phase + start - m, hi - start)
+        return out
 
     def past_ray(self, c: int) -> LeftRay:
         """The point's coordinates below c as a canonical left ray."""

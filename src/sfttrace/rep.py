@@ -28,7 +28,12 @@ single exact rational built at the end.
 
 An independent brute-force route (`trace_product_oracle`) enumerates
 basis points inside a sufficient window and applies the operators
-vector by vector; it must agree with the symbolic route exactly.
+vector by vector; it must agree with the symbolic route exactly.  It
+holds each point as a fixed-range word, (left orbit, symbols on a range
+padded by the longest orbit period, right orbit), so applying a term is
+a compare and replace of a tuple prefix or suffix and the roundtrip test
+is tuple equality.  It never counts paths, reflects rays, or splices and
+canonicalizes points.
 """
 
 from __future__ import annotations
@@ -201,17 +206,12 @@ def _apply_unstable(f: UnstableBisection, w: HeteroclinicPoint):
     return splice_point(w.past_ray(lower), w.segment(lower, m), f.target)
 
 
-def _apply_bisection(b, w):
-    if isinstance(b, StableBisection):
-        return _apply_stable(b, w)
-    return _apply_unstable(b, w)
-
-
 def apply_element(x: AlgebraElement, w: HeteroclinicPoint) -> dict:
     """The image of a basis vector: a finitely supported point -> coefficient map."""
+    apply = _apply_stable if x.side == "stable" else _apply_unstable
     out: dict[HeteroclinicPoint, complex] = {}
     for c, b in x.terms:
-        y = _apply_bisection(b, w)
+        y = apply(b, w)
         if y is not None:
             out[y] = out.get(y, 0j) + c
     return {pt: c for pt, c in out.items() if c != 0}
@@ -420,24 +420,50 @@ def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: i
                          q_set: PeriodicOrbitSet) -> ExactTrace:
     """Brute-force trace: enumerate basis points and apply the operators.
 
-    Requires `window` at least `required_window(a, b, k)` so that every
-    affected point is enumerated; the sum is aggregated exactly and must
-    equal `trace_product` exactly.
+    Requires `window` at least req = `required_window(a, b, k)` so that
+    every affected point is enumerated.  Every enumerated point w meets
+    every conjugated unstable term, every image meets every conjugated
+    stable term, and a roundtrip that returns to w counts its coefficient
+    product once; the sum is aggregated exactly and must equal
+    `trace_product` exactly.
+
+    Points are handled as words: (left orbit, symbols on [lo, hi), right
+    orbit) with lo, hi = -req - pad, req + pad, where pad is the longest
+    orbit period of P, Q and the conjugated terms' rays.  Every point, ray
+    splice and ray end involved lies in [-req, req], outside which all
+    sequences are periodic, and pad symbols on each side fix the phase, so
+    the word determines the sequence.  A term's source and target become
+    words once per call: an unstable term at window m is a compare and
+    replace of the suffix from m - lo, a stable term at window n of the
+    prefix up to n - lo.
     """
     req = required_window(a, b, k)
     if window < req:
         raise WindowTooSmall(f"need window >= {req}, got {window}")
     a_k = apply_alpha(a, k)
     b_k = apply_alpha(b, -k)
+    rays = [ray for x in (a_k, b_k) for _, t in x.terms for ray in (t.target, t.source)]
+    pad = max((o.period for o in (*p_set.orbits, *q_set.orbits, *(r.orbit for r in rays))),
+              default=0)
+    lo, hi = -req - pad, req + pad
+    futures = [(cb, f.window - lo, f.source.orbit,
+                tuple(map(f.source.symbol_at, range(f.window, hi))), f.target.orbit,
+                tuple(map(f.target.symbol_at, range(f.window, hi))))
+               for cb, f in b_k.terms]
+    pasts = [(ca, e.window - lo, e.source.orbit,
+              tuple(map(e.source.symbol_at, range(lo, e.window))), e.target.orbit,
+              tuple(map(e.target.symbol_at, range(lo, e.window))))
+             for ca, e in a_k.terms]
     pairs = []
     for w in enumerate_heteroclinic(p.sft, p_set, q_set, req):
-        for cb, f in b_k.terms:
-            y = _apply_bisection(f, w)
-            if y is None:
+        left, word, right = w.left_orbit, w.segment(lo, hi), w.right_orbit
+        for cb, i, f_orbit, f_source, g_orbit, g_target in futures:
+            if word[i:] != f_source or right != f_orbit:
                 continue
-            for ca, e in a_k.terms:
-                z = _apply_bisection(e, y)
-                if z == w:
+            y = word[:i] + g_target  # left orbit `left`, right orbit `g_orbit`
+            for ca, j, e_orbit, e_source, t_orbit, e_target in pasts:
+                if (y[:j] == e_source and left == e_orbit and e_target + y[j:] == word
+                        and t_orbit == left and g_orbit == right):
                     pairs.append((ca * cb, 1))
     return ExactTrace.from_pairs(pairs)
 

@@ -104,10 +104,13 @@ def test_config_bad_k_range(tmp_path, k_range):
     (("sft", "symbols"), ["0", "0"]),
     (("a", "terms", 0, "coeff"), [math.inf, 0]),
     (("b", "terms", 0, "coeff"), [0, math.nan]),
+    (("a", "terms", 0, "window"), 0.9),
+    (("b", "terms", 0, "window"), True),
+    (("a", "terms", 0, "target_ray", "phase"), 0.5),
 ], ids=["stable-label", "unstable-label", "tolerance-list", "tolerance-string",
         "sft-list", "matrix-entry", "a-list", "terms-number", "P-number", "Q-orbit-null",
         "output-number", "matrix-float", "matrix-bool", "symbols-duplicate",
-        "coeff-infinity", "coeff-nan"])
+        "coeff-infinity", "coeff-nan", "window-float", "window-bool", "phase-float"])
 def test_config_bad_field_exits_2(tmp_path, capsys, keys, value):
     doc = json.loads(json.dumps(GOLDEN_DOC))
     node = doc

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -129,6 +130,39 @@ def test_junction_slides_right():
 def test_symbol_at_and_segment():
     z = make_point(ORB1, 0, 0, (), ORB0, 0, 0)
     assert z.segment(-3, 3) == (1, 1, 1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("kind", ["empty", "reversed", "left", "middle", "right", "spanning"])
+def test_segment_matches_symbol_at(kind):
+    # segment slices the middle and repeated orbit words; symbol_at reads one
+    # coordinate at a time and is the reference
+    rng = random.Random(f"segment-{kind}")
+    orbits = [ORB0, ORB01, make_orbit((0, 0, 1)), make_orbit((0, 1, 2))]
+    for _ in range(300):
+        left, right = rng.choice(orbits), rng.choice(orbits)
+        n = rng.randrange(-6, 7)
+        middle = tuple(rng.randrange(3) for _ in range(rng.randrange(kind == "middle", 5)))
+        m = n + len(middle)
+        z = HeteroclinicPoint(left, rng.randrange(left.period), n, middle,
+                              right, rng.randrange(right.period), m)
+        if kind == "empty":
+            lo = hi = rng.randrange(n - 8, m + 9)
+        elif kind == "reversed":
+            lo = rng.randrange(n - 8, m + 9)
+            hi = lo - rng.randrange(1, 8)
+        elif kind == "left":
+            hi = n - rng.randrange(0, 5)
+            lo = hi - rng.randrange(1, 12)
+        elif kind == "middle":
+            lo = rng.randrange(n, m)
+            hi = rng.randrange(lo + 1, m + 1)
+        elif kind == "right":
+            lo = m + rng.randrange(0, 5)
+            hi = lo + rng.randrange(1, 12)
+        else:
+            lo = n - rng.randrange(1, 12)
+            hi = m + rng.randrange(1, 12)
+        assert z.segment(lo, hi) == tuple(z.symbol_at(i) for i in range(lo, hi))
 
 
 def test_shift_point_examples():

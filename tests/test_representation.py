@@ -1,9 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from sys import modules as sys_modules
 
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from sfttrace.algebra import (
@@ -14,17 +15,23 @@ from sfttrace.algebra import (
     element,
 )
 from sfttrace.fixtures import (
+    System,
     canonical_pair,
     fixture_pairs,
     full_shift,
     golden_mean,
     mixed_pair,
     offdiagonal_stable,
+    random_element,
     three_symbol,
 )
+from sfttrace.perron import compute_perron
 from sfttrace.points import (
+    InadmissibleOrbit,
+    PeriodicOrbitSet,
     enumerate_heteroclinic,
     make_left_ray,
+    make_orbit,
     make_point,
     periodic_left_ray,
     shift_point,
@@ -48,7 +55,7 @@ from sfttrace.rep import (
     unitary_conjugation_check,
     vanishing_product_check,
 )
-from sfttrace.sft import count_paths
+from sfttrace.sft import Sft, count_paths, is_mixing, word_levels
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -343,6 +350,86 @@ def test_oracle_equivalence_random_elements():
             assert trace_product(a, b, k, GOLDEN.perron) == trace_product_oracle(
                 a, b, k, 12, GOLDEN.perron, GOLDEN.p_set, GOLDEN.q_set
             )
+
+
+def _orbits_up_to(sft, max_period):
+    """Every admissible orbit of the system with period <= max_period."""
+    orbits = set()
+    for level in word_levels(sft, range(sft.n), max_period):
+        for w in level:
+            if not w or not sft.allowed(w[-1], w[0]):
+                continue
+            try:
+                orbits.add(make_orbit(w, sft))
+            except InadmissibleOrbit:  # not primitive
+                pass
+    return sorted(orbits, key=lambda o: (o.period, o.word))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A fixture or a random small mixing system with random orbit sets,
+    seeded random elements, and k <= 3 with a small enumeration window."""
+    if draw(st.booleans()):
+        sys = draw(st.sampled_from([FULL, GOLDEN, THREE]))
+    else:
+        n = draw(st.integers(2, 3))
+        cells = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+        sft = Sft(tuple(tuple(cells[r * n:(r + 1) * n]) for r in range(n)))
+        assume(is_mixing(sft))
+        orbits = _orbits_up_to(sft, 3)
+        sets = st.lists(st.sampled_from(orbits), min_size=1, max_size=2, unique=True)
+        p_set = PeriodicOrbitSet(tuple(draw(sets)))
+        q_set = PeriodicOrbitSet(tuple(draw(sets)))
+        sys = System("random", sft, p_set, q_set, compute_perron(sft))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    a = random_element(rng, sys, "stable", draw(st.integers(1, 3)))
+    b = random_element(rng, sys, "unstable", draw(st.integers(1, 3)))
+    k = draw(st.integers(0, 3))
+    assume(required_window(a, b, k) <= 4)
+    return sys, a, b, k
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None, database=None)
+@given(case=oracle_cases())
+def test_oracle_equals_vector_by_vector_application(case):
+    # the word-form oracle against the representation API applied to each
+    # basis vector: the diagonal entry of a_k b_k at every enumerated point
+    sys, a, b, k = case
+    req = required_window(a, b, k)
+    a_k, b_k = apply_alpha(a, k), apply_alpha(b, -k)
+    diagonal_entries = [
+        (apply_to_combination(a_k, apply_element(b_k, w)).get(w, 0j), 1)
+        for w in enumerate_heteroclinic(sys.sft, sys.p_set, sys.q_set, req)
+    ]
+    oracle = trace_product_oracle(a, b, k, req, sys.perron, sys.p_set, sys.q_set)
+    assert oracle == ExactTrace.from_pairs(diagonal_entries)
+
+
+def test_oracle_calls_no_symbolic_or_point_building_code(monkeypatch):
+    # the oracle is an independent route: it must not reach time reversal or
+    # path counts, nor build points through splicing or canonicalization
+    from sfttrace import points, sft as sft_mod
+
+    cases = [(sys, name, a, b, k, trace_product(a, b, k, sys.perron))
+             for sys in (FULL, GOLDEN, THREE)
+             for name, a, b in fixture_pairs(sys) for k in range(5)]
+    banned = [points.reflect, sft_mod.count_paths, points.splice_point,
+              points.make_point, points.matches_past, points.matches_future]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called a banned function")
+
+    for module in [m for key, m in sys_modules.items()
+                   if key == "sfttrace" or key.startswith("sfttrace.")]:
+        for attr, value in list(vars(module).items()):
+            if any(value is fn for fn in banned):
+                monkeypatch.setattr(module, attr, forbidden)
+    for sys, name, a, b, k, known in cases:
+        oracle = trace_product_oracle(a, b, k, required_window(a, b, k),
+                                      sys.perron, sys.p_set, sys.q_set)
+        assert oracle == known, (sys.name, name, k)
 
 
 def test_trace_product_argument_guards():
