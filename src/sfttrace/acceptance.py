@@ -29,6 +29,7 @@ from .perron import compute_perron, mu_bowen, mu_s_data, mu_u_data
 from .rep import (
     commutator_decay,
     product_operator,
+    required_window,
     scaled_trace_sequence,
     trace_product,
     trace_product_detail,
@@ -220,8 +221,8 @@ def ac5_oracle_equivalence() -> CheckRow:
         for name, a, b in fixture_pairs(sys):
             for k in range(0, 6):
                 sym = trace_product(a, b, k, sys.perron)
-                brute = trace_product_oracle(a, b, k, 10, sys.perron,
-                                             sys.p_set, sys.q_set)
+                brute = trace_product_oracle(a, b, k, required_window(a, b, k),
+                                             sys.perron, sys.p_set, sys.q_set)
                 checked += 1
                 if sym != brute:
                     ok = False

@@ -321,6 +321,8 @@ def cmd_measures(config: ExperimentConfig) -> int:
 
 
 def cmd_enumerate(config: ExperimentConfig, window: int) -> int:
+    if window < 0:
+        raise ValidationError(f"--window {window} is negative")
     pts = enumerate_heteroclinic(config.sft, config.p_set, config.q_set, window)
     print(f"{len(pts)} heteroclinic points with canonical window inside "
           f"[-{window}, {window}]")
@@ -345,11 +347,14 @@ def cmd_trace_run(config: ExperimentConfig, out: str | None, kmax: int | None,
     lines = report.csv_lines()
     path = out or config.output
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            if timestamp:
-                now = datetime.datetime.now(datetime.timezone.utc)
-                fh.write(f"# generated {now.isoformat()}\n")
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                if timestamp:
+                    now = datetime.datetime.now(datetime.timezone.utc)
+                    fh.write(f"# generated {now.isoformat()}\n")
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
         print(f"wrote {path} ({len(report.rows)} rows)")
     else:
         print("\n".join(lines))
@@ -375,6 +380,8 @@ def cmd_trace_run(config: ExperimentConfig, out: str | None, kmax: int | None,
 
 
 def cmd_theorem13(config: ExperimentConfig, nmax: int) -> int:
+    if nmax < 0:
+        raise ValidationError(f"--nmax {nmax} is negative")
     p = compute_perron(config.sft)
     a, b = config.a, config.b
     t_ab = product_operator(a, b, p, "ab")

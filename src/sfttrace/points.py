@@ -478,47 +478,33 @@ def point_key(z: HeteroclinicPoint):
             z.right_orbit.word, z.right_phase)
 
 
+def asymptotic_sequences(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrbitSet,
+                         window: int):
+    """Every sequence from an orbit of Q to an orbit of P that is periodic
+    outside [-window, window), once each, as (left orbit, phase at
+    -window-1, symbols on [-window, window), right orbit, phase at window).
+    Orbits are primitive, so the phases fix the periodic tails."""
+    if window < 0:
+        raise ValueError("window must be >= 0")
+    for orbit in (*q_set.orbits, *p_set.orbits):
+        orbit.validate(sft)
+    rights = [(orbit, phase) for orbit in p_set.orbits for phase in range(orbit.period)]
+    for left_orbit in q_set.orbits:
+        for left_phase, left in enumerate(left_orbit.word):
+            *_, middles = word_levels(sft, sft.successors(left), 2 * window)
+            for right_orbit, right_phase in rights:
+                right = right_orbit.word[right_phase]
+                for middle in middles:
+                    if sft.allowed(middle[-1] if middle else left, right):
+                        yield left_orbit, left_phase, middle, right_orbit, right_phase
+
+
 def enumerate_heteroclinic(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrbitSet,
                            window: int) -> list[HeteroclinicPoint]:
     """All heteroclinic points whose canonical window lies within
-    [-window, window], in a fixed lexicographic order.
-
-    Generates canonical gluing data directly, so no deduplication pass is
-    needed: distinct canonical tuples are distinct points.
-    """
-    if window < 0:
-        raise ValueError("window must be >= 0")
-    out = []
-    for q_orbit in q_set.orbits:
-        q_orbit.validate(sft)
-        for p_orbit in p_set.orbits:
-            p_orbit.validate(sft)
-            for lphase in range(q_orbit.period):
-                for rphase in range(p_orbit.period):
-                    _emit_points(sft, q_orbit, lphase, p_orbit, rphase, window, out)
-    out.sort(key=point_key)
-    return out
-
-
-def _emit_points(sft, lorb, lphase, rorb, rphase, window, out):
-    pl, pr = lorb.period, rorb.period
-    left_sym = lorb.word[lphase]           # symbol at n - 1
-    left_cont = lorb.word[(lphase + 1) % pl]   # the symbol a longer periodic past would put at n
-    right_sym = rorb.word[rphase]          # symbol at m
-    right_pre = rorb.word[(rphase - 1) % pr]   # the symbol a longer periodic future would put at m - 1
-    periodic = lorb == rorb and (lphase + 1) % pl == rphase
-    junction = sft.allowed(left_sym, right_sym) and (periodic or right_sym != left_cont)
-
-    # canonical middles on [n, n + length): the same words serve every n
-    firsts = [s for s in sft.successors(left_sym) if s != left_cont]
-    levels = word_levels(sft, firsts, 2 * window)
-    next(levels)  # the empty middle is the junction case below
-    middles = [[w for w in level if w[-1] != right_pre and sft.allowed(w[-1], right_sym)]
-               for level in levels]
-    for n in range(-window, window + 1):
-        # empty middle: junction at n; a fully periodic point only at 0
-        if junction and (not periodic or n == 0):
-            out.append(HeteroclinicPoint(lorb, lphase, n, (), rorb, rphase, n))
-        for length, words in enumerate(middles[:window - n], 1):
-            out.extend(HeteroclinicPoint(lorb, lphase, n, w, rorb, rphase, n + length)
-                       for w in words)
+    [-window, window], in a fixed lexicographic order: the
+    `asymptotic_sequences` at this window, canonicalized by `make_point`
+    (which never moves n_left below -window), whose m_right fits."""
+    points = (make_point(left, lph, -window, middle, right, rph, window)
+              for left, lph, middle, right, rph in asymptotic_sequences(sft, p_set, q_set, window))
+    return sorted((z for z in points if z.m_right <= window), key=point_key)

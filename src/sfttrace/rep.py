@@ -27,13 +27,14 @@ summed as one integer numerator over the largest such denominator, with a
 single exact rational built at the end.
 
 An independent brute-force route (`trace_product_oracle`) enumerates
-basis points inside a sufficient window and applies the operators
-vector by vector; it must agree with the symbolic route exactly.  It
-holds each point as a fixed-range word, (left orbit, symbols on a range
-padded by the longest orbit period, right orbit), so applying a term is
-a compare and replace of a tuple prefix or suffix and the roundtrip test
-is tuple equality.  It never counts paths, reflects rays, or splices and
-canonicalizes points.
+every basis point that is periodic outside a window wide enough for all
+contributing points (`points.asymptotic_sequences`) and applies the
+operators to each one; it must agree with the symbolic route exactly.
+It holds each point as a fixed-range word, (left orbit, symbols on the
+window padded by the longest orbit period, right orbit), so applying a
+term is a compare and replace of a tuple prefix or suffix and the
+roundtrip test is tuple equality.  It never counts paths, reflects rays,
+or builds, canonicalizes or sorts points.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ from .perron import PerronData
 from .points import (
     HeteroclinicPoint,
     PeriodicOrbitSet,
-    enumerate_heteroclinic,
+    _cycle,
+    asymptotic_sequences,
     matches_future,
     matches_past,
     point_key,
@@ -403,8 +405,10 @@ def trace_product(a: AlgebraElement, b: AlgebraElement, k: int, p: PerronData) -
 
 
 def required_window(a: AlgebraElement, b: AlgebraElement, k: int) -> int:
-    """A window guaranteed to contain the canonical windows of every basis
-    point that can contribute to the k-th conjugated trace."""
+    """A window req such that every basis point that can contribute to the
+    k-th conjugated trace is periodic outside [-req, req) (its canonical
+    window may still end past req), and every conjugated ray's splice,
+    start and end lies in [-req, req]."""
     req = 0
     for _, e in a.terms:
         for ray in (e.target, e.source):
@@ -420,18 +424,18 @@ def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: i
                          q_set: PeriodicOrbitSet) -> ExactTrace:
     """Brute-force trace: enumerate basis points and apply the operators.
 
-    Requires `window` at least req = `required_window(a, b, k)` so that
-    every affected point is enumerated.  Every enumerated point w meets
-    every conjugated unstable term, every image meets every conjugated
-    stable term, and a roundtrip that returns to w counts its coefficient
-    product once; the sum is aggregated exactly and must equal
-    `trace_product` exactly.
+    Enumerates every basis point periodic outside [-window, window)
+    (`asymptotic_sequences`); `window` must be at least
+    `required_window(a, b, k)`, else WindowTooSmall, so that this covers
+    every contributing point.  Every point w meets every conjugated
+    unstable term, every image every conjugated stable term, and a
+    roundtrip back to w counts its coefficient product once; the exact sum
+    must equal `trace_product`.
 
-    Points are handled as words: (left orbit, symbols on [lo, hi), right
-    orbit) with lo, hi = -req - pad, req + pad, where pad is the longest
-    orbit period of P, Q and the conjugated terms' rays.  Every point, ray
-    splice and ray end involved lies in [-req, req], outside which all
-    sequences are periodic, and pad symbols on each side fix the phase, so
+    Points are words: (left orbit, symbols on [lo, hi), right orbit) with
+    lo, hi = -window - pad, window + pad, pad the longest orbit period of
+    P, Q and the conjugated terms' rays.  Every sequence involved is
+    periodic outside [-window, window) and pad symbols fix each phase, so
     the word determines the sequence.  A term's source and target become
     words once per call: an unstable term at window m is a compare and
     replace of the suffix from m - lo, a stable term at window n of the
@@ -445,7 +449,7 @@ def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: i
     rays = [ray for x in (a_k, b_k) for _, t in x.terms for ray in (t.target, t.source)]
     pad = max((o.period for o in (*p_set.orbits, *q_set.orbits, *(r.orbit for r in rays))),
               default=0)
-    lo, hi = -req - pad, req + pad
+    lo, hi = -window - pad, window + pad
     futures = [(cb, f.window - lo, f.source.orbit,
                 tuple(map(f.source.symbol_at, range(f.window, hi))), f.target.orbit,
                 tuple(map(f.target.symbol_at, range(f.window, hi))))
@@ -455,8 +459,8 @@ def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: i
               tuple(map(e.target.symbol_at, range(lo, e.window))))
              for ca, e in a_k.terms]
     pairs = []
-    for w in enumerate_heteroclinic(p.sft, p_set, q_set, req):
-        left, word, right = w.left_orbit, w.segment(lo, hi), w.right_orbit
+    for left, lph, middle, right, rph in asymptotic_sequences(p.sft, p_set, q_set, window):
+        word = _cycle(left.word, lph + 1 - pad, pad) + middle + _cycle(right.word, rph, pad)
         for cb, i, f_orbit, f_source, g_orbit, g_target in futures:
             if word[i:] != f_source or right != f_orbit:
                 continue

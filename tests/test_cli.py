@@ -169,6 +169,15 @@ def test_cli_enumerate(tmp_path, capsys):
     assert out.startswith("3 heteroclinic points")
 
 
+def test_cli_enumerate_negative_window_exits_2(tmp_path, capsys):
+    code = main(["enumerate", "--config", write_doc(tmp_path, GOLDEN_DOC),
+                 "--window", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --window -1 is negative\n"
+    assert captured.out == ""
+
+
 def test_cli_measures(tmp_path, capsys):
     code = main(["measures", "--config", write_doc(tmp_path, GOLDEN_DOC)])
     out = capsys.readouterr().out
@@ -199,6 +208,15 @@ def test_cli_trace_run_kmax_below_first_k(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: --kmax -4 ")
     assert not out.exists()
+
+
+def test_cli_trace_run_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "trace.csv"
+    code = main(["trace-run", "--config", write_doc(tmp_path, GOLDEN_DOC),
+                 "--out", str(out), "--no-timestamp"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
 
 def test_cli_no_convergence_exits_3(tmp_path, capsys, monkeypatch):
@@ -287,6 +305,15 @@ def test_cli_theorem13_shared_orbits_skips_vanishing(tmp_path, capsys):
     assert "commutator decay" in out
 
 
+def test_cli_theorem13_negative_nmax_exits_2(tmp_path, capsys):
+    code = main(["theorem13", "--config", write_doc(tmp_path, GOLDEN_DOC),
+                 "--nmax", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --nmax -1 is negative\n"
+    assert captured.out == ""
+
+
 def test_cli_verify(capsys):
     code = main(["verify"])
     out = capsys.readouterr().out
@@ -333,3 +360,32 @@ def test_trace_run_csv_digest(tmp_path, capsys, name):
     assert main(["trace-run", "--config", config_path, "--out", str(out),
                  "--no-timestamp"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[name]
+
+
+# sha256 of `enumerate` stdout for the shipped configs at windows 0..5; any
+# change in the points, their order or their rendering shows up here
+ENUMERATE_SHA256 = {
+    ("golden_mean.json", 0): "8b8d9780ae10f13836e737c620b308aeeca962417ad29f490a820179a1e7962b",
+    ("golden_mean.json", 1): "7aa529eb51af995c48adccbf72b025d2c4f2c1f342d9bace7e54564840a0eed2",
+    ("golden_mean.json", 2): "0c477ab68a403c98f7b744e8f36f817b0f59a91ac2ce1e0fa436b665fdde7da2",
+    ("golden_mean.json", 3): "6a3520001129e35de82574da761cd8bc7adbc665205bb539333da73925bace5c",
+    ("golden_mean.json", 4): "5003ba8b457fb27d089dc7ee97b7875d73855d76c76511bb22e7c0ad1f5e81bd",
+    ("golden_mean.json", 5): "01666f17487d53188ae9265da708a88ebe10c5e935dacd2316cf82ea08a5d1e5",
+    ("full_shift.json", 0): "7c7cda442641d87656c83d865afcf361a1b672131082a4f71cd0088d71f3c04f",
+    ("full_shift.json", 1): "05ed8ff7eb1b42a695e42f07015cf289fd3e85f151e43a4a73f9edd496596fed",
+    ("full_shift.json", 2): "62016865432faddd424aab6404a48cf8d2f77d5cbafdafeaa7e633950f511d8d",
+    ("full_shift.json", 3): "b4c1240816a89441290d12346fdb70b77f0a64f6a212a5048b324c9ca3d99075",
+    ("full_shift.json", 4): "eb701bf593d3eac5fe50f914a954c3279e7ecffaceb97bd5a3e41dde139f9563",
+    ("full_shift.json", 5): "b80bddf06a9c90b8db5f45ba6fbc0a5b813c361ef0c00a2c46d91e75e9dae2f6",
+}
+
+
+@pytest.mark.parametrize("name, window", sorted(ENUMERATE_SHA256),
+                         ids=lambda v: str(v).removesuffix(".json"))
+def test_enumerate_digest(capsys, name, window):
+    import hashlib
+
+    assert main(["enumerate", "--config", str(CONFIG_DIR / name),
+                 "--window", str(window)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[name, window]

@@ -7,6 +7,7 @@ from sfttrace.points import (
     HeteroclinicPoint,
     InadmissibleOrbit,
     IncompatibleAtZero,
+    asymptotic_sequences,
     bracket,
     enumerate_heteroclinic,
     in_stable_class,
@@ -344,6 +345,28 @@ def test_enumerate_window_guard():
     q = make_orbit_set([[1]], FULL)
     with pytest.raises(ValueError):
         enumerate_heteroclinic(FULL, p, q, -1)
+
+
+@pytest.mark.parametrize("sft, q_word, p_word", [
+    (FULL, [1], [0]), (FULL, [0], [0, 1]), (GOLDEN, [0, 1], [0]), (GOLDEN, [0, 1], [0, 1]),
+], ids=["full-1-0", "full-0-01", "golden-01-0", "golden-01-01"])
+def test_asymptotic_sequences_once_each(sft, q_word, p_word):
+    q, p = make_orbit_set([q_word], sft), make_orbit_set([p_word], sft)
+    q_orbit, p_orbit = q.orbits[0], p.orbits[0]
+    slide = q_orbit.period + p_orbit.period
+    for w in range(4):
+        points = []
+        for left, lphase, middle, right, rphase in asymptotic_sequences(sft, p, q, w):
+            z = make_point(left, lphase, -w, middle, right, rphase, w)
+            assert z.segment(-w - 1, w + 1) == (left.word[lphase],) + middle + (
+                right.word[rphase],)
+            assert point_is_admissible(sft, z)
+            assert -w <= z.n_left and z.m_right <= w + slide
+            points.append(z)
+        # distinct tuples are distinct sequences, and every point whose
+        # canonical window fits is among them
+        assert len(set(points)) == len(points)
+        assert set(enumerate_heteroclinic(sft, p, q, w)) <= set(points)
 
 
 def test_point_admissibility_negative():

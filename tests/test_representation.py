@@ -29,6 +29,7 @@ from sfttrace.perron import compute_perron
 from sfttrace.points import (
     InadmissibleOrbit,
     PeriodicOrbitSet,
+    asymptotic_sequences,
     enumerate_heteroclinic,
     make_left_ray,
     make_orbit,
@@ -243,7 +244,8 @@ def test_oracle_equivalence(sys):
     for name, a, b in fixture_pairs(sys):
         for k in range(0, 4):
             sym = trace_product(a, b, k, sys.perron)
-            brute = trace_product_oracle(a, b, k, 10, sys.perron, sys.p_set, sys.q_set)
+            brute = trace_product_oracle(a, b, k, required_window(a, b, k), sys.perron,
+                                         sys.p_set, sys.q_set)
             assert sym == brute, (sys.name, name, k)
 
 
@@ -316,7 +318,7 @@ def test_trace_product_period_two_orbits():
                 expect = count_paths(sft, cyc.orbits[0].word[lphase],
                                      cyc.orbits[0].word[rphase], 2 * k + 1)
                 assert sym.as_int() == expect
-                brute = trace_product_oracle(a, b, k, 10, p, cyc, cyc)
+                brute = trace_product_oracle(a, b, k, required_window(a, b, k), p, cyc, cyc)
                 assert sym == brute
 
 
@@ -348,7 +350,7 @@ def test_oracle_equivalence_random_elements():
         b = random_element(rng, GOLDEN, "unstable", 2)
         for k in range(0, 4):
             assert trace_product(a, b, k, GOLDEN.perron) == trace_product_oracle(
-                a, b, k, 12, GOLDEN.perron, GOLDEN.p_set, GOLDEN.q_set
+                a, b, k, required_window(a, b, k), GOLDEN.perron, GOLDEN.p_set, GOLDEN.q_set
             )
 
 
@@ -395,16 +397,53 @@ def oracle_cases(draw):
 @given(case=oracle_cases())
 def test_oracle_equals_vector_by_vector_application(case):
     # the word-form oracle against the representation API applied to each
-    # basis vector: the diagonal entry of a_k b_k at every enumerated point
+    # basis vector: the diagonal entry of a_k b_k at every point periodic
+    # outside [-req, req) (their canonical windows can end past req)
     sys, a, b, k = case
     req = required_window(a, b, k)
     a_k, b_k = apply_alpha(a, k), apply_alpha(b, -k)
+    basis = [make_point(left, left_phase, -req, middle, right, right_phase, req)
+             for left, left_phase, middle, right, right_phase
+             in asymptotic_sequences(sys.sft, sys.p_set, sys.q_set, req)]
     diagonal_entries = [
-        (apply_to_combination(a_k, apply_element(b_k, w)).get(w, 0j), 1)
-        for w in enumerate_heteroclinic(sys.sft, sys.p_set, sys.q_set, req)
+        (apply_to_combination(a_k, apply_element(b_k, w)).get(w, 0j), 1) for w in basis
     ]
     oracle = trace_product_oracle(a, b, k, req, sys.perron, sys.p_set, sys.q_set)
     assert oracle == ExactTrace.from_pairs(diagonal_entries)
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(case=oracle_cases())
+def test_oracle_equals_symbolic_trace(case):
+    # the paper's check beyond the fixtures; a wider window enumerates more
+    # points, none of which contributes
+    sys, a, b, k = case
+    req = required_window(a, b, k)
+    oracle = [trace_product_oracle(a, b, k, w, sys.perron, sys.p_set, sys.q_set)
+              for w in (req, req + 1)]
+    assert trace_product(a, b, k, sys.perron) == oracle[0] == oracle[1]
+
+
+@pytest.mark.parametrize("sys, q_word, p_word", [(FULL, [0], [0, 1]), (GOLDEN, [0, 1], [0])],
+                         ids=["full-shift", "golden-mean"])
+def test_oracle_counts_points_whose_junction_slides_past_the_window(sys, q_word, p_word):
+    # ...000|0101... is periodic outside [0, 0) but its canonical window is
+    # [1, 1]: the junction slides right while the two patterns agree
+    from sfttrace.points import make_orbit_set, periodic_right_ray
+
+    q_set, p_set = make_orbit_set([q_word], sys.sft), make_orbit_set([p_word], sys.sft)
+    q_orbit, p_orbit = q_set.orbits[0], p_set.orbits[0]
+    for lphase in range(q_orbit.period):
+        for rphase in range(p_orbit.period):
+            a = diagonal("stable", periodic_left_ray(sys.sft, q_orbit, 0, lphase))
+            b = diagonal("unstable", periodic_right_ray(sys.sft, p_orbit, 0, rphase))
+            for k in range(4):
+                sym = trace_product(a, b, k, sys.perron)
+                assert sym.as_int() == count_paths(sys.sft, q_orbit.word[lphase],
+                                                   p_orbit.word[rphase], 2 * k + 1)
+                assert sym == trace_product_oracle(a, b, k, required_window(a, b, k),
+                                                   sys.perron, p_set, q_set), (lphase, rphase, k)
 
 
 def test_oracle_calls_no_symbolic_or_point_building_code(monkeypatch):
@@ -416,7 +455,8 @@ def test_oracle_calls_no_symbolic_or_point_building_code(monkeypatch):
              for sys in (FULL, GOLDEN, THREE)
              for name, a, b in fixture_pairs(sys) for k in range(5)]
     banned = [points.reflect, sft_mod.count_paths, points.splice_point,
-              points.make_point, points.matches_past, points.matches_future]
+              points.make_point, points.matches_past, points.matches_future,
+              points.enumerate_heteroclinic]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called a banned function")
