@@ -166,6 +166,20 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _finite_float(value, field: str) -> float:
+    """A JSON number as a finite float; a bool, a string, an infinity, a nan
+    or an integer too large for a float is a ValidationError."""
+    if type(value) not in (int, float):
+        raise ValidationError(f"{field} must be a JSON number")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(f"{field} must be finite")
+    return x
+
+
 def _parse_orbit_set(sft, words, field) -> PeriodicOrbitSet:
     if not all(isinstance(w, list) for w in words):
         raise ValidationError(f"{field}: each orbit must be a list of symbol labels")
@@ -185,9 +199,10 @@ def _parse_element(sft, doc, p_set, q_set, field) -> AlgebraElement:
     terms = []
     for i, term in enumerate(_field(doc, "terms", list, [], f"{field}.")):
         try:
-            coeff = complex(term["coeff"][0], term["coeff"][1])
-            if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
-                raise ValidationError(f"{field}.terms[{i}]: coefficient must be finite")
+            parts = term["coeff"]
+            if not isinstance(parts, list) or len(parts) != 2:
+                raise ValidationError(f"{field}.terms[{i}].coeff must be [real, imag]")
+            coeff = complex(*(_finite_float(x, f"{field}.terms[{i}].coeff") for x in parts))
             window = _integer(term["window"], f"{field}.terms[{i}].window")
             rays = []
             for key in ("target_ray", "source_ray"):
@@ -246,9 +261,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ValidationError(
             "k_range must be [first, last] with integers 0 <= first <= last")
     tolerances = doc.get("tolerances", {})
+    # a nan tolerance would compare False against every error and switch its gate off
     if not isinstance(tolerances, dict) or not all(
-            type(t) in (int, float) for t in tolerances.values()):
-        raise ValidationError("tolerances must map names to numbers")
+            type(t) in (int, float) and 0 <= t < math.inf for t in tolerances.values()):
+        raise ValidationError("tolerances must map names to finite numbers >= 0")
     output = doc.get("output")
     if not isinstance(output, (str, type(None))):
         raise ValidationError("output must be a path string or null")
@@ -344,7 +360,6 @@ def cmd_trace_run(config: ExperimentConfig, out: str | None, kmax: int | None,
     if config.a.is_zero or config.b.is_zero:
         raise ValidationError("trace runs need nonzero elements a and b")
     report = scaled_trace_sequence(config.a, config.b, range(k_lo, k_hi + 1), p)
-    lines = report.csv_lines()
     path = out or config.output
     if path:
         try:
@@ -352,26 +367,23 @@ def cmd_trace_run(config: ExperimentConfig, out: str | None, kmax: int | None,
                 if timestamp:
                     now = datetime.datetime.now(datetime.timezone.utc)
                     fh.write(f"# generated {now.isoformat()}\n")
-                fh.write("\n".join(lines) + "\n")
+                zeros = report.write_csv(fh)
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
         print(f"wrote {path} ({len(report.rows)} rows)")
     else:
-        print("\n".join(lines))
+        zeros = report.write_csv(sys.stdout)
     print(f"target tau_s(a)*tau_u(b) = {format_complex(report.target)}")
     print(f"final abs error          = {report.final_error()!r}")
     rate = report.fitted_decay_rate()
     if not math.isnan(rate):
         print(f"fitted error decay rate  = {rate:.6g} per step")
-    zeros = [row.trace.exact_total() == (0, 0) for row in report.rows]
     if zeros and zeros[-1]:
         first_zero = len(zeros) - 1
         while first_zero > 0 and zeros[first_zero - 1]:
             first_zero -= 1
-        if all(zeros[first_zero:]):
-            k0 = report.rows[first_zero].k
-            print(f"exact-zero regime: every trace vanishes for k >= {k0} "
-                  f"(roundtrip fixed-point sets empty)")
+        print(f"exact-zero regime: every trace vanishes for k >= {report.rows[first_zero].k} "
+              f"(roundtrip fixed-point sets empty)")
     tol = config.tolerances.get("final_abs_err")
     if tol is not None and report.rows and report.final_error() > tol:
         print(f"FAIL final error {report.final_error():.3e} > {tol:g}")

@@ -39,7 +39,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .sft import Sft, Word, is_admissible, word_levels
+from .sft import Sft, Word, count_paths, is_admissible, word_levels
+
+# most asymptotic sequences `enumerate_heteroclinic` builds points for
+ENUMERATION_CAP = 2 ** 17
+
+
+class WindowOverflow(RuntimeError):
+    """Support window exceeds the configured cap; input too large for desk scale."""
 
 
 class InadmissibleRay(ValueError):
@@ -499,12 +506,34 @@ def asymptotic_sequences(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrbit
                         yield left_orbit, left_phase, middle, right_orbit, right_phase
 
 
+def count_asymptotic_sequences(sft: Sft, p_set: PeriodicOrbitSet,
+                               q_set: PeriodicOrbitSet, window: int) -> int:
+    """How many sequences `asymptotic_sequences` yields at this window: the
+    paths of 2 * window + 1 steps from each left symbol at -window-1 to each
+    right symbol at window."""
+    return sum(count_paths(sft, left, right, 2 * window + 1)
+               for q in q_set.orbits for left in q.word
+               for p in p_set.orbits for right in p.word)
+
+
 def enumerate_heteroclinic(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrbitSet,
                            window: int) -> list[HeteroclinicPoint]:
     """All heteroclinic points whose canonical window lies within
     [-window, window], in a fixed lexicographic order: the
     `asymptotic_sequences` at this window, canonicalized by `make_point`
-    (which never moves n_left below -window), whose m_right fits."""
+    (which never moves n_left below -window), whose m_right fits.
+
+    Raises WindowOverflow, before building any point, when there are more
+    than ENUMERATION_CAP such sequences.  A sequence periodic outside
+    [-w, w) is periodic outside [-w-1, w+1), so the count never shrinks as
+    the window grows, and the windows are counted upwards until one
+    exceeds the cap: a huge window costs no huge path counts.
+    """
+    for w in range(window + 1):
+        count = count_asymptotic_sequences(sft, p_set, q_set, w)
+        if count > ENUMERATION_CAP:
+            raise WindowOverflow(f"window {window} has more than {ENUMERATION_CAP} "
+                                 f"asymptotic sequences ({count} at window {w})")
     points = (make_point(left, lph, -window, middle, right, rph, window)
               for left, lph, middle, right, rph in asymptotic_sequences(sft, p_set, q_set, window))
     return sorted((z for z in points if z.m_right <= window), key=point_key)

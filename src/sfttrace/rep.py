@@ -23,8 +23,10 @@ counts come from exact row vectors of the transfer matrix that
 `sft.count_paths` keeps per system and source symbol and advances by one
 step per unit of path length, so a sweep over k pays for each length once.
 Each finite float coefficient is exactly p / 2^e, so a trace's total is
-summed as one integer numerator over the largest such denominator, with a
-single exact rational built at the end.
+summed in one pass as one integer numerator over a power-of-two
+denominator, with a single exact rational built at the end.  A trace run
+computes each row's total once: the CSV rendering prints "0" exactly when
+the total is 0, so the exact-zero check reads the rendered rows.
 
 An independent brute-force route (`trace_product_oracle`) enumerates
 every basis point that is periodic outside a window wide enough for all
@@ -58,6 +60,7 @@ from .perron import PerronData
 from .points import (
     HeteroclinicPoint,
     PeriodicOrbitSet,
+    WindowOverflow,
     _cycle,
     asymptotic_sequences,
     matches_future,
@@ -67,10 +70,6 @@ from .points import (
     splice_point,
 )
 from .sft import count_paths, word_levels
-
-
-class WindowOverflow(RuntimeError):
-    """Support window exceeds the configured cap; input too large for desk scale."""
 
 
 class WindowTooSmall(ValueError):
@@ -100,11 +99,18 @@ def _dyadic_sum(terms) -> Fraction:
     """The exact sum of x * n over (finite float x, int n) pairs.
 
     Each float is p / 2^e exactly, so the sum is one integer numerator over
-    the largest denominator: integer multiply-adds and one Fraction.
+    the largest denominator seen so far, rescaled when a larger one comes:
+    one pass of integer multiply-adds.  An integer total, the common case,
+    becomes a Fraction without a gcd.
     """
-    ratios = [(x.as_integer_ratio(), n) for x, n in terms]
-    den = max((d for (_, d), _ in ratios), default=1)
-    return Fraction(sum(p * n * (den // d) for (p, d), n in ratios), den)
+    num, den = 0, 1
+    for x, n in terms:
+        p, d = x.as_integer_ratio()
+        if d > den:
+            num *= d // den
+            den = d
+        num += p * n * (den // d)
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -114,8 +120,10 @@ class ExactTrace:
     Counts are nonnegative path counts; coefficients are the complex term
     products, always finite.  Aggregation is exact, so two routes to the
     same trace compare exactly, independent of summation order: the real
-    and imaginary totals are dyadic rationals, each summed as integers over
-    the largest power-of-two denominator of its coefficients.
+    and imaginary totals are dyadic rationals, each summed in one pass as
+    one integer numerator over the largest power-of-two denominator of its
+    coefficients.  No total is stored; `render` computes it once per call,
+    and a trace run renders each row once.
     """
 
     pairs: tuple[tuple[complex, int], ...]
@@ -493,14 +501,23 @@ class TraceReport:
     target: complex
     lam: float
 
-    def csv_lines(self) -> list[str]:
-        lines = ["k,trace,scaled,target,abs_err"]
+    def write_csv(self, fh) -> list[bool]:
+        """Write the header and one line per row to `fh`; return, per row,
+        whether its trace is exactly zero.
+
+        `render` computes each row's exact total once and prints "0" exactly
+        when both parts are 0 (a nonzero integer has a nonzero digit, every
+        other value prints as a float repr), so the zero flags cost no
+        second total.
+        """
+        fh.write("k,trace,scaled,target,abs_err\n")
+        zeros = []
         for r in self.rows:
-            lines.append(
-                f"{r.k},{r.trace.render()},{format_complex(r.scaled)},"
-                f"{format_complex(r.target)},{r.abs_err!r}"
-            )
-        return lines
+            trace = r.trace.render()
+            zeros.append(trace == "0")
+            fh.write(f"{r.k},{trace},{format_complex(r.scaled)},"
+                     f"{format_complex(r.target)},{r.abs_err!r}\n")
+        return zeros
 
     def final_error(self) -> float:
         return self.rows[-1].abs_err if self.rows else math.nan

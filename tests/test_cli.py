@@ -107,10 +107,17 @@ def test_config_bad_k_range(tmp_path, k_range):
     (("a", "terms", 0, "window"), 0.9),
     (("b", "terms", 0, "window"), True),
     (("a", "terms", 0, "target_ray", "phase"), 0.5),
+    (("tolerances", "final_abs_err"), math.nan),
+    (("tolerances", "final_abs_err"), math.inf),
+    (("tolerances", "final_abs_err"), -1e-8),
+    (("a", "terms", 0, "coeff"), [True, False]),
+    (("b", "terms", 0, "coeff"), [1, 0, 5]),
+    (("a", "terms", 0, "coeff"), [10 ** 400, 0]),
 ], ids=["stable-label", "unstable-label", "tolerance-list", "tolerance-string",
         "sft-list", "matrix-entry", "a-list", "terms-number", "P-number", "Q-orbit-null",
         "output-number", "matrix-float", "matrix-bool", "symbols-duplicate",
-        "coeff-infinity", "coeff-nan", "window-float", "window-bool", "phase-float"])
+        "coeff-infinity", "coeff-nan", "window-float", "window-bool", "phase-float",
+        "tol-nan", "tol-inf", "tol-negative", "coeff-bool", "coeff-length", "coeff-huge-int"])
 def test_config_bad_field_exits_2(tmp_path, capsys, keys, value):
     doc = json.loads(json.dumps(GOLDEN_DOC))
     node = doc
@@ -176,6 +183,20 @@ def test_cli_enumerate_negative_window_exits_2(tmp_path, capsys):
     assert code == 2
     assert captured.err == "error: --window -1 is negative\n"
     assert captured.out == ""
+
+
+def test_cli_enumerate_past_the_cap_exits_4(capsys):
+    import time
+
+    start = time.perf_counter()
+    code = main(["enumerate", "--config", str(CONFIG_DIR / "full_shift.json"),
+                 "--window", "12"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("resource cap: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert elapsed < 1.0
 
 
 def test_cli_measures(tmp_path, capsys):
@@ -340,11 +361,14 @@ def _three_symbol_mixed_config(path):
 
 
 # sha256 of `trace-run --no-timestamp` output; any change in a trace, its
-# scaling or its formatting shows up here
+# scaling or its formatting shows up here.  The golden mean run to k = 3000
+# pins the log-scaling route and traces thousands of digits long.
 GOLDEN_CSV_SHA256 = {
     "golden_mean.json": "a164b8149758720f5cc5e68dc020f74dd37b1877dfdcd07baa39c035ca62c685",
     "full_shift.json": "ef8247a1613b33e983ea53eb9036a49ade5f050b341acf42f4f04dbe1a876436",
     "three_symbol_mixed": "ad6a2aa1025d4a8aedc30b4e2ed5532abcdad64249973074ea6c6ae6933d0f02",
+    "golden_mean.json-kmax3000":
+        "e8e50ff32360fcbb22fc708043b9d9a026419c4ef5b6f575746b525ce5e4e7eb",
 }
 
 
@@ -352,14 +376,50 @@ GOLDEN_CSV_SHA256 = {
 def test_trace_run_csv_digest(tmp_path, capsys, name):
     import hashlib
 
-    if name.endswith(".json"):
-        config_path = str(CONFIG_DIR / name)
+    config, _, kmax = name.partition("-kmax")
+    if config.endswith(".json"):
+        config_path = str(CONFIG_DIR / config)
     else:
         config_path = _three_symbol_mixed_config(tmp_path / "mixed.json")
     out = tmp_path / "trace.csv"
     assert main(["trace-run", "--config", config_path, "--out", str(out),
-                 "--no-timestamp"]) == 0
+                 "--no-timestamp", *(["--kmax", kmax] if kmax else [])]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[name]
+
+
+def test_trace_run_sums_each_exact_total_once(tmp_path, capsys, monkeypatch):
+    # the CSV and the exact-zero check share one total per row: one exact
+    # sum for the real part and one for the imaginary part
+    from sfttrace import rep
+
+    calls = []
+    dyadic_sum = rep._dyadic_sum
+    monkeypatch.setattr(rep, "_dyadic_sum", lambda terms: calls.append(1) or dyadic_sum(terms))
+    assert main(["trace-run", "--config", str(CONFIG_DIR / "golden_mean.json"),
+                 "--out", str(tmp_path / "trace.csv"), "--no-timestamp"]) == 0
+    rows = len((tmp_path / "trace.csv").read_text().splitlines()) - 1
+    assert rows == 16 and len(calls) == 2 * rows
+
+
+def test_trace_run_stdout_and_zero_regime(tmp_path, capsys):
+    # full shift, an off-diagonal pair whose only roundtrip fixed point is at
+    # k = 0: without an output path the CSV goes to stdout before the summary
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    doc["sft"]["matrix"] = [[1, 1], [1, 1]]
+    doc["a"]["terms"][0]["window"] = 3
+    doc["a"]["terms"][0]["source_ray"]["body"] = ["0", "1", "0"]
+    doc["b"]["terms"][0]["target_ray"]["body"] = ["0", "1", "0"]
+    doc["k_range"] = [0, 4]
+    doc["tolerances"] = {}
+    assert main(["trace-run", "--config", write_doc(tmp_path, doc), "--no-timestamp"]) == 0
+    assert capsys.readouterr().out == (
+        "k,trace,scaled,target,abs_err\n"
+        "0,1,1.0,0.0,1.0\n"
+        + "".join(f"{k},0,0.0,0.0,0.0\n" for k in range(1, 5))
+        + "target tau_s(a)*tau_u(b) = 0.0\n"
+        "final abs error          = 0.0\n"
+        "exact-zero regime: every trace vanishes for k >= 1 "
+        "(roundtrip fixed-point sets empty)\n")
 
 
 # sha256 of `enumerate` stdout for the shipped configs at windows 0..5; any

@@ -7,8 +7,10 @@ from sfttrace.points import (
     HeteroclinicPoint,
     InadmissibleOrbit,
     IncompatibleAtZero,
+    WindowOverflow,
     asymptotic_sequences,
     bracket,
+    count_asymptotic_sequences,
     enumerate_heteroclinic,
     in_stable_class,
     in_unstable_class,
@@ -367,6 +369,38 @@ def test_asymptotic_sequences_once_each(sft, q_word, p_word):
         # canonical window fits is among them
         assert len(set(points)) == len(points)
         assert set(enumerate_heteroclinic(sft, p, q, w)) <= set(points)
+        assert len(points) == count_asymptotic_sequences(sft, p, q, w)
+
+
+@pytest.mark.parametrize("sft, p_words, q_words", [
+    (FULL, [[0]], [[1]]), (FULL, [[0], [1]], [[0, 1]]), (GOLDEN, [[0]], [[0]]),
+    (GOLDEN, [[0], [0, 1]], [[0, 1]]),
+], ids=["full-1-0", "full-01-0+1", "golden-0-0", "golden-01-0+01"])
+def test_count_asymptotic_sequences_matches_enumeration(sft, p_words, q_words):
+    p, q = make_orbit_set(p_words, sft), make_orbit_set(q_words, sft)
+    for w in range(7):
+        assert count_asymptotic_sequences(sft, p, q, w) == sum(
+            1 for _ in asymptotic_sequences(sft, p, q, w))
+
+
+def test_enumerate_cap_raises_before_building_points(monkeypatch):
+    import sfttrace.points as points
+
+    p = make_orbit_set([[0]], FULL)
+    q = make_orbit_set([[1]], FULL)
+    assert count_asymptotic_sequences(FULL, p, q, 3) == 64
+    monkeypatch.setattr(points, "ENUMERATION_CAP", 63)
+    assert len(enumerate_heteroclinic(FULL, p, q, 2)) == 16
+
+    def no_points(*args):
+        raise AssertionError("a point was built past the cap")
+
+    monkeypatch.setattr(points, "make_point", no_points)
+    with pytest.raises(WindowOverflow, match="window 3 has more than 63"):
+        enumerate_heteroclinic(FULL, p, q, 3)
+    # a huge window stops counting at the first window past the cap
+    with pytest.raises(WindowOverflow, match=r"\(64 at window 3\)"):
+        enumerate_heteroclinic(FULL, p, q, 10 ** 9)
 
 
 def test_point_admissibility_negative():

@@ -557,6 +557,8 @@ def test_exact_total_matches_fraction_reference(pairs, cancel):
                  sum((Fraction(c.imag) * n for c, n in pairs), Fraction(0)))
     trace = ExactTrace.from_pairs(pairs)
     assert trace.exact_total() == reference
+    # trace-run reads its exact-zero regime off the rendered CSV column
+    assert (trace.render() == "0") == (reference == (0, 0))
     if cancel:
         assert reference == (0, 0)
     # other pairs, same total: equal traces hash equally
