@@ -30,8 +30,9 @@ The config document is JSON:
 
 A stable term's rays fix coordinates below the window (the body occupies
 [window - len(body), window)); an unstable term's rays fix coordinates
-from the window on (body on [window, window + len(body))).  Stable rays
-must run over orbits of Q, unstable rays over orbits of P.
+from the window on (body on [window, window + len(body))).  a is the
+stable element and b the unstable one; stable rays must run over orbits
+of Q, unstable rays over orbits of P.
 """
 
 from __future__ import annotations
@@ -191,11 +192,9 @@ def _parse_orbit_set(sft, words, field) -> PeriodicOrbitSet:
         raise ValidationError(f"{field}: {exc}") from exc
 
 
-def _parse_element(sft, doc, p_set, q_set, field) -> AlgebraElement:
-    side = doc.get("side")
-    if side not in ("stable", "unstable"):
-        raise ValidationError(f"{field}: side must be 'stable' or 'unstable'")
-    orbit_set = q_set if side == "stable" else p_set
+def _parse_element(sft, doc, side, orbit_set, field) -> AlgebraElement:
+    if doc.get("side") != side:
+        raise ValidationError(f"{field}: side must be '{side}'")
     terms = []
     for i, term in enumerate(_field(doc, "terms", list, [], f"{field}.")):
         try:
@@ -252,8 +251,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     q_set = _parse_orbit_set(sft, _field(doc, "Q", list, []), "Q")
     if not p_set.orbits or not q_set.orbits:
         raise ValidationError("P and Q must each contain at least one orbit")
-    a = _parse_element(sft, _field(doc, "a", dict, {"side": "stable"}), p_set, q_set, "a")
-    b = _parse_element(sft, _field(doc, "b", dict, {"side": "unstable"}), p_set, q_set, "b")
+    a = _parse_element(sft, _field(doc, "a", dict, {"side": "stable"}), "stable", q_set, "a")
+    b = _parse_element(sft, _field(doc, "b", dict, {"side": "unstable"}), "unstable", p_set, "b")
     k_range = doc.get("k_range", [0, 10])
     if (not isinstance(k_range, (list, tuple)) or len(k_range) != 2
             or not all(type(k) is int for k in k_range)

@@ -41,8 +41,10 @@ from functools import cached_property
 
 from .sft import Sft, Word, count_paths, is_admissible, word_levels
 
-# most asymptotic sequences `enumerate_heteroclinic` builds points for
-ENUMERATION_CAP = 2 ** 17
+# most middle symbols `enumerate_heteroclinic` holds: sequences x (2 * window + 1)
+ENUMERATION_CAP = 2 ** 22
+# widest free bridge `rep.product_operator` enumerates columns over
+PRODUCT_WINDOW_CAP = 16
 
 
 class WindowOverflow(RuntimeError):
@@ -328,28 +330,6 @@ class HeteroclinicPoint:
             out += _cycle(self.right_orbit.word, self.right_phase + start - m, hi - start)
         return out
 
-    def past_ray(self, c: int) -> LeftRay:
-        """The point's coordinates below c as a canonical left ray."""
-        if c <= self.n_left:
-            p = self.left_orbit.period
-            phase = (self.left_phase + (c - self.n_left)) % p
-            return LeftRay(self.left_orbit, phase, c, (), c)
-        return _canonical_left(self.left_orbit, self.left_phase, self.n_left,
-                               self.segment(self.n_left, c), c)
-
-    def future_ray(self, c: int) -> RightRay:
-        """The point's coordinates at and above c as a canonical right ray."""
-        orbit, phase, splice = self.right_orbit, self.right_phase, self.m_right
-        p = orbit.period
-        if c >= splice:
-            return RightRay(orbit, (phase + (c - splice)) % p, c, (), c)
-        # symbols below m_right can still continue the pattern backwards
-        # (an empty middle's junction is slid right, not left)
-        while splice > c and self.symbol_at(splice - 1) == orbit.word[(phase - 1) % p]:
-            phase = (phase - 1) % p
-            splice -= 1
-        return RightRay(orbit, phase, c, self.segment(c, splice), splice)
-
     def render(self, sft: Sft | None = None) -> str:
         lab = (lambda s: sft.label(s)) if sft is not None else str
         lw = "".join(lab(s) for s in self.left_orbit.word)
@@ -436,11 +416,10 @@ def bracket(x: HeteroclinicPoint, y: HeteroclinicPoint) -> HeteroclinicPoint:
         )
     lo = min(y.n_left, 0)
     hi = max(x.m_right, 0)
-    middle = tuple(y.symbol_at(m) for m in range(lo, 0)) + tuple(
-        x.symbol_at(m) for m in range(0, hi)
-    )
-    return make_point(y.left_orbit, y.past_ray(lo).phase, lo, middle,
-                      x.right_orbit, x.future_ray(hi).phase, hi)
+    return make_point(y.left_orbit, (y.left_phase + lo - y.n_left) % y.left_orbit.period,
+                      lo, y.segment(lo, 0) + x.segment(0, hi),
+                      x.right_orbit, (x.right_phase + hi - x.m_right) % x.right_orbit.period,
+                      hi)
 
 
 def matches_past(z: HeteroclinicPoint, ray: LeftRay, upto: int) -> bool:
@@ -523,17 +502,18 @@ def enumerate_heteroclinic(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrb
     `asymptotic_sequences` at this window, canonicalized by `make_point`
     (which never moves n_left below -window), whose m_right fits.
 
-    Raises WindowOverflow, before building any point, when there are more
-    than ENUMERATION_CAP such sequences.  A sequence periodic outside
-    [-w, w) is periodic outside [-w-1, w+1), so the count never shrinks as
-    the window grows, and the windows are counted upwards until one
+    Raises WindowOverflow, before building any point, when the sequences
+    times 2 * window + 1 exceed ENUMERATION_CAP, which bounds the symbols
+    held rather than the sequences alone.  A sequence periodic outside
+    [-w, w) is periodic outside [-w-1, w+1), so that product never shrinks
+    as the window grows, and the windows are counted upwards until one
     exceeds the cap: a huge window costs no huge path counts.
     """
     for w in range(window + 1):
         count = count_asymptotic_sequences(sft, p_set, q_set, w)
-        if count > ENUMERATION_CAP:
-            raise WindowOverflow(f"window {window} has more than {ENUMERATION_CAP} "
-                                 f"asymptotic sequences ({count} at window {w})")
+        if count * (2 * w + 1) > ENUMERATION_CAP:
+            raise WindowOverflow(f"window {window} needs more than {ENUMERATION_CAP} "
+                                 f"symbols ({count} sequences x {2 * w + 1} at window {w})")
     points = (make_point(left, lph, -window, middle, right, rph, window)
               for left, lph, middle, right, rph in asymptotic_sequences(sft, p_set, q_set, window))
     return sorted((z for z in points if z.m_right <= window), key=point_key)

@@ -5,7 +5,11 @@ Basis vectors are indexed by heteroclinic points.  A stable element acts
 by past replacement wherever the point matches the term's source
 cylinder; an unstable element replaces futures.  The single unitary
 induced by the shift (u xi = xi o shift^{-1}) implements the algebra
-automorphism on both sides.
+automorphism on both sides.  Finite-rank products are this representation
+applied to a finite set of columns: a term pair only moves points whose
+past and future follow its two sources outside a bridge window, so
+`product_operator` enumerates those points and takes each one's image
+under both elements, with no image formula of its own.
 
 Traces of products are computed symbolically, never by materializing a
 Hilbert-space truncation.  For a stable term at window N and an unstable
@@ -58,11 +62,13 @@ from .algebra import (
 )
 from .perron import PerronData
 from .points import (
+    PRODUCT_WINDOW_CAP,
     HeteroclinicPoint,
     PeriodicOrbitSet,
     WindowOverflow,
     _cycle,
     asymptotic_sequences,
+    make_point,
     matches_future,
     matches_past,
     point_key,
@@ -204,16 +210,20 @@ def _apply_stable(e: StableBisection, w: HeteroclinicPoint):
     n = e.window
     if not matches_past(w, e.source, n):
         return None
-    upper = max(n, w.m_right)
-    return splice_point(e.target, w.segment(n, upper), w.future_ray(upper))
+    alpha, upper = e.target, max(n, w.m_right)
+    return make_point(alpha.orbit, alpha.phase, alpha.splice,
+                      alpha.body + w.segment(n, upper), w.right_orbit,
+                      (w.right_phase + upper - w.m_right) % w.right_orbit.period, upper)
 
 
 def _apply_unstable(f: UnstableBisection, w: HeteroclinicPoint):
     m = f.window
     if not matches_future(w, f.source, m):
         return None
-    lower = min(m, w.n_left)
-    return splice_point(w.past_ray(lower), w.segment(lower, m), f.target)
+    gamma, lower = f.target, min(m, w.n_left)
+    return make_point(w.left_orbit, (w.left_phase + lower - w.n_left) % w.left_orbit.period,
+                      lower, w.segment(lower, m) + gamma.body,
+                      gamma.orbit, gamma.phase, gamma.splice)
 
 
 def apply_element(x: AlgebraElement, w: HeteroclinicPoint) -> dict:
@@ -295,54 +305,46 @@ def operator_norm(t: FiniteOperator) -> float:
 
 
 def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
-                     order: str = "ab", window_cap: int = 16) -> FiniteOperator:
-    """The exact matrix of the product of a stable and an unstable element.
+                     order: str = "ab") -> FiniteOperator:
+    """The exact matrix of the product of a stable and an unstable element:
+    the representation applied to a finite set of columns.
 
     order "ab" applies the unstable element first (the operator a.b);
-    "ba" applies the stable element first.  The support is provably
-    finite: the unstable side pins futures, the stable side pins pasts,
-    and only an explicit bridge window remains free.  Raises
-    WindowOverflow when that window exceeds `window_cap`.
+    "ba" applies the stable element first.  A term pair at windows n and
+    m can only move a point whose past below lo follows the stable source
+    and whose future from hi follows the unstable source, with (lo, hi) =
+    (min(n, m), m) for "ab" and (n, max(n, m)) for "ba": the first
+    replacement must leave the second source intact.  Only the admissible
+    bridge on [lo, hi) is free, so every pair has finitely many such
+    columns, and each column's entries are its image under both elements.
+    Raises WindowOverflow, before enumerating, when a bridge is wider than
+    PRODUCT_WINDOW_CAP.
     """
     if a.side != "stable" or b.side != "unstable":
         raise SideMismatch("product needs a stable and an unstable element")
     if order not in ("ab", "ba"):
         raise ValueError("order must be 'ab' or 'ba'")
+    first, second = (b, a) if order == "ab" else (a, b)
     sft = p.sft
-    entries: dict = {}
-    for ca, e in a.terms:
-        for cb, f in b.terms:
-            coeff = ca * cb
+    columns: dict = {}
+    for _, e in a.terms:
+        for _, f in b.terms:
             n, m = e.window, f.window
-            alpha, beta = e.target, e.source
-            gamma, delta = f.target, f.source
-            if n <= m:
-                # both products agree: source pinned outside [n, m), free bridge inside
-                width = m - n
-                if width > window_cap:
-                    raise WindowOverflow(
-                        f"free window of width {width} exceeds cap {window_cap}"
-                    )
-                *_, words = word_levels(sft, sft.successors(beta.terminal), width)
-                for mid in words:
-                    if not sft.allowed(mid[-1] if mid else beta.terminal, delta.initial):
-                        continue
-                    w_pt = splice_point(beta, mid, delta)
-                    v_pt = splice_point(alpha, mid, gamma)
-                    entries[(v_pt, w_pt)] = entries.get((v_pt, w_pt), 0j) + coeff
-            elif order == "ab":
-                # overlap [m, n): the intermediate future-replacement must
-                # already match the stable source there
-                if all(gamma.symbol_at(i) == beta.symbol_at(i) for i in range(m, n)):
-                    w_pt = splice_point(beta.truncate(m), (), delta)
-                    v_pt = splice_point(alpha, (), gamma.truncate(n))
-                    entries[(v_pt, w_pt)] = entries.get((v_pt, w_pt), 0j) + coeff
-            else:
-                if all(alpha.symbol_at(i) == delta.symbol_at(i) for i in range(m, n)):
-                    w_pt = splice_point(beta, (), delta.truncate(n))
-                    v_pt = splice_point(alpha.truncate(m), (), gamma)
-                    entries[(v_pt, w_pt)] = entries.get((v_pt, w_pt), 0j) + coeff
-    return FiniteOperator({k: c for k, c in entries.items() if abs(c) >= 1e-15})
+            lo, hi = (min(n, m), m) if order == "ab" else (n, max(n, m))
+            if hi - lo > PRODUCT_WINDOW_CAP:
+                raise WindowOverflow(
+                    f"free window of width {hi - lo} exceeds cap {PRODUCT_WINDOW_CAP}")
+            past, future = e.source.truncate(lo), f.source.truncate(hi)
+            *_, bridges = word_levels(sft, sft.successors(past.terminal), hi - lo)
+            for bridge in bridges:
+                if sft.allowed(bridge[-1] if bridge else past.terminal, future.initial):
+                    columns[splice_point(past, bridge, future)] = None
+    entries = {}
+    for w in columns:
+        for v, c in apply_to_combination(second, apply_element(first, w)).items():
+            if abs(c) >= 1e-15:
+                entries[(v, w)] = c
+    return FiniteOperator(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +562,7 @@ def scaled_trace_sequence(a: AlgebraElement, b: AlgebraElement, k_range,
 
 def vanishing_product_check(a: AlgebraElement, b: AlgebraElement, p: PerronData,
                             p_set: PeriodicOrbitSet, q_set: PeriodicOrbitSet,
-                            n_max: int, window_cap: int = 16):
+                            n_max: int):
     """Norms of both products of the backward-conjugated stable element with
     the unstable one, for n = 0..n_max.
 
@@ -574,14 +576,13 @@ def vanishing_product_check(a: AlgebraElement, b: AlgebraElement, p: PerronData,
     rows = []
     for n in range(n_max + 1):
         a_n = apply_alpha(a, -n)
-        t_ab = product_operator(a_n, b, p, "ab", window_cap)
-        t_ba = product_operator(a_n, b, p, "ba", window_cap)
+        t_ab = product_operator(a_n, b, p, "ab")
+        t_ba = product_operator(a_n, b, p, "ba")
         rows.append((n, operator_norm(t_ab), operator_norm(t_ba)))
     return rows
 
 
-def commutator_decay(a: AlgebraElement, b: AlgebraElement, p: PerronData,
-                     n_range, window_cap: int = 16):
+def commutator_decay(a: AlgebraElement, b: AlgebraElement, p: PerronData, n_range):
     """Norms of the commutator of the two conjugated elements.
 
     Once the stable constraint window N - n drops below the unstable one
@@ -601,7 +602,7 @@ def commutator_decay(a: AlgebraElement, b: AlgebraElement, p: PerronData,
             continue
         a_n = apply_alpha(a, n)
         b_n = apply_alpha(b, -n)
-        t_ab = product_operator(a_n, b_n, p, "ab", window_cap)
-        t_ba = product_operator(a_n, b_n, p, "ba", window_cap)
+        t_ab = product_operator(a_n, b_n, p, "ab")
+        t_ba = product_operator(a_n, b_n, p, "ba")
         rows.append((n, operator_norm(t_ab - t_ba)))
     return rows

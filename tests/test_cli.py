@@ -113,11 +113,14 @@ def test_config_bad_k_range(tmp_path, k_range):
     (("a", "terms", 0, "coeff"), [True, False]),
     (("b", "terms", 0, "coeff"), [1, 0, 5]),
     (("a", "terms", 0, "coeff"), [10 ** 400, 0]),
+    (("a", "side"), "unstable"),
+    (("b", "side"), "stable"),
 ], ids=["stable-label", "unstable-label", "tolerance-list", "tolerance-string",
         "sft-list", "matrix-entry", "a-list", "terms-number", "P-number", "Q-orbit-null",
         "output-number", "matrix-float", "matrix-bool", "symbols-duplicate",
         "coeff-infinity", "coeff-nan", "window-float", "window-bool", "phase-float",
-        "tol-nan", "tol-inf", "tol-negative", "coeff-bool", "coeff-length", "coeff-huge-int"])
+        "tol-nan", "tol-inf", "tol-negative", "coeff-bool", "coeff-length", "coeff-huge-int",
+        "a-side-unstable", "b-side-stable"])
 def test_config_bad_field_exits_2(tmp_path, capsys, keys, value):
     doc = json.loads(json.dumps(GOLDEN_DOC))
     node = doc
@@ -449,3 +452,20 @@ def test_enumerate_digest(capsys, name, window):
                  "--window", str(window)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_SHA256[name, window]
+
+
+# sha256 of `theorem13 --nmax 10` stdout for the shipped configs: ranks,
+# shifted-product norms and commutator norms, byte for byte
+THEOREM13_SHA256 = {
+    "full_shift.json": "f7af19b45a7728d6dff71f36f5614b198a29e8bdecf9977782740bad6dfd71d7",
+    "golden_mean.json": "363cf0dbb7410bfa6297797c746daf8ec48ddef22c7a523886eb66f101a083a5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(THEOREM13_SHA256))
+def test_theorem13_digest(capsys, name):
+    import hashlib
+
+    assert main(["theorem13", "--config", str(CONFIG_DIR / name), "--nmax", "10"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == THEOREM13_SHA256[name]

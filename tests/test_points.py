@@ -25,7 +25,7 @@ from sfttrace.points import (
     shift_point,
     splice_point,
 )
-from sfttrace.sft import make_sft
+from sfttrace.sft import Sft, make_sft
 
 FULL = make_sft([[1, 1], [1, 1]], ["0", "1"])
 GOLDEN = make_sft([[1, 1], [1, 0]], ["0", "1"])
@@ -389,18 +389,40 @@ def test_enumerate_cap_raises_before_building_points(monkeypatch):
     p = make_orbit_set([[0]], FULL)
     q = make_orbit_set([[1]], FULL)
     assert count_asymptotic_sequences(FULL, p, q, 3) == 64
-    monkeypatch.setattr(points, "ENUMERATION_CAP", 63)
+    # window 2 holds 16 sequences x 5 symbols, window 3 holds 64 x 7 = 448
+    monkeypatch.setattr(points, "ENUMERATION_CAP", 447)
     assert len(enumerate_heteroclinic(FULL, p, q, 2)) == 16
 
     def no_points(*args):
         raise AssertionError("a point was built past the cap")
 
     monkeypatch.setattr(points, "make_point", no_points)
-    with pytest.raises(WindowOverflow, match="window 3 has more than 63"):
+    with pytest.raises(WindowOverflow, match="window 3 needs more than 447 symbols"):
         enumerate_heteroclinic(FULL, p, q, 3)
     # a huge window stops counting at the first window past the cap
-    with pytest.raises(WindowOverflow, match=r"\(64 at window 3\)"):
+    with pytest.raises(WindowOverflow, match=r"\(64 sequences x 7 at window 3\)"):
         enumerate_heteroclinic(FULL, p, q, 10 ** 9)
+
+
+def test_enumerate_cap_counts_symbols_on_a_long_cycle(monkeypatch):
+    # a 40-cycle with a loop at 0 and P = Q = {(0)} has few but long
+    # sequences: 23,975 of 167 symbols pass the cap at window 83, 27,041 of
+    # 169 do not at window 84.  Only counted, never enumerated.
+    import sfttrace.points as points
+
+    n = 40
+    cycle = Sft(tuple(tuple(int(j == (i + 1) % n or i == j == 0) for j in range(n))
+                      for i in range(n)))
+    orbits = make_orbit_set([[0]], cycle)
+    assert count_asymptotic_sequences(cycle, orbits, orbits, 83) == 23975
+    assert count_asymptotic_sequences(cycle, orbits, orbits, 84) == 27041
+
+    def no_points(*args):
+        raise AssertionError("a point was built past the cap")
+
+    monkeypatch.setattr(points, "make_point", no_points)
+    with pytest.raises(WindowOverflow, match=r"\(27041 sequences x 169 at window 84\)"):
+        enumerate_heteroclinic(cycle, orbits, orbits, 84)
 
 
 def test_point_admissibility_negative():

@@ -160,10 +160,44 @@ def test_product_operator_conflicting_constraints_vanish():
     assert product_operator(a_shifted, b, FULL.perron, "ba").is_zero
 
 
-def test_product_operator_window_cap():
+def test_product_operator_window_cap(monkeypatch):
+    from sfttrace import rep
+
     a, b = canonical_pair(FULL)
     with pytest.raises(WindowOverflow):
-        product_operator(apply_alpha(a, 40), b, FULL.perron, "ab", window_cap=30)
+        product_operator(apply_alpha(a, 40), b, FULL.perron, "ab")
+    # a stable window n against an unstable window m leaves a free bridge
+    # of max(m - n, 0) symbols in both orders; the cap applies to exactly that
+    for cap in (0, 2):
+        monkeypatch.setattr(rep, "PRODUCT_WINDOW_CAP", cap)
+        for shift in range(-3, cap + 3):
+            for order in ("ab", "ba"):
+                if shift > cap:
+                    with pytest.raises(WindowOverflow):
+                        product_operator(apply_alpha(a, shift), b, FULL.perron, order)
+                else:
+                    product_operator(apply_alpha(a, shift), b, FULL.perron, order)
+
+
+@pytest.mark.parametrize("sys", [FULL, GOLDEN, THREE], ids=lambda s: s.name)
+def test_product_operator_columns_are_complete(sys):
+    # every basis point whose image under the product is nonzero is a column
+    # of product_operator, with exactly that image; every other point's
+    # image is empty.  The enumeration window covers every column (checked).
+    rng = random.Random(sum(map(ord, sys.name)))
+    for _ in range(10):
+        a = apply_alpha(random_element(rng, sys, "stable", 2), rng.randrange(-1, 2))
+        b = apply_alpha(random_element(rng, sys, "unstable", 2), rng.randrange(-1, 2))
+        basis = enumerate_heteroclinic(sys.sft, sys.p_set, sys.q_set,
+                                       required_window(a, b, 0))
+        for order, first, second in (("ab", b, a), ("ba", a, b)):
+            columns: dict = {}
+            for (v, w), c in product_operator(a, b, sys.perron, order).entries.items():
+                columns.setdefault(w, {})[v] = c
+            assert set(columns) <= set(basis)
+            for w in basis:
+                image = apply_to_combination(second, apply_element(first, w))
+                assert columns.get(w, {}) == image, (order, w)
 
 
 def test_operator_norm_examples():
