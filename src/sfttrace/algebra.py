@@ -125,8 +125,8 @@ class AlgebraElement:
     """Reduced finite combination of same-side bisections.
 
     Terms are merged by bisection, near-zero coefficients dropped, and the
-    term order is fixed, so equal reduced elements compare equal.  The zero
-    element has no terms.
+    term order is fixed (by `sort_key`, window first), so equal reduced
+    elements compare equal.  The zero element has no terms.
     """
 
     side: str

@@ -41,7 +41,8 @@ from functools import cached_property
 
 from .sft import Sft, Word, count_paths, is_admissible, word_levels
 
-# most middle symbols `enumerate_heteroclinic` holds: sequences x (2 * window + 1)
+# most middle symbols `enumerate_heteroclinic` holds: sequences x (2 * window + 1);
+# also the most bridge symbols `rep.product_operator` enumerates: columns x steps
 ENUMERATION_CAP = 2 ** 22
 # widest free bridge `rep.product_operator` enumerates columns over
 PRODUCT_WINDOW_CAP = 16
@@ -289,6 +290,10 @@ class HeteroclinicPoint:
     word[left_phase]);  [n_left, m_right) is the explicit middle;
     coordinates >= m_right follow the right orbit (symbol at m_right is
     word[right_phase]).
+
+    Points are dict keys throughout the representation, so each one hashes
+    its fields once, when first hashed, to the value the generated hash
+    would give.
     """
 
     left_orbit: Orbit
@@ -302,6 +307,15 @@ class HeteroclinicPoint:
     def __post_init__(self):
         if self.n_left + len(self.middle) != self.m_right:
             raise ValueError("middle length does not match window")
+
+    _hash = None  # not a field: set by the first __hash__
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((
+                self.left_orbit, self.left_phase, self.n_left, self.middle,
+                self.right_orbit, self.right_phase, self.m_right)))
+        return self._hash
 
     @property
     def window(self) -> tuple[int, int]:

@@ -20,7 +20,11 @@ admissible bridges between them - a transfer-matrix count - and any
 off-diagonal pair contributes nothing (the replacement would have to
 alter a pinned coordinate).  When the regions overlap, all coordinates
 of a candidate fixed point are pinned, and the contribution is 1 or 0
-according to four ray-segment consistency checks.  Everything is exact
+according to four ray-segment consistency checks.  The regions are
+disjoint exactly when the gap N - M is at most 2k, so one bisect per
+stable term over the unstable terms sorted by window splits its pairs:
+off-diagonal bridge pairs are never visited, and overlap pairs conjugate
+each term's rays once per k, not once per pair.  Everything is exact
 integer arithmetic; the lambda^{-2k} scaling is applied through
 logarithms of big integers when plain floats would overflow.  The bridge
 counts come from exact row vectors of the transfer matrix that
@@ -46,6 +50,7 @@ or builds, canonicalizes or sorts points.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,6 +67,7 @@ from .algebra import (
 )
 from .perron import PerronData
 from .points import (
+    ENUMERATION_CAP,
     PRODUCT_WINDOW_CAP,
     HeteroclinicPoint,
     PeriodicOrbitSet,
@@ -318,7 +324,9 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
     bridge on [lo, hi) is free, so every pair has finitely many such
     columns, and each column's entries are its image under both elements.
     Raises WindowOverflow, before enumerating, when a bridge is wider than
-    PRODUCT_WINDOW_CAP.
+    PRODUCT_WINDOW_CAP, or when the columns, counted exactly by path
+    counts, times their bridge steps exceed ENUMERATION_CAP, the symbol
+    budget `enumerate` keeps too.
     """
     if a.side != "stable" or b.side != "unstable":
         raise SideMismatch("product needs a stable and an unstable element")
@@ -326,7 +334,8 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
         raise ValueError("order must be 'ab' or 'ba'")
     first, second = (b, a) if order == "ab" else (a, b)
     sft = p.sft
-    columns: dict = {}
+    spans = []
+    symbols = 0
     for _, e in a.terms:
         for _, f in b.terms:
             n, m = e.window, f.window
@@ -335,10 +344,18 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
                 raise WindowOverflow(
                     f"free window of width {hi - lo} exceeds cap {PRODUCT_WINDOW_CAP}")
             past, future = e.source.truncate(lo), f.source.truncate(hi)
-            *_, bridges = word_levels(sft, sft.successors(past.terminal), hi - lo)
-            for bridge in bridges:
-                if sft.allowed(bridge[-1] if bridge else past.terminal, future.initial):
-                    columns[splice_point(past, bridge, future)] = None
+            steps = hi - lo + 1
+            symbols += count_paths(sft, past.terminal, future.initial, steps) * steps
+            spans.append((past, future, hi - lo))
+    if symbols > ENUMERATION_CAP:
+        raise WindowOverflow(f"product columns need {symbols} bridge symbols, "
+                             f"more than {ENUMERATION_CAP}")
+    columns: dict = {}
+    for past, future, width in spans:
+        *_, bridges = word_levels(sft, sft.successors(past.terminal), width)
+        for bridge in bridges:
+            if sft.allowed(bridge[-1] if bridge else past.terminal, future.initial):
+                columns[splice_point(past, bridge, future)] = None
     entries = {}
     for w in columns:
         for v, c in apply_to_combination(second, apply_element(first, w)).items():
@@ -365,49 +382,71 @@ class TraceDiagnostics:
 def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
                          p: PerronData) -> tuple[ExactTrace, TraceDiagnostics]:
     """Exact trace of (shift^k-conjugated a) x (shift^{-k}-conjugated b),
-    with diagnostics."""
+    with diagnostics.
+
+    A stable term at window N and an unstable one at window M form a bridge
+    pair when their gap N - M is at most 2k, else an overlap pair.  Only
+    the diagonal bridge pairs count paths and only the overlap pairs check
+    rays, so the pairs are not visited one by one: a reduced element's
+    terms are in window order (`algebra.element`), and one bisect per
+    stable term splits the unstable terms into its overlap pairs, before
+    the cut, and its bridge pairs.  Each term's rays are conjugated once,
+    and each truncation check is made once per cut.  Contributions come
+    in term-pair order.
+    """
     if a.side != "stable" or b.side != "unstable":
         raise SideMismatch("trace needs a stable and an unstable element")
     if k < 0:
         raise ValueError("k must be >= 0")
     sft = p.sft
+    windows, b_diag = [], []
+    for cb, f in b.terms:
+        m = f.window
+        windows.append(m)
+        if f.is_diagonal:
+            b_diag.append((cb, m, f.source.initial))
     pairs = []
-    bridge = overlap = offdiag = fixed = 0
-    b_side = [(cb, f, f.window + k, f.is_diagonal) for cb, f in b.terms]
+    overlap = fixed = a_diag = 0
+    # j -> unstable term j's rays, conjugated, and {n: whether they agree from n on}
+    conjugated: dict = {}
     for ca, e in a.terms:
-        n = e.window - k
+        window = e.window
+        cut = bisect_left(windows, window - 2 * k)
+        overlap += cut
         e_diag = e.is_diagonal
-        for cb, f, m, f_diag in b_side:
-            coeff = ca * cb
-            diag = e_diag and f_diag
-            if not diag:
-                offdiag += 1
-            if m >= n:
-                bridge += 1
-                if diag:
-                    length = m - n + 1
-                    pairs.append(
-                        (coeff, count_paths(sft, e.source.terminal, f.source.initial, length))
-                    )
-                # off-diagonal pairs with disjoint constraints have no fixed
-                # points: the replacement would alter a pinned coordinate
-            else:
-                overlap += 1
-                alpha = e.target.shift(k)
-                beta = e.source.shift(k)
-                gamma = f.target.shift(-k)
-                delta = f.source.shift(-k)
-                consistent = (
-                    alpha.truncate(m) == beta.truncate(m)
-                    and gamma.truncate(n) == delta.truncate(n)
-                    and all(alpha.symbol_at(i) == delta.symbol_at(i) for i in range(m, n))
-                    and all(gamma.symbol_at(i) == beta.symbol_at(i) for i in range(m, n))
-                )
-                if consistent:
-                    pairs.append((coeff, 1))
-                    if not diag:
+        if cut:
+            # all coordinates are pinned: four ray-segment consistency checks
+            n = window - k
+            alpha, beta = e.target.shift(k), e.source.shift(k)
+            agree: dict = {}  # m -> whether alpha and beta agree below m
+            for j in range(cut):
+                cb, f = b.terms[j]
+                m = windows[j] + k
+                if m not in agree:
+                    agree[m] = alpha.truncate(m) == beta.truncate(m)
+                if j not in conjugated:
+                    conjugated[j] = (f.target.shift(-k), f.source.shift(-k), {})
+                gamma, delta, kept = conjugated[j]
+                if n not in kept:
+                    kept[n] = gamma.truncate(n) == delta.truncate(n)
+                if (agree[m] and kept[n]
+                        and all(alpha.symbol_at(x) == delta.symbol_at(x) for x in range(m, n))
+                        and all(gamma.symbol_at(x) == beta.symbol_at(x) for x in range(m, n))):
+                    pairs.append((ca * cb, 1))
+                    if not (e_diag and f.is_diagonal):
                         fixed += 1
-    return ExactTrace.from_pairs(pairs), TraceDiagnostics(bridge, overlap, offdiag, fixed)
+        if e_diag:
+            # a diagonal bridge pair counts the admissible bridges; an
+            # off-diagonal one has no fixed points, since the replacement
+            # would alter a pinned coordinate
+            a_diag += 1
+            s = e.source.terminal
+            for cb, m, t in b_diag:
+                if window - m <= 2 * k:
+                    pairs.append((ca * cb, count_paths(sft, s, t, 2 * k - window + m + 1)))
+    total = len(a.terms) * len(windows)
+    return ExactTrace.from_pairs(pairs), TraceDiagnostics(
+        total - overlap, overlap, total - a_diag * len(b_diag), fixed)
 
 
 def trace_product(a: AlgebraElement, b: AlgebraElement, k: int, p: PerronData) -> ExactTrace:

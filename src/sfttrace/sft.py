@@ -229,7 +229,8 @@ def count_paths(sft: Sft, i: int, j: int, length: int) -> int:
     """
     if length < 0:
         raise ValueError("path length must be >= 0")
-    if not (0 <= i < sft.n and 0 <= j < sft.n):
+    n = sft.n
+    if not (0 <= i < n and 0 <= j < n):
         raise ValueError("symbol out of range")
     return sft._path_rows.row(i, length)[j]
 

@@ -338,6 +338,26 @@ def test_cli_theorem13_negative_nmax_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_cli_theorem13_past_the_column_budget_exits_4(tmp_path, capsys):
+    # 4-symbol full shift, stable window 0 against unstable window 16: the
+    # bridge is within the width cap but has 4^16 columns, counted (not
+    # enumerated) before anything is built
+    import time
+
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    doc["sft"] = {"symbols": ["0", "1", "2", "3"], "matrix": [[1] * 4] * 4}
+    doc["b"]["terms"][0]["window"] = 16
+    start = time.perf_counter()
+    code = main(["theorem13", "--config", write_doc(tmp_path, doc), "--nmax", "0"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("resource cap: ") and captured.err.count("\n") == 1
+    assert str(4 ** 16 * 17) in captured.err
+    assert captured.out == ""
+    assert elapsed < 1.0
+
+
 def test_cli_verify(capsys):
     code = main(["verify"])
     out = capsys.readouterr().out
@@ -363,6 +383,35 @@ def _three_symbol_mixed_config(path):
     return str(path)
 
 
+def _three_symbol_many_terms_config(path):
+    # 12 x 12 seeded terms on windows -2..2, four diagonal per side, swept to
+    # k = 40: the overlap regime hands over to the bridge regime at k = 2
+    import random
+
+    from sfttrace.algebra import element
+    from sfttrace.cli import ExperimentConfig
+    from sfttrace.fixtures import random_element, three_symbol
+
+    sys = three_symbol()
+    rng = random.Random(1)
+
+    def draw(side):
+        terms = {}
+        while len(terms) < 12:
+            for c, t in random_element(rng, sys, side, 1).terms:
+                if len(terms) < 4:
+                    t = type(t)(t.source, t.source)
+                elif t.is_diagonal:
+                    continue
+                terms.setdefault(t, c)
+        return element(side, [(c, t) for t, c in terms.items()])
+
+    a, b = draw("stable"), draw("unstable")
+    write_config(ExperimentConfig(sys.sft, sys.p_set, sys.q_set, a, b, (0, 40), {}, None),
+                 str(path))
+    return str(path)
+
+
 # sha256 of `trace-run --no-timestamp` output; any change in a trace, its
 # scaling or its formatting shows up here.  The golden mean run to k = 3000
 # pins the log-scaling route and traces thousands of digits long.
@@ -372,6 +421,8 @@ GOLDEN_CSV_SHA256 = {
     "three_symbol_mixed": "ad6a2aa1025d4a8aedc30b4e2ed5532abcdad64249973074ea6c6ae6933d0f02",
     "golden_mean.json-kmax3000":
         "e8e50ff32360fcbb22fc708043b9d9a026419c4ef5b6f575746b525ce5e4e7eb",
+    "three_symbol_many_terms":
+        "9e5fc241643b3b22ee591114f8f194eeed29bb8997f04844d1bcb79d30236468",
 }
 
 
@@ -382,6 +433,8 @@ def test_trace_run_csv_digest(tmp_path, capsys, name):
     config, _, kmax = name.partition("-kmax")
     if config.endswith(".json"):
         config_path = str(CONFIG_DIR / config)
+    elif config == "three_symbol_many_terms":
+        config_path = _three_symbol_many_terms_config(tmp_path / "many.json")
     else:
         config_path = _three_symbol_mixed_config(tmp_path / "mixed.json")
     out = tmp_path / "trace.csv"

@@ -177,6 +177,27 @@ def test_shift_point_examples():
     assert shift_point(shift_point(z, 3), -3) == z
 
 
+def test_equal_points_hash_equal():
+    # each point hashes its fields once and keeps the value: equal points
+    # built by different routes hash equal, and dict lookups find one by
+    # the other
+    rng = random.Random(20261018)
+    orbits = (ORB0, ORB1, ORB01)
+    for _ in range(200):
+        left, right = rng.choice(orbits), rng.choice(orbits)
+        n = rng.randrange(-4, 5)
+        middle = tuple(rng.randrange(2) for _ in range(rng.randrange(4)))
+        z = make_point(left, rng.randrange(left.period), n, middle,
+                       right, rng.randrange(right.period), n + len(middle))
+        shift = rng.randrange(-6, 7)
+        w = shift_point(shift_point(z, shift), -shift)
+        assert w == z and w is not z
+        assert hash(w) == hash(z) == hash((z.left_orbit, z.left_phase, z.n_left, z.middle,
+                                           z.right_orbit, z.right_phase, z.m_right))
+        assert {z: 1}[w] == 1
+    assert shift_point(fixed_point(ORB01), 1) != fixed_point(ORB01)
+
+
 def test_shift_point_rotates_periodic_orbit():
     z = fixed_point(ORB01)
     z1 = shift_point(z, 1)

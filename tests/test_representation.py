@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sfttrace.algebra import (
     StableBisection,
+    UnstableBisection,
     apply_alpha,
     convolve,
     diagonal,
@@ -34,7 +35,9 @@ from sfttrace.points import (
     make_left_ray,
     make_orbit,
     make_point,
+    make_right_ray,
     periodic_left_ray,
+    periodic_right_ray,
     shift_point,
 )
 from sfttrace.rep import (
@@ -177,6 +180,24 @@ def test_product_operator_window_cap(monkeypatch):
                         product_operator(apply_alpha(a, shift), b, FULL.perron, order)
                 else:
                     product_operator(apply_alpha(a, shift), b, FULL.perron, order)
+
+
+def test_product_operator_symbol_budget(monkeypatch):
+    # the budget counts every pair's columns exactly, times their steps,
+    # before any column is built
+    from sfttrace import rep
+
+    a, b = canonical_pair(GOLDEN)
+    a = apply_alpha(a, 5)  # stable window -5 against unstable window 0
+    symbols = count_paths(GOLDEN.sft, 0, 0, 6) * 6
+    for order in ("ab", "ba"):
+        monkeypatch.setattr(rep, "ENUMERATION_CAP", symbols)
+        assert len(product_operator(a, b, GOLDEN.perron, order).entries) == 13
+        monkeypatch.setattr(rep, "ENUMERATION_CAP", symbols - 1)
+        monkeypatch.setattr(rep, "word_levels", None)  # nothing is enumerated
+        with pytest.raises(WindowOverflow, match=f"need {symbols} bridge symbols"):
+            product_operator(a, b, GOLDEN.perron, order)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("sys", [FULL, GOLDEN, THREE], ids=lambda s: s.name)
@@ -504,6 +525,109 @@ def test_oracle_calls_no_symbolic_or_point_building_code(monkeypatch):
         oracle = trace_product_oracle(a, b, k, required_window(a, b, k),
                                       sys.perron, sys.p_set, sys.q_set)
         assert oracle == known, (sys.name, name, k)
+
+
+def _pairwise_trace(a, b, k, p):
+    """Reference: every term pair visited one by one, in term-pair order,
+    with the checks of the symbolic trace written out per pair."""
+    pairs, bridge, overlap, offdiag, fixed = [], 0, 0, 0, 0
+    for ca, e in a.terms:
+        for cb, f in b.terms:
+            n, m = e.window - k, f.window + k
+            diag = e.is_diagonal and f.is_diagonal
+            offdiag += not diag
+            if m >= n:
+                bridge += 1
+                if diag:
+                    pairs.append((ca * cb, count_paths(p.sft, e.source.terminal,
+                                                       f.source.initial, m - n + 1)))
+                continue
+            overlap += 1
+            alpha, beta = e.target.shift(k), e.source.shift(k)
+            gamma, delta = f.target.shift(-k), f.source.shift(-k)
+            if (alpha.truncate(m) == beta.truncate(m) and gamma.truncate(n) == delta.truncate(n)
+                    and all(alpha.symbol_at(i) == delta.symbol_at(i) for i in range(m, n))
+                    and all(gamma.symbol_at(i) == beta.symbol_at(i) for i in range(m, n))):
+                pairs.append((ca * cb, 1))
+                fixed += not diag
+    return pairs, (bridge, overlap, offdiag, fixed)
+
+
+@st.composite
+def sweep_cases(draw):
+    """Seeded multi-term elements on a fixture, some terms made diagonal, and
+    an unsorted k_range with gaps on both sides of half the largest gap."""
+    sys = draw(st.sampled_from([FULL, GOLDEN, THREE]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def draw_element(side):
+        x = random_element(rng, sys, side, draw(st.integers(1, 8)))
+        return element(side, [(c, type(t)(t.source, t.source) if rng.random() < 0.4 else t)
+                              for c, t in x.terms])
+
+    a, b = draw_element("stable"), draw_element("unstable")
+    assume(a.terms and b.terms)
+    half = max(e.window - f.window for _, e in a.terms for _, f in b.terms) // 2
+    assume(half >= 0)
+    low = draw(st.integers(0, half))
+    high = draw(st.integers(half + 1, half + 8))
+    ks = sorted({low, high, *draw(st.lists(st.integers(0, half + 8), max_size=6))})
+    assume(len(ks) < ks[-1] - ks[0] + 1)
+    k_range = draw(st.permutations(ks))
+    assume(k_range != ks)
+    return sys, a, b, k_range
+
+
+def _offdiagonal_fixed_point_case():
+    # full shift, ...000|010|000...: the off-diagonal pair's one roundtrip
+    # fixed point is at k = 0, in the overlap regime, beside diagonal pairs
+    sft, orbit = FULL.sft, make_orbit((0,))
+    past = make_left_ray(sft, orbit, 0, 0, (0, 1, 0), 3)
+    future = make_right_ray(sft, orbit, 0, 0, (0, 1, 0), 3)
+    a = element("stable", [(1, StableBisection(periodic_left_ray(sft, orbit, 3), past)),
+                           (0.5j, StableBisection(past, past))])
+    b = element("unstable", [(1, UnstableBisection(future, periodic_right_ray(sft, orbit, 0))),
+                             (-2, UnstableBisection(future, future))])
+    return FULL, a, b, [5, 0, 2]
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=sweep_cases())
+@example(case=_offdiagonal_fixed_point_case())
+def test_sweep_rows_equal_single_k_traces(case):
+    # every row of a sweep is the trace at that k, and both equal the pair
+    # by pair reference: the same pairs, to the sign of a zero, and the same
+    # diagnostics
+    sys, a, b, k_range = case
+    report = scaled_trace_sequence(a, b, k_range, sys.perron)
+    assert [row.k for row in report.rows] == sorted(k_range)
+    for row in report.rows:
+        trace, diagnostics = trace_product_detail(a, b, row.k, sys.perron)
+        pairs, counts = _pairwise_trace(a, b, row.k, sys.perron)
+        assert repr(row.trace.pairs) == repr(trace.pairs) \
+            == repr(ExactTrace.from_pairs(pairs).pairs)
+        assert (diagnostics.bridge_pairs, diagnostics.overlap_pairs,
+                diagnostics.offdiag_pairs, diagnostics.offdiag_fixed_points) == counts
+
+
+def test_overflowing_coefficient_products():
+    from sfttrace.rep import NonFiniteCoefficient
+
+    _, b = canonical_pair(GOLDEN)
+    big_b = element("unstable", [(1e200, t) for _, t in b.terms])
+    # an off-diagonal pair in the bridge regime contributes nothing, so its
+    # infinite coefficient product never reaches a trace
+    off = element("stable", [(1e200, t) for _, t in offdiagonal_stable(GOLDEN).terms])
+    report = scaled_trace_sequence(off, big_b, range(0, 9), GOLDEN.perron)
+    assert all(row.trace.pairs == () for row in report.rows)
+    # a diagonal pair counts its bridges from k = 0 on
+    a, _ = canonical_pair(GOLDEN)
+    big_a = element("stable", [(1e200, t) for _, t in a.terms])
+    with pytest.raises(NonFiniteCoefficient):
+        trace_product_detail(big_a, big_b, 0, GOLDEN.perron)
+    with pytest.raises(NonFiniteCoefficient):
+        scaled_trace_sequence(big_a, big_b, [3, 0], GOLDEN.perron)
 
 
 def test_trace_product_argument_guards():
