@@ -187,7 +187,8 @@ def refine(sft: Sft, e: Bisection, window: int) -> list:
     if isinstance(e, StableBisection):
         if window < e.window:
             raise ValueError("stable refinement must not shrink the window")
-        *_, exts = word_levels(sft, sft.successors(e.target.terminal), window - e.window)
+        for exts in word_levels(sft, sft.successors(e.target.terminal), window - e.window):
+            pass
         return [StableBisection(e.target.extend(w), e.source.extend(w)) for w in exts]
     if isinstance(e, UnstableBisection):
         if window > e.window:

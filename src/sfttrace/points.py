@@ -481,22 +481,35 @@ def point_key(z: HeteroclinicPoint):
 def asymptotic_sequences(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrbitSet,
                          window: int):
     """Every sequence from an orbit of Q to an orbit of P that is periodic
-    outside [-window, window), once each, as (left orbit, phase at
-    -window-1, symbols on [-window, window), right orbit, phase at window).
-    Orbits are primitive, so the phases fix the periodic tails."""
+    outside [-window, window), once each, grouped by its tails: one group
+    (left orbit, phase at -window-1, right orbit, phase at window, middles)
+    per pair of tails, whose middles are the symbols on [-window, window)
+    of its sequences, every admissible word of length 2 * window that joins
+    the left symbol to the right one, in lexicographic order.  Orbits are
+    primitive, so the phases fix the periodic tails.
+
+    The middles depend only on the two joined symbols, so each (left
+    symbol, right symbol) pair builds and filters its words once per call,
+    and groups with the same symbols share one tuple of them.
+    """
     if window < 0:
         raise ValueError("window must be >= 0")
     for orbit in (*q_set.orbits, *p_set.orbits):
         orbit.validate(sft)
-    rights = [(orbit, phase) for orbit in p_set.orbits for phase in range(orbit.period)]
+    rights = [(orbit, phase, orbit.word[phase])
+              for orbit in p_set.orbits for phase in range(orbit.period)]
+    # right symbol -> which symbols may precede it
+    before = {right: [row[right] for row in sft.trans] for *_, right in rights}
+    joins: dict = {}  # left symbol -> {right symbol: middles joining them}
     for left_orbit in q_set.orbits:
         for left_phase, left in enumerate(left_orbit.word):
-            *_, middles = word_levels(sft, sft.successors(left), 2 * window)
-            for right_orbit, right_phase in rights:
-                right = right_orbit.word[right_phase]
-                for middle in middles:
-                    if sft.allowed(middle[-1] if middle else left, right):
-                        yield left_orbit, left_phase, middle, right_orbit, right_phase
+            if left not in joins:
+                for words in word_levels(sft, sft.successors(left), 2 * window):
+                    pass
+                joins[left] = {right: tuple([m for m in words if allowed[m[-1] if m else left]])
+                               for right, allowed in before.items()}
+            for right_orbit, right_phase, right in rights:
+                yield left_orbit, left_phase, right_orbit, right_phase, joins[left][right]
 
 
 def count_asymptotic_sequences(sft: Sft, p_set: PeriodicOrbitSet,
@@ -529,5 +542,6 @@ def enumerate_heteroclinic(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrb
             raise WindowOverflow(f"window {window} needs more than {ENUMERATION_CAP} "
                                  f"symbols ({count} sequences x {2 * w + 1} at window {w})")
     points = (make_point(left, lph, -window, middle, right, rph, window)
-              for left, lph, middle, right, rph in asymptotic_sequences(sft, p_set, q_set, window))
+              for left, lph, right, rph, middles in asymptotic_sequences(sft, p_set, q_set, window)
+              for middle in middles)
     return sorted((z for z in points if z.m_right <= window), key=point_key)

@@ -43,8 +43,11 @@ operators to each one; it must agree with the symbolic route exactly.
 It holds each point as a fixed-range word, (left orbit, symbols on the
 window padded by the longest orbit period, right orbit), so applying a
 term is a compare and replace of a tuple prefix or suffix and the
-roundtrip test is tuple equality.  It never counts paths, reflects rays,
-or builds, canonicalizes or sorts points.
+roundtrip test is tuple equality.  The points come in groups that share
+their two tails, so each group builds its padding once and keeps only
+the terms whose rays stay on its orbits, the only ones a roundtrip can
+use; every point of the group then meets every kept term.  It never
+counts paths, reflects rays, or builds, canonicalizes or sorts points.
 """
 
 from __future__ import annotations
@@ -352,7 +355,8 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
                              f"more than {ENUMERATION_CAP}")
     columns: dict = {}
     for past, future, width in spans:
-        *_, bridges = word_levels(sft, sft.successors(past.terminal), width)
+        for bridges in word_levels(sft, sft.successors(past.terminal), width):
+            pass
         for bridge in bridges:
             if sft.allowed(bridge[-1] if bridge else past.terminal, future.initial):
                 columns[splice_point(past, bridge, future)] = None
@@ -489,6 +493,14 @@ def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: i
     words once per call: an unstable term at window m is a compare and
     replace of the suffix from m - lo, a stable term at window n of the
     prefix up to n - lo.
+
+    The sequences come in groups with one pair of tails, so the padding
+    is built once per group, and so are the orbit tests: a roundtrip
+    keeps both orbits, so a group keeps only the unstable terms whose
+    source and target follow its right orbit and the stable terms whose
+    source and target follow its left orbit.  Two orbits can agree on the
+    whole padded range, so these tests are needed as well as the word
+    compares.  Each point of the group meets every kept term.
     """
     req = required_window(a, b, k)
     if window < req:
@@ -508,16 +520,26 @@ def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: i
               tuple(map(e.target.symbol_at, range(lo, e.window))))
              for ca, e in a_k.terms]
     pairs = []
-    for left, lph, middle, right, rph in asymptotic_sequences(p.sft, p_set, q_set, window):
-        word = _cycle(left.word, lph + 1 - pad, pad) + middle + _cycle(right.word, rph, pad)
-        for cb, i, f_orbit, f_source, g_orbit, g_target in futures:
-            if word[i:] != f_source or right != f_orbit:
-                continue
-            y = word[:i] + g_target  # left orbit `left`, right orbit `g_orbit`
-            for ca, j, e_orbit, e_source, t_orbit, e_target in pasts:
-                if (y[:j] == e_source and left == e_orbit and e_target + y[j:] == word
-                        and t_orbit == left and g_orbit == right):
-                    pairs.append((ca * cb, 1))
+    for left, lph, right, rph, middles in asymptotic_sequences(p.sft, p_set, q_set, window):
+        # a roundtrip keeps both orbits, so only terms that do can count here
+        group_futures = [(cb, i, f_source, g_target)
+                         for cb, i, f_orbit, f_source, g_orbit, g_target in futures
+                         if f_orbit == right == g_orbit]
+        group_pasts = [(ca, j, e_source, e_target)
+                       for ca, j, e_orbit, e_source, t_orbit, e_target in pasts
+                       if e_orbit == left == t_orbit]
+        if not (group_futures and group_pasts):
+            continue
+        head, tail = _cycle(left.word, lph + 1 - pad, pad), _cycle(right.word, rph, pad)
+        for middle in middles:
+            word = head + middle + tail
+            for cb, i, f_source, g_target in group_futures:
+                if word[i:] != f_source:
+                    continue
+                y = word[:i] + g_target
+                for ca, j, e_source, e_target in group_pasts:
+                    if y[:j] == e_source and e_target + y[j:] == word:
+                        pairs.append((ca * cb, 1))
     return ExactTrace.from_pairs(pairs)
 
 

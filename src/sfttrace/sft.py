@@ -171,23 +171,35 @@ def validate(sft: Sft) -> None:
 def is_mixing(sft: Sft) -> bool:
     """True iff the transition matrix is primitive (some power entrywise positive).
 
-    Checked up to the Wielandt bound (n-1)^2 + 1.  Single-symbol systems are
-    treated as not mixing so that the measure machinery downstream always works
-    with at least two symbols.
+    A primitive matrix has a positive power at the Wielandt bound (n-1)^2 + 1
+    and at every power beyond it, so the matrix is squared until the power
+    reaches the bound, stopping as soon as one power is positive.  Each row
+    is a bitset, an int whose bit j is set when entry (i, j) is nonzero;
+    row i of a square is the union of the rows its own bits name.  Single-symbol
+    systems are treated as not mixing so that the measure machinery
+    downstream always works with at least two symbols.
     """
     n = sft.n
     if n < 2:
         return False
     bound = (n - 1) ** 2 + 1
-    reach = [[bool(e) for e in row] for row in sft.trans]
-    for _ in range(bound):
-        if all(all(row) for row in reach):
-            return True
-        reach = [
-            [any(reach[i][k] and sft.trans[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    return False
+    full = (1 << n) - 1
+    rows = [sum(e << j for j, e in enumerate(row)) for row in sft.trans]
+    power = 1
+    while not all(row == full for row in rows):
+        if power >= bound:
+            return False
+        squared = []
+        for row in rows:
+            union = 0
+            while row:
+                low = row & -row
+                union |= rows[low.bit_length() - 1]
+                row ^= low
+            squared.append(union)
+        rows = squared
+        power *= 2
+    return True
 
 
 def is_admissible(sft: Sft, w: Word) -> bool:

@@ -379,13 +379,14 @@ def test_asymptotic_sequences_once_each(sft, q_word, p_word):
     slide = q_orbit.period + p_orbit.period
     for w in range(4):
         points = []
-        for left, lphase, middle, right, rphase in asymptotic_sequences(sft, p, q, w):
-            z = make_point(left, lphase, -w, middle, right, rphase, w)
-            assert z.segment(-w - 1, w + 1) == (left.word[lphase],) + middle + (
-                right.word[rphase],)
-            assert point_is_admissible(sft, z)
-            assert -w <= z.n_left and z.m_right <= w + slide
-            points.append(z)
+        for left, lphase, right, rphase, middles in asymptotic_sequences(sft, p, q, w):
+            for middle in middles:
+                z = make_point(left, lphase, -w, middle, right, rphase, w)
+                assert z.segment(-w - 1, w + 1) == (left.word[lphase],) + middle + (
+                    right.word[rphase],)
+                assert point_is_admissible(sft, z)
+                assert -w <= z.n_left and z.m_right <= w + slide
+                points.append(z)
         # distinct tuples are distinct sequences, and every point whose
         # canonical window fits is among them
         assert len(set(points)) == len(points)
@@ -401,7 +402,35 @@ def test_count_asymptotic_sequences_matches_enumeration(sft, p_words, q_words):
     p, q = make_orbit_set(p_words, sft), make_orbit_set(q_words, sft)
     for w in range(7):
         assert count_asymptotic_sequences(sft, p, q, w) == sum(
-            1 for _ in asymptotic_sequences(sft, p, q, w))
+            len(group[-1]) for group in asymptotic_sequences(sft, p, q, w))
+
+
+THREE_SYMBOLS = make_sft([[1, 1, 0], [1, 0, 1], [1, 1, 1]])
+
+
+@pytest.mark.parametrize("sft, p_words, q_words", [
+    (FULL, [[0]], [[1]]), (FULL, [[0], [0, 1]], [[0, 0, 1], [1]]), (GOLDEN, [[0, 1]], [[0]]),
+    (THREE_SYMBOLS, [[1, 2], [0]], [[2], [0, 1]]),
+], ids=["full-0-1", "full-0+01-001+1", "golden-01-0", "three-12+0-2+01"])
+def test_asymptotic_sequence_groups(sft, p_words, q_words):
+    # one group per pair of tails, in order; its middles are every
+    # admissible word of length 2w joining its two symbols, once each,
+    # written out here by brute force over all words
+    p, q = make_orbit_set(p_words, sft), make_orbit_set(q_words, sft)
+    tails = [(left, lphase, right, rphase)
+             for left in q.orbits for lphase in range(left.period)
+             for right in p.orbits for rphase in range(right.period)]
+    for w in range(4):
+        groups = list(asymptotic_sequences(sft, p, q, w))
+        assert [group[:4] for group in groups] == tails
+        for left, lphase, right, rphase, middles in groups:
+            ends = (left.word[lphase],), (right.word[rphase],)
+            joining = [m for m in itertools.product(range(sft.n), repeat=2 * w)
+                       if all(sft.allowed(s, t) for s, t in
+                              itertools.pairwise(ends[0] + m + ends[1]))]
+            assert list(middles) == joining
+        assert sum(len(group[-1]) for group in groups) == count_asymptotic_sequences(
+            sft, p, q, w)
 
 
 def test_enumerate_cap_raises_before_building_points(monkeypatch):

@@ -458,8 +458,9 @@ def test_oracle_equals_vector_by_vector_application(case):
     req = required_window(a, b, k)
     a_k, b_k = apply_alpha(a, k), apply_alpha(b, -k)
     basis = [make_point(left, left_phase, -req, middle, right, right_phase, req)
-             for left, left_phase, middle, right, right_phase
-             in asymptotic_sequences(sys.sft, sys.p_set, sys.q_set, req)]
+             for left, left_phase, right, right_phase, middles
+             in asymptotic_sequences(sys.sft, sys.p_set, sys.q_set, req)
+             for middle in middles]
     diagonal_entries = [
         (apply_to_combination(a_k, apply_element(b_k, w)).get(w, 0j), 1) for w in basis
     ]
@@ -525,6 +526,43 @@ def test_oracle_calls_no_symbolic_or_point_building_code(monkeypatch):
         oracle = trace_product_oracle(a, b, k, required_window(a, b, k),
                                       sys.perron, sys.p_set, sys.q_set)
         assert oracle == known, (sys.name, name, k)
+
+
+def test_oracle_orbit_tests_where_tails_agree_on_the_padded_window():
+    # full 2-shift, P = Q = {(01), (001)}: the longest period, and so the
+    # oracle's pad, is 3, and "010" lies on both orbits.  Each case has one
+    # off-diagonal term whose source and target rays read "010" on the
+    # 3 padded symbols next to the window but follow different orbits, and
+    # one diagonal term on the other side.  The off-diagonal term moves a
+    # point to another orbit, so nothing returns and every trace is 0; a
+    # point on either orbit agrees with both of its rays on the whole
+    # padded window, so only the orbit tests keep it from counting.
+    sft = FULL.sft
+    orbits = PeriodicOrbitSet((make_orbit((0, 1), sft), make_orbit((0, 0, 1), sft)))
+    two, three = orbits.orbits
+    sys = System("full-01-001", sft, orbits, orbits, FULL.perron)
+    # reading ...010 below 0, and 010... from 0 on
+    past_two, past_three = (periodic_left_ray(sft, o, 0, phase_at_end=0) for o in orbits.orbits)
+    future_two = periodic_right_ray(sft, two, 0, phase_at_start=0)
+    future_three = periodic_right_ray(sft, three, 0, phase_at_start=1)
+    for ray in (past_two, past_three):
+        assert [ray.symbol_at(x) for x in range(-3, 0)] == [0, 1, 0]
+    for ray in (future_two, future_three):
+        assert [ray.symbol_at(x) for x in range(3)] == [0, 1, 0]
+    cases = {
+        # the future orbit changes from (01) to (001)
+        "future": (diagonal("stable", past_two),
+                   element("unstable", [(1, UnstableBisection(future_three, future_two))])),
+        # the past orbit changes from (01) to (001)
+        "past": (element("stable", [(1, StableBisection(past_three, past_two))]),
+                 diagonal("unstable", future_two)),
+    }
+    for name, (a, b) in cases.items():
+        for k in range(3):
+            req = required_window(a, b, k)
+            assert req == k
+            oracle = trace_product_oracle(a, b, k, req, sys.perron, sys.p_set, sys.q_set)
+            assert oracle == trace_product(a, b, k, sys.perron) == ExactTrace(()), (name, k)
 
 
 def _pairwise_trace(a, b, k, p):

@@ -96,6 +96,71 @@ def test_is_mixing_permutation_invariant():
         assert is_mixing(permuted) == is_mixing(base)
 
 
+def reference_is_mixing(sft):
+    # the former implementation: multiply by the matrix one power at a
+    # time, up to the Wielandt bound
+    n = sft.n
+    if n < 2:
+        return False
+    bound = (n - 1) ** 2 + 1
+    reach = [[bool(e) for e in row] for row in sft.trans]
+    for _ in range(bound):
+        if all(all(row) for row in reach):
+            return True
+        reach = [
+            [any(reach[i][k] and sft.trans[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return False
+
+
+def wielandt(n):
+    # an n-cycle with one chord n-1 -> 1: primitive with exponent exactly
+    # (n-1)^2 + 1, the largest possible
+    return Sft(tuple(tuple(int(j == (i + 1) % n or (i == n - 1 and j == 1))
+                           for j in range(n)) for i in range(n)))
+
+
+def _power(trans, e):
+    n = len(trans)
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(e):
+        out = [[int(any(out[i][k] and trans[k][j] for k in range(n))) for j in range(n)]
+               for i in range(n)]
+    return out
+
+
+@st.composite
+def small_matrices(draw):
+    n = draw(st.integers(2, 6))
+    cells = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+    return Sft(tuple(tuple(cells[r * n:(r + 1) * n]) for r in range(n)))
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(sft=small_matrices())
+def test_is_mixing_matches_reference(sft):
+    assert is_mixing(sft) == reference_is_mixing(sft)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_is_mixing_wielandt_and_cycles(n):
+    # the exponent of the Wielandt matrix equals the bound, so stopping one
+    # squaring short would call it not mixing
+    assert is_mixing(wielandt(n)) and reference_is_mixing(wielandt(n))
+    trans = wielandt(n).trans
+    assert not all(all(row) for row in _power(trans, (n - 1) ** 2))
+    # a plain cycle and a cycle of two blocks are irreducible but imprimitive
+    cycle = Sft(tuple(tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n)))
+    assert not is_mixing(cycle) and not reference_is_mixing(cycle)
+    if n % 2 == 0:
+        # two blocks, every transition from one to the other: period 2
+        blocks = Sft(tuple(tuple(int((i < n // 2) != (j < n // 2)) for j in range(n))
+                           for i in range(n)))
+        assert not is_mixing(blocks) and not reference_is_mixing(blocks)
+
+
 def test_is_admissible():
     assert is_admissible(GOLDEN, Word(0, (0, 1, 0)))
     assert not is_admissible(GOLDEN, Word(0, (0, 1, 1)))
