@@ -39,8 +39,6 @@ from .points import (
     RightRay,
     bracket,
     enumerate_heteroclinic,
-    in_stable_class,
-    in_unstable_class,
     make_left_ray,
     make_orbit,
     make_orbit_set,

@@ -36,7 +36,7 @@ from .rep import (
     trace_product_oracle,
     vanishing_product_check,
 )
-from .sft import Word
+from .sft import Word, word_levels
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -166,10 +166,9 @@ def _measure_invariants(sys: System):
     sft = sys.sft
     worst_product = 0.0
     worst_additive = 0.0
-    words = [()]
-    for _ in range(8):
-        words = [w + (s,) for w in words for s in range(sft.n)
-                 if not w or sft.allowed(w[-1], s)]
+    levels = word_levels(sft, range(sft.n), 8)
+    next(levels)  # the empty word
+    for words in levels:
         for syms in words:
             w = Word(-(len(syms) // 2), syms)
             split = mu_u_data(p, syms[-1], w.end) * mu_s_data(p, syms[0], w.start)

@@ -17,6 +17,13 @@ an automorphism by sliding every ray one step (window N -> N-1), under
 which the stable trace scales by lambda and the unstable one by 1/lambda
 (the leaf measures' shift scaling).
 
+Both sides share one bisection class body: the invariants, `window`,
+`is_diagonal`, `shift`, `adjoint` and `sort_key` are written once, and
+`StableBisection`/`UnstableBisection` only name which ray coordinate is
+the window (a left ray's `end`, a right ray's `start`) and which symbol
+sits next to it (`terminal`, `initial`).  `BISECTIONS` maps a side name
+to its class, and `tau` differs by side only in its leaf measure.
+
 Composition and refinement are written for the stable side only.  The
 unstable side goes through time reversal x_m -> x_{-1-m} (`points.reflect`):
 an unstable bisection at window M over A is the stable bisection at
@@ -24,11 +31,16 @@ window -M over the transpose whose rays are the reflected rays, with
 phase (p - 1 - phase - t) % p over the reversed orbit (t its rotation).
 Reflection preserves composition and refinement, so the unstable result
 is the reflected stable one.
+
+The two ray classes stay apart, and so do `tau_s`/`tau_u` and the class
+names: the brute-force oracle reads right rays directly, never through
+the reflection it checks, and the benchmark reads both classes by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Union
 
 from .perron import PerronData, mu_s_data, mu_u_data
@@ -47,77 +59,67 @@ class BisectionError(ValueError):
 
 
 @dataclass(frozen=True)
-class StableBisection:
-    """Past replacement: send source-cylinder points to target-past points."""
+class _Bisection:
+    """The replacement map of both sides, written once.
 
-    target: LeftRay
-    source: LeftRay
+    A side names, as class keywords, the ray coordinate that is the window
+    (`at`) and the ray's symbol next to it (`edge`): a stable bisection's
+    window is its rays' `end` and the edge their `terminal` symbol, an
+    unstable one's the `start` and the `initial` symbol.  Target and source
+    must share both.  `window` is one property hop to the target ray's
+    coordinate, since the trace loops read it for every term.
+    """
+
+    target: LeftRay | RightRay
+    source: LeftRay | RightRay
+
+    def __init_subclass__(cls, at: str, edge: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._at, cls._edge, cls._edge_name = attrgetter(at), attrgetter(edge), edge
+        cls.window = property(attrgetter(f"target.{at}"))
 
     def __post_init__(self):
-        if self.target.end != self.source.end:
+        if self._at(self.target) != self._at(self.source):
             raise BisectionError("target and source rays must share their window")
-        if self.target.terminal != self.source.terminal:
-            raise BisectionError("target and source must share the terminal symbol")
-
-    @property
-    def window(self) -> int:
-        return self.target.end
+        if self._edge(self.target) != self._edge(self.source):
+            raise BisectionError(f"target and source must share the {self._edge_name} symbol")
 
     @property
     def is_diagonal(self) -> bool:
         return self.target == self.source
 
-    def shift(self, n: int) -> "StableBisection":
-        return StableBisection(self.target.shift(n), self.source.shift(n))
+    def shift(self, n: int):
+        return type(self)(self.target.shift(n), self.source.shift(n))
 
-    def adjoint(self) -> "StableBisection":
-        return StableBisection(self.source, self.target)
+    def adjoint(self):
+        return type(self)(self.source, self.target)
 
     def sort_key(self):
-        return (self.window, _lkey(self.target), _lkey(self.source))
+        """The window, then each ray's window, splice, body, orbit and phase."""
+        w, t, s = self.window, self.target, self.source
+        return (w, (w, t.splice, t.body, t.orbit.word, t.phase),
+                (w, s.splice, s.body, s.orbit.word, s.phase))
 
 
 @dataclass(frozen=True)
-class UnstableBisection:
+class StableBisection(_Bisection, at="end", edge="terminal"):
+    """Past replacement: send source-cylinder points to target-past points."""
+
+    target: LeftRay
+    source: LeftRay
+
+
+@dataclass(frozen=True)
+class UnstableBisection(_Bisection, at="start", edge="initial"):
     """Future replacement on the cylinder of points matching the source from
     the window on."""
 
     target: RightRay
     source: RightRay
 
-    def __post_init__(self):
-        if self.target.start != self.source.start:
-            raise BisectionError("target and source rays must share their window")
-        if self.target.initial != self.source.initial:
-            raise BisectionError("target and source must share the initial symbol")
-
-    @property
-    def window(self) -> int:
-        return self.target.start
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.target == self.source
-
-    def shift(self, n: int) -> "UnstableBisection":
-        return UnstableBisection(self.target.shift(n), self.source.shift(n))
-
-    def adjoint(self) -> "UnstableBisection":
-        return UnstableBisection(self.source, self.target)
-
-    def sort_key(self):
-        return (self.window, _rkey(self.target), _rkey(self.source))
-
 
 Bisection = Union[StableBisection, UnstableBisection]
-
-
-def _lkey(r: LeftRay):
-    return (r.end, r.splice, r.body, r.orbit.word, r.phase)
-
-
-def _rkey(r: RightRay):
-    return (r.start, r.splice, r.body, r.orbit.word, r.phase)
+BISECTIONS = {"stable": StableBisection, "unstable": UnstableBisection}
 
 
 @dataclass(frozen=True)
@@ -151,11 +153,15 @@ class AlgebraElement:
         return element(self.side, tuple((scalar * c, b) for c, b in self.terms))
 
 
+def _bisection_class(side: str) -> type:
+    if side not in BISECTIONS:
+        raise ValueError(f"unknown side {side!r}")
+    return BISECTIONS[side]
+
+
 def element(side: str, terms) -> AlgebraElement:
     """Build a reduced element from (coefficient, bisection) pairs."""
-    if side not in ("stable", "unstable"):
-        raise ValueError(f"unknown side {side!r}")
-    want = StableBisection if side == "stable" else UnstableBisection
+    want = _bisection_class(side)
     merged: dict = {}
     for c, b in terms:
         if not isinstance(b, want):
@@ -166,15 +172,9 @@ def element(side: str, terms) -> AlgebraElement:
     return AlgebraElement(side, tuple(kept))
 
 
-def zero(side: str) -> AlgebraElement:
-    return element(side, ())
-
-
 def diagonal(side: str, ray) -> AlgebraElement:
     """Indicator of a single past (stable) or future (unstable) cylinder."""
-    if side == "stable":
-        return element(side, (((1 + 0j), StableBisection(ray, ray)),))
-    return element(side, (((1 + 0j), UnstableBisection(ray, ray)),))
+    return element(side, (((1 + 0j), _bisection_class(side)(ray, ray)),))
 
 
 def refine(sft: Sft, e: Bisection, window: int) -> list:
@@ -193,20 +193,20 @@ def refine(sft: Sft, e: Bisection, window: int) -> list:
     if isinstance(e, UnstableBisection):
         if window > e.window:
             raise ValueError("unstable refinement must not shrink the window")
-        return [_reflect(x) for x in refine(sft.transpose, _reflect(e), -window)]
+        mirror = refine(sft.transpose, _reflect(e, "stable"), -window)
+        return [_reflect(x, "unstable") for x in mirror]
     raise TypeError(f"not a bisection: {e!r}")
 
 
-def _reflect(e: Bisection) -> Bisection:
-    """The time-reversed bisection, on the other side."""
-    cls = StableBisection if isinstance(e, UnstableBisection) else UnstableBisection
-    return cls(reflect(e.target), reflect(e.source))
+def _reflect(e: Bisection, side: str) -> Bisection:
+    """The time-reversed bisection, on the other side, named by `side`."""
+    return BISECTIONS[side](reflect(e.target), reflect(e.source))
 
 
 def _reflect_element(a: AlgebraElement) -> AlgebraElement:
     """The time-reversed element, on the other side."""
     side = "stable" if a.side == "unstable" else "unstable"
-    return element(side, [(c, _reflect(e)) for c, e in a.terms])
+    return element(side, [(c, _reflect(e, side)) for c, e in a.terms])
 
 
 def _compose(e: StableBisection, f: StableBisection):
@@ -257,14 +257,11 @@ def tau(a: AlgebraElement, p: PerronData) -> complex:
     a diagonal stable term contributes its past-cylinder's unstable-leaf
     mass, an unstable one its future-cylinder's stable-leaf mass.
     """
+    measure = mu_u_data if a.side == "stable" else mu_s_data
     total = 0j
     for c, b in a.terms:
-        if not b.is_diagonal:
-            continue
-        if isinstance(b, StableBisection):
-            total += c * mu_u_data(p, b.source.terminal, b.window)
-        else:
-            total += c * mu_s_data(p, b.source.initial, b.window)
+        if b.is_diagonal:
+            total += c * measure(p, b._edge(b.source), b.window)
     return total
 
 

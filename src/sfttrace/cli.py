@@ -46,9 +46,8 @@ from dataclasses import dataclass
 
 from . import acceptance
 from .algebra import (
+    BISECTIONS,
     AlgebraElement,
-    StableBisection,
-    UnstableBisection,
     element,
     tau_s,
     tau_u,
@@ -220,8 +219,7 @@ def _parse_element(sft, doc, side, orbit_set, field) -> AlgebraElement:
                 else:
                     rays.append(make_right_ray(sft, orbit, phase,
                                                window, body, window + len(body)))
-            bis_cls = StableBisection if side == "stable" else UnstableBisection
-            terms.append((coeff, bis_cls(rays[0], rays[1])))
+            terms.append((coeff, BISECTIONS[side](*rays)))
         except ValidationError:
             raise
         except (KeyError, IndexError, TypeError) as exc:

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
+    BISECTIONS,
     AlgebraElement,
+    BisectionError,
     StableBisection,
     UnstableBisection,
     diagonal,
@@ -186,21 +188,18 @@ def random_dyadic(rng) -> complex:
 
 def random_element(rng, sys: System, side: str, nterms: int) -> AlgebraElement:
     """Seeded random element over the system's own orbit sets."""
-    terms = []
     if side == "stable":
-        orbit = sys.q_set.orbits[0]
-        while len(terms) < nterms:
-            window = rng.randrange(-2, 3)
-            source = random_left_ray(rng, sys.sft, orbit, window)
-            target = random_left_ray(rng, sys.sft, orbit, window)
-            if target.terminal == source.terminal:
-                terms.append((random_dyadic(rng), StableBisection(target, source)))
+        orbit, random_ray = sys.q_set.orbits[0], random_left_ray
     else:
-        orbit = sys.p_set.orbits[0]
-        while len(terms) < nterms:
-            window = rng.randrange(-2, 3)
-            source = random_right_ray(rng, sys.sft, orbit, window)
-            target = random_right_ray(rng, sys.sft, orbit, window)
-            if target.initial == source.initial:
-                terms.append((random_dyadic(rng), UnstableBisection(target, source)))
+        orbit, random_ray = sys.p_set.orbits[0], random_right_ray
+    terms = []
+    while len(terms) < nterms:
+        window = rng.randrange(-2, 3)
+        source = random_ray(rng, sys.sft, orbit, window)
+        target = random_ray(rng, sys.sft, orbit, window)
+        try:
+            bisection = BISECTIONS[side](target, source)
+        except BisectionError:  # the rays disagree next to the window
+            continue
+        terms.append((random_dyadic(rng), bisection))
     return element(side, terms)

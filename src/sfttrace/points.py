@@ -32,6 +32,9 @@ rotation of its reversed word, reached by rotating t places
 over the transpose; the map is its own inverse and keeps canonical forms
 canonical.  Reading symbols, shifting, and everything on points works on
 right rays directly, so the brute-force oracle never goes through it.
+For the same reason the ray classes, their `symbol_at` and `shift`, and
+`matches_past`/`matches_future` stay written out for each side, while
+`algebra` shares one bisection body between the sides.
 """
 
 from __future__ import annotations
@@ -402,17 +405,6 @@ def splice_point(past: LeftRay, middle, future: RightRay) -> HeteroclinicPoint:
                       future.orbit, future.phase, future.splice)
 
 
-def point_is_admissible(sft: Sft, z: HeteroclinicPoint) -> bool:
-    """Check every transition around the non-periodic window (the periodic
-    tails are admissible whenever their orbits are)."""
-    z.left_orbit.validate(sft)
-    z.right_orbit.validate(sft)
-    pl, pr = z.left_orbit.period, z.right_orbit.period
-    lo = z.n_left - pl
-    hi = z.m_right + pr
-    return is_admissible(sft, Word(lo, z.segment(lo, hi + 1)))
-
-
 def shift_point(z: HeteroclinicPoint, n: int) -> HeteroclinicPoint:
     """Canonical form of the n-th shift image: (shift^n z)_m = z_{m+n}."""
     return make_point(z.left_orbit, z.left_phase, z.n_left - n, z.middle,
@@ -460,16 +452,6 @@ def matches_future(z: HeteroclinicPoint, ray: RightRay, start: int) -> bool:
     if (z.right_phase + (hi - z.m_right)) % p != (ray.phase + (hi - ray.splice)) % p:
         return False
     return all(z.symbol_at(i) == ray.symbol_at(i) for i in range(start, hi))
-
-
-def in_unstable_class(z: HeteroclinicPoint, q: PeriodicOrbitSet) -> bool:
-    """True iff z's past follows an orbit of q (z is unstably equivalent to q)."""
-    return z.left_orbit in q
-
-
-def in_stable_class(z: HeteroclinicPoint, p: PeriodicOrbitSet) -> bool:
-    """True iff z's future follows an orbit of p."""
-    return z.right_orbit in p
 
 
 def point_key(z: HeteroclinicPoint):

@@ -53,6 +53,7 @@ counts paths, reflects rays, or builds, canonicalizes or sorts points.
 from __future__ import annotations
 
 import math
+import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,6 +61,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import (
+    COEFF_EPS,
     AlgebraElement,
     SideMismatch,
     StableBisection,
@@ -287,9 +289,6 @@ class FiniteOperator:
             out[key] = out.get(key, 0j) - c
         return FiniteOperator({k: c for k, c in out.items() if c != 0})
 
-    def diagonal_sum(self) -> complex:
-        return sum((c for (r, co), c in self.entries.items() if r == co), 0j)
-
     def _matrix(self):
         rows = sorted({r for r, _ in self.entries}, key=point_key)
         cols = sorted({c for _, c in self.entries}, key=point_key)
@@ -363,7 +362,7 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
     entries = {}
     for w in columns:
         for v, c in apply_to_combination(second, apply_element(first, w)).items():
-            if abs(c) >= 1e-15:
+            if abs(c) >= COEFF_EPS:
                 entries[(v, w)] = c
     return FiniteOperator(entries)
 
@@ -463,12 +462,10 @@ def required_window(a: AlgebraElement, b: AlgebraElement, k: int) -> int:
     window may still end past req), and every conjugated ray's splice,
     start and end lies in [-req, req]."""
     req = 0
-    for _, e in a.terms:
-        for ray in (e.target, e.source):
-            req = max(req, abs(ray.splice - k), abs(ray.end - k))
-    for _, f in b.terms:
-        for ray in (f.target, f.source):
-            req = max(req, abs(ray.splice + k), abs(ray.start + k))
+    for x, shift in ((a, -k), (b, k)):
+        for _, e in x.terms:
+            req = max(req, abs(e.window + shift),
+                      abs(e.target.splice + shift), abs(e.source.splice + shift))
     return req
 
 
@@ -591,10 +588,8 @@ class TraceReport:
         pts = [(r.k, math.log(r.abs_err)) for r in self.rows if r.abs_err > 0]
         if len(pts) < 2:
             return math.nan
-        ks = np.array([q[0] for q in pts], dtype=float)
-        ys = np.array([q[1] for q in pts], dtype=float)
-        slope = np.polyfit(ks, ys, 1)[0]
-        return float(math.exp(slope))
+        slope, _ = statistics.linear_regression(*zip(*pts))
+        return math.exp(slope)
 
 
 def format_complex(z: complex) -> str:

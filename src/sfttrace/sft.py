@@ -10,7 +10,6 @@ trace computation downstream.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -245,19 +244,3 @@ def count_paths(sft: Sft, i: int, j: int, length: int) -> int:
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("symbol out of range")
     return sft._path_rows.row(i, length)[j]
-
-
-def sft_to_json(sft: Sft) -> str:
-    """Serialize as the documented matrix format; round-trips bit-exactly."""
-    doc = {
-        "symbols": [sft.label(i) for i in range(sft.n)],
-        "matrix": [list(row) for row in sft.trans],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
-
-
-def sft_from_json(text: str) -> Sft:
-    doc = json.loads(text)
-    if "matrix" not in doc:
-        raise InvalidMatrix("missing 'matrix' field")
-    return make_sft(doc["matrix"], doc.get("symbols"))

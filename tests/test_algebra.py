@@ -4,6 +4,7 @@ import random
 import pytest
 
 from sfttrace.algebra import (
+    BISECTIONS,
     BisectionError,
     SideMismatch,
     StableBisection,
@@ -18,9 +19,9 @@ from sfttrace.algebra import (
     tau_s,
     tau_u,
     trace_property_check,
-    zero,
 )
-from sfttrace.fixtures import golden_mean, random_element
+from sfttrace.algebra import _reflect
+from sfttrace.fixtures import all_systems, golden_mean, random_element, random_left_ray
 from sfttrace.perron import compute_perron
 from sfttrace.points import (
     make_left_ray,
@@ -28,6 +29,7 @@ from sfttrace.points import (
     make_right_ray,
     periodic_left_ray,
     periodic_right_ray,
+    reflect,
 )
 from sfttrace.sft import make_sft
 
@@ -60,6 +62,36 @@ def test_bisection_invariants():
         StableBisection(a, a.shift(1))  # windows differ
     with pytest.raises(BisectionError):
         StableBisection(lray(GOLDEN, ORB0, (1,), 0), a)  # terminals 1 vs 0
+
+
+@pytest.mark.parametrize("side", ["stable", "unstable"])
+def test_sort_key_is_window_then_ray_tuples(side):
+    # the shared key, against each side's own ray fields
+    at = "end" if side == "stable" else "start"
+    for sys in all_systems():
+        for _, e in random_element(random.Random(7), sys, side, 12).terms:
+            w = getattr(e.target, at)
+            assert e.window == w == getattr(e.source, at)
+            assert e.sort_key() == (w, *((getattr(r, at), r.splice, r.body, r.orbit.word, r.phase)
+                                         for r in (e.target, e.source)))
+
+
+def test_bisection_validates_exactly_when_its_reflection_does():
+    rng = random.Random(11)
+    for sys in all_systems():
+        orbit = sys.q_set.orbits[0]
+        for _ in range(60):
+            target, source = (random_left_ray(rng, sys.sft, orbit, rng.randrange(-1, 2))
+                              for _ in range(2))
+            for side, mirror, rays in (("stable", "unstable", (target, source)),
+                                       ("unstable", "stable", (reflect(target), reflect(source)))):
+                try:
+                    e = BISECTIONS[side](*rays)
+                except BisectionError:
+                    with pytest.raises(BisectionError):
+                        BISECTIONS[mirror](*map(reflect, rays))
+                    continue
+                assert _reflect(_reflect(e, mirror), side) == e
 
 
 def test_element_reduction_merges_and_drops():
@@ -277,7 +309,7 @@ def test_coarse_element_equals_refined_sum_behaviorally():
 
 
 def test_zero_element():
-    z = zero("stable")
+    z = element("stable", ())
     assert z.is_zero
     a = diagonal("stable", periodic_left_ray(FULL, ORB1, 0))
     assert convolve(z, a).is_zero

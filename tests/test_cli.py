@@ -135,6 +135,17 @@ def test_config_bad_field_exits_2(tmp_path, capsys, keys, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_config_without_matrix_exits_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    del doc["sft"]["matrix"]
+    path = write_doc(tmp_path, doc)
+    with pytest.raises(ValidationError, match="matrix"):
+        load_config(path)
+    assert main(["trace-run", "--config", path, "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_config_round_trip(tmp_path):
     config = load_config(write_doc(tmp_path, GOLDEN_DOC))
     out1 = tmp_path / "round1.json"

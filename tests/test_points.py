@@ -12,8 +12,6 @@ from sfttrace.points import (
     bracket,
     count_asymptotic_sequences,
     enumerate_heteroclinic,
-    in_stable_class,
-    in_unstable_class,
     make_left_ray,
     make_orbit,
     make_orbit_set,
@@ -21,11 +19,10 @@ from sfttrace.points import (
     make_right_ray,
     periodic_left_ray,
     periodic_right_ray,
-    point_is_admissible,
     shift_point,
     splice_point,
 )
-from sfttrace.sft import Sft, make_sft
+from sfttrace.sft import Sft, Word, is_admissible, make_sft
 
 FULL = make_sft([[1, 1], [1, 1]], ["0", "1"])
 GOLDEN = make_sft([[1, 1], [1, 0]], ["0", "1"])
@@ -38,6 +35,16 @@ ORB01 = make_orbit((0, 1))
 def fixed_point(orbit):
     # aligned phases: symbol at -1 is word[p-1], symbol at 0 is word[0]
     return make_point(orbit, orbit.period - 1, 0, (), orbit, 0, 0)
+
+
+def point_is_admissible(sft, z):
+    # every transition around the non-periodic window (the periodic tails
+    # are admissible whenever their orbits are)
+    z.left_orbit.validate(sft)
+    z.right_orbit.validate(sft)
+    lo = z.n_left - z.left_orbit.period
+    hi = z.m_right + z.right_orbit.period
+    return is_admissible(sft, Word(lo, z.segment(lo, hi + 1)))
 
 
 def split_point(sft, left_orbit, right_orbit):
@@ -272,8 +279,8 @@ def test_enumerate_monotone_and_membership():
         for z in pts:
             n, m = z.window
             assert -w <= n <= m <= w
-            assert in_unstable_class(z, q)
-            assert in_stable_class(z, p)
+            assert z.left_orbit in q
+            assert z.right_orbit in p
             assert point_is_admissible(FULL, z)
             assert shift_point(z, 2).left_orbit in q.orbits
 

@@ -262,7 +262,8 @@ def test_trace_product_matches_operator_diagonal():
                 op = product_operator(
                     apply_alpha(a, k), apply_alpha(b, -k), sys.perron, "ab"
                 )
-                assert tr.total() == pytest.approx(op.diagonal_sum(), abs=1e-12), (
+                diag = sum((c for (row, col), c in op.entries.items() if row == col), 0j)
+                assert tr.total() == pytest.approx(diag, abs=1e-12), (
                     sys.name, name, k)
 
 
@@ -324,6 +325,20 @@ def test_scaled_sequence_golden_closed_form():
     # scaled values increase toward the target (up to float rounding)
     scaled = [row.scaled.real for row in report.rows]
     assert all(s2 >= s1 - 1e-13 for s1, s2 in zip(scaled, scaled[1:]))
+
+
+def test_fitted_decay_rate_is_the_exact_least_squares_slope():
+    for sys, (a, b), kmax in ((GOLDEN, canonical_pair(GOLDEN), 15),
+                              (THREE, mixed_pair(THREE), 20)):
+        report = scaled_trace_sequence(a, b, range(0, kmax + 1), sys.perron)
+        pts = [(Fraction(r.k), Fraction(math.log(r.abs_err))) for r in report.rows
+               if r.abs_err > 0]
+        assert len(pts) > 2
+        kbar = sum(k for k, _ in pts) / len(pts)
+        ybar = sum(y for _, y in pts) / len(pts)
+        slope = (sum((k - kbar) * (y - ybar) for k, y in pts)
+                 / sum((k - kbar) ** 2 for k, _ in pts))
+        assert report.fitted_decay_rate() == pytest.approx(math.exp(slope), rel=1e-12)
 
 
 def test_scaled_sequence_empty_range():

@@ -14,8 +14,6 @@ from sfttrace.sft import (
     is_admissible,
     is_mixing,
     make_sft,
-    sft_from_json,
-    sft_to_json,
     validate,
 )
 
@@ -244,16 +242,3 @@ def test_count_paths_big_exponent_exact():
     # arbitrary precision: value has hundreds of digits and exact parity
     big = count_paths(FULL, 0, 0, 1000)
     assert big == 2 ** 999
-
-
-def test_json_round_trip():
-    for sft in (FULL, GOLDEN):
-        text = sft_to_json(sft)
-        back = sft_from_json(text)
-        assert back == sft
-        assert sft_to_json(back) == text
-
-
-def test_json_missing_matrix():
-    with pytest.raises(InvalidMatrix):
-        sft_from_json("{}")
