@@ -241,7 +241,7 @@ def ac6_operator_checks() -> CheckRow:
     t_ba = product_operator(a, b, sys.perron, "ba")
     if t_ab.rank() != 1 or t_ba.rank() != 1:
         ok = False
-    rows = vanishing_product_check(a, b, sys.perron, sys.p_set, sys.q_set, 20)
+    rows = vanishing_product_check(a, b, sys.perron, sys.p_set, sys.q_set, 20, (t_ab, t_ba))
     for n, nab, nba in rows:
         if n >= 1 and (nab != 0.0 or nba != 0.0):
             ok = False

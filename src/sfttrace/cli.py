@@ -398,8 +398,8 @@ def cmd_theorem13(config: ExperimentConfig, nmax: int) -> int:
     print(f"rank(a.b) = {t_ab.rank()}, rank(b.a) = {t_ba.rank()} (finite rank)")
     if config.p_set.isdisjoint(config.q_set):
         print("shifted products (disjoint orbit sets):")
-        for n, nab, nba in vanishing_product_check(a, b, p, config.p_set,
-                                                   config.q_set, nmax):
+        for n, nab, nba in vanishing_product_check(a, b, p, config.p_set, config.q_set,
+                                                   nmax, (t_ab, t_ba)):
             print(f"  n={n:<3} |a_n.b| = {nab!r}  |b.a_n| = {nba!r}")
     else:
         print("orbit sets are not disjoint; skipping the vanishing-product check")

@@ -18,6 +18,14 @@ local product structure), and the (1, lambda) split used here makes the
 full 2-shift's canonical cylinders have mass exactly 1.  The leaf
 measures scale by lambda^{+1} / lambda^{-1} respectively under the shift,
 which here is pure exponent bookkeeping (N -> N-1, M -> M-1).
+
+The power iteration runs in plain floats over the successor lists of the
+matrix and of its transpose.  A row of A.x is summed left to right, and
+each dot product rounds once per multiply-add, as a BLAS `ddot` with fused
+multiply-adds does: the exact product of two floats is split into two
+floats (Dekker) and added with `math.fsum`.  Plain rounding of the
+product as well would move lambda and u by an ulp on the three-symbol
+fixture, and with them the scaled trace values of every report.
 """
 
 from __future__ import annotations
@@ -25,11 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .sft import Sft, Word, is_admissible, is_mixing
 
 ITERATION_CAP = 10 ** 6
+# iterations without a new minimum residual before giving up on tol
+STALL_LIMIT = 100
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
 
 
 class NotPrimitive(ValueError):
@@ -59,6 +68,43 @@ class PerronData:
     residual: float
 
 
+def _matvec(adjacency, x) -> list[float]:
+    """The 0/1 matrix times x, each row summed left to right over its
+    listed columns (builtin `sum` compensates float sums from Python 3.12)."""
+    out = []
+    for row in adjacency:
+        s = 0.0
+        for j in row:
+            s += x[j]
+        out.append(s)
+    return out
+
+
+def _dot(x, y) -> float:
+    """x.y left to right, each multiply-add rounded once.
+
+    The product p*q is exactly hi + lo (Dekker: p and q split into 26-bit
+    halves), so fsum((acc, hi, lo)) is acc + p*q rounded once, as a fused
+    multiply-add gives it.
+    """
+    acc = 0.0
+    for p, q in zip(x, y):
+        hi = p * q
+        t = _SPLIT * p
+        ph = t - (t - p)
+        pl = p - ph
+        t = _SPLIT * q
+        qh = t - (t - q)
+        ql = q - qh
+        lo = ((ph * qh - hi) + ph * ql + pl * qh) + pl * ql
+        acc = math.fsum((acc, hi, lo))
+    return acc
+
+
+def _residual(adjacency, x, lam) -> float:
+    return max(abs(y - lam * xi) for xi, y in zip(x, _matvec(adjacency, x)))
+
+
 def compute_perron(sft: Sft, tol: float = 1e-13) -> PerronData:
     """Deterministic simultaneous left/right power iteration.
 
@@ -66,32 +112,40 @@ def compute_perron(sft: Sft, tol: float = 1e-13) -> PerronData:
     stability, estimates lambda by the Rayleigh quotient u.(Av), and reports
     v rescaled to min-entry 1 with u scaled so u.v = 1 (the scaling under
     which the worked cylinder masses below come out as stated).  Raises
-    NotPrimitive if the system is not mixing and NoConvergence if the
-    iteration cap is hit (tol below float precision).
+    NotPrimitive if the system is not mixing, and NoConvergence when the
+    max-norm residual has set no new minimum for STALL_LIMIT iterations
+    (it has reached its float floor above tol) or the iteration cap is hit.
     """
     if not is_mixing(sft):
         raise NotPrimitive("transition matrix is not primitive")
-    a = np.array(sft.trans, dtype=float)
-    at = a.T
-    v = np.ones(sft.n)
-    u = np.ones(sft.n)
+    succ = [sft.successors(i) for i in range(sft.n)]
+    pred = [sft.transpose.successors(j) for j in range(sft.n)]
+    u = v = [1.0] * sft.n
+    av = _matvec(succ, v)
+    best, stalled = math.inf, 0
     for _ in range(ITERATION_CAP):
-        av = a @ v
-        v = av / av.max()
-        u = at @ u
-        u = u / (u @ v)
-        lam = u @ (a @ v)
+        top = max(av)
+        v = [x / top for x in av]
+        u = _matvec(pred, u)
+        s = _dot(u, v)
+        u = [x / s for x in u]
+        av = _matvec(succ, v)  # also the next iteration's A.v
+        lam = _dot(u, av)
         # report v with min-entry 1; compensate u to keep u.v = 1
-        c = v.min()
-        v_out = v / c
-        u_out = u * c
-        res = max(
-            np.max(np.abs(a @ v_out - lam * v_out)),
-            np.max(np.abs(at @ u_out - lam * u_out)),
-        )
+        c = min(v)
+        v_out = [x / c for x in v]
+        u_out = [x * c for x in u]
+        res = max(_residual(succ, v_out, lam), _residual(pred, u_out, lam))
         if res <= tol:
-            return PerronData(sft, float(lam), tuple(map(float, v_out)),
-                              tuple(map(float, u_out)), float(res))
+            return PerronData(sft, lam, tuple(v_out), tuple(u_out), res)
+        if res < best:
+            best, stalled = res, 0
+        else:
+            stalled += 1
+            if stalled >= STALL_LIMIT:
+                raise NoConvergence(
+                    f"residual stuck at {best:.3g} > {tol} for {STALL_LIMIT} "
+                    f"iterations; tol too small")
     raise NoConvergence(
         f"residual above {tol} after {ITERATION_CAP} iterations; tol too small"
     )

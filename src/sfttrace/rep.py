@@ -9,7 +9,9 @@ automorphism on both sides.  Finite-rank products are this representation
 applied to a finite set of columns: a term pair only moves points whose
 past and future follow its two sources outside a bridge window, so
 `product_operator` enumerates those points and takes each one's image
-under both elements, with no image formula of its own.
+under both elements, with no image formula of its own.  Its entries are
+kept exactly as computed, so the rank is exact (elimination over Q(i));
+the operator norm is a power-iteration estimate that never exceeds it.
 
 Traces of products are computed symbolically, never by materializing a
 Hilbert-space truncation.  For a stable term at window N and an unstable
@@ -53,15 +55,13 @@ counts paths, reflects rays, or builds, canonicalizes or sorts points.
 from __future__ import annotations
 
 import math
+import random
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import (
-    COEFF_EPS,
     AlgebraElement,
     SideMismatch,
     StableBisection,
@@ -82,7 +82,6 @@ from .points import (
     make_point,
     matches_future,
     matches_past,
-    point_key,
     shift_point,
     splice_point,
 )
@@ -273,9 +272,20 @@ def unitary_conjugation_check(x: AlgebraElement, n: int, sample_points) -> bool:
 # finite-rank products
 
 
+# operator_norm stops when its estimate grows by less than this, relatively,
+# or after this many power-iteration steps
+NORM_RTOL = 1e-15
+NORM_ITERATIONS = 500
+
+
 @dataclass
 class FiniteOperator:
-    """A finitely supported operator: (row point, column point) -> coefficient."""
+    """A finitely supported operator: (row point, column point) -> coefficient.
+
+    Its coefficients are finite floats, hence dyadic rationals, so `rank`
+    is the exact rank of this matrix over Q(i), with no threshold: it does
+    not change when every coefficient is scaled by a common factor.
+    """
 
     entries: dict = field(default_factory=dict)
 
@@ -289,27 +299,139 @@ class FiniteOperator:
             out[key] = out.get(key, 0j) - c
         return FiniteOperator({k: c for k, c in out.items() if c != 0})
 
-    def _matrix(self):
-        rows = sorted({r for r, _ in self.entries}, key=point_key)
-        cols = sorted({c for _, c in self.entries}, key=point_key)
-        ridx = {p: i for i, p in enumerate(rows)}
-        cidx = {p: i for i, p in enumerate(cols)}
-        mat = np.zeros((len(rows), len(cols)), dtype=complex)
-        for (r, c), v in self.entries.items():
-            mat[ridx[r], cidx[c]] = v
-        return mat
+    def rank(self) -> int:
+        """Exact rank: sparse Gaussian elimination over Q(i).
 
-    def rank(self, tol: float = 1e-10) -> int:
-        if self.is_zero:
-            return 0
-        return int(np.linalg.matrix_rank(self._matrix(), tol=tol))
+        Each entry becomes a pair of Fractions (real, imaginary part).  The
+        rows are reduced one at a time against the pivot rows found so far,
+        always at their lowest column, so a pivot row's other columns all
+        lie above its pivot; each reduced row that is left nonzero becomes
+        a pivot row and adds one to the rank.
+        """
+        columns: dict = {}
+        rows: dict = {}
+        for (r, c), z in self.entries.items():
+            j = columns.setdefault(c, len(columns))
+            rows.setdefault(r, {})[j] = (Fraction(z.real), Fraction(z.imag))
+        pivots: dict[int, dict] = {}
+        for row in rows.values():
+            while row:
+                j = min(row)
+                pivot = pivots.get(j)
+                if pivot is None:
+                    pivots[j] = row
+                    break
+                # row -= (row[j] / pivot[j]) * pivot, which clears column j
+                xr, xi = row[j]
+                pr, pi = pivot[j]
+                norm = pr * pr + pi * pi
+                fr, fi = (xr * pr + xi * pi) / norm, (xi * pr - xr * pi) / norm
+                for i, (pr, pi) in pivot.items():
+                    xr, xi = row.get(i, (0, 0))
+                    xr -= fr * pr - fi * pi
+                    xi -= fr * pi + fi * pr
+                    if xr or xi:
+                        row[i] = (xr, xi)
+                    else:
+                        del row[i]
+        return len(pivots)
+
+
+def _norm(vec) -> float:
+    return math.hypot(*map(abs, vec))
 
 
 def operator_norm(t: FiniteOperator) -> float:
-    """Largest singular value of the finite matrix (0 for the zero operator)."""
+    """A lower estimate of the largest singular value ‖T‖; exactly 0.0 for
+    the zero operator, exactly |c| for a one-entry one.
+
+    T is the direct sum of the blocks that its entries link (rows and
+    columns that share an entry), so ‖T‖ is the largest block norm.  The
+    blocks go in decreasing order of the bound √(‖B‖₁‖B‖∞), and those whose
+    bound does not exceed the best estimate so far are skipped.  No dense
+    matrix is built.
+    """
     if t.is_zero:
         return 0.0
-    return float(np.linalg.svd(t._matrix(), compute_uv=False)[0])
+    rows: dict = {}
+    cols: dict = {}
+    edges = []
+    for (r, c), z in t.entries.items():
+        edges.append((rows.setdefault(r, len(rows)), cols.setdefault(c, len(cols)), z))
+    parent = list(range(len(rows) + len(cols)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    offset = len(rows)
+    for i, j, _ in edges:
+        parent[find(i)] = find(offset + j)
+    blocks: dict = {}
+    for edge in edges:
+        blocks.setdefault(find(edge[0]), []).append(edge)
+    bounded = sorted(((_block_bound(block), block) for block in blocks.values()),
+                     key=lambda pair: -pair[0])
+    rng = random.Random(0)
+    best = 0.0
+    for bound, block in bounded:
+        if bound <= best:
+            break
+        best = max(best, _block_norm(block, rng))
+    return best
+
+
+def _block_bound(block) -> float:
+    row_sums: dict = {}
+    col_sums: dict = {}
+    for i, j, z in block:
+        row_sums[i] = row_sums.get(i, 0.0) + abs(z)
+        col_sums[j] = col_sums.get(j, 0.0) + abs(z)
+    return math.sqrt(max(row_sums.values())) * math.sqrt(max(col_sums.values()))
+
+
+def _top_to_one(vec: dict) -> dict:
+    """vec scaled so that its entry of largest modulus is exactly 1."""
+    top = max(vec, key=lambda key: abs(vec[key]))
+    scale = vec[top]
+    out = {key: z / scale for key, z in vec.items()}
+    out[top] = 1.0
+    return out
+
+
+def _block_norm(block, rng) -> float:
+    """Power iteration on B*B over B's sparse rows and columns.
+
+    Each step's Rayleigh estimate ‖Bx‖/‖x‖ is at most ‖B‖, and in exact
+    arithmetic it does not decrease from step to step; the iteration stops
+    once it grows by less than NORM_RTOL relatively, or after
+    NORM_ITERATIONS steps.  The start gives every column a seeded generic
+    weight, x and Bx are scaled so that their largest entry is exactly 1,
+    which keeps every step in float range, and the largest column norm, the
+    estimate at a unit vector, is a floor.
+    """
+    rows: dict = {}
+    cols: dict = {}
+    for i, j, z in block:
+        rows.setdefault(i, []).append((j, z))
+        cols.setdefault(j, []).append((i, z))
+    best = max(_norm(z for _, z in col) for col in cols.values())
+    x = {j: complex(rng.uniform(1, 2), rng.uniform(-1, 1)) for j in cols}
+    previous = 0.0
+    for _ in range(NORM_ITERATIONS):
+        x = _top_to_one(x)
+        y = {i: sum(z * x[j] for j, z in row) for i, row in rows.items()}
+        estimate = _norm(y.values()) / _norm(x.values())
+        best = max(best, estimate)
+        if estimate <= previous * (1 + NORM_RTOL):
+            break
+        previous = estimate
+        y = _top_to_one(y)
+        x = {j: sum(z.conjugate() * y[i] for i, z in col) for j, col in cols.items()}
+        if not any(x.values()):
+            break
+    return best
 
 
 def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
@@ -359,12 +481,10 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
         for bridge in bridges:
             if sft.allowed(bridge[-1] if bridge else past.terminal, future.initial):
                 columns[splice_point(past, bridge, future)] = None
-    entries = {}
-    for w in columns:
-        for v, c in apply_to_combination(second, apply_element(first, w)).items():
-            if abs(c) >= COEFF_EPS:
-                entries[(v, w)] = c
-    return FiniteOperator(entries)
+    return FiniteOperator({
+        (v, w): c
+        for w in columns
+        for v, c in apply_to_combination(second, apply_element(first, w)).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -618,22 +738,27 @@ def scaled_trace_sequence(a: AlgebraElement, b: AlgebraElement, k_range,
 
 def vanishing_product_check(a: AlgebraElement, b: AlgebraElement, p: PerronData,
                             p_set: PeriodicOrbitSet, q_set: PeriodicOrbitSet,
-                            n_max: int):
+                            n_max: int, products=None):
     """Norms of both products of the backward-conjugated stable element with
     the unstable one, for n = 0..n_max.
 
     Requires the forward and backward orbit sets to be disjoint (with a
     shared orbit the products need not die off).  With disjoint orbit
     sets the products are exactly zero once the overlap outgrows the
-    point where the two periodic patterns can agree.
+    point where the two periodic patterns can agree.  `products`, when
+    given, is the caller's (a.b, b.a) pair, used for n = 0 instead of
+    building it again.
     """
     if not p_set.isdisjoint(q_set):
         raise OrbitsNotDisjoint("orbit sets share an orbit")
     rows = []
     for n in range(n_max + 1):
-        a_n = apply_alpha(a, -n)
-        t_ab = product_operator(a_n, b, p, "ab")
-        t_ba = product_operator(a_n, b, p, "ba")
+        if n == 0 and products is not None:
+            t_ab, t_ba = products
+        else:
+            a_n = apply_alpha(a, -n)
+            t_ab = product_operator(a_n, b, p, "ab")
+            t_ba = product_operator(a_n, b, p, "ba")
         rows.append((n, operator_norm(t_ab), operator_norm(t_ba)))
     return rows
 

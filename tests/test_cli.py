@@ -340,6 +340,30 @@ def test_cli_theorem13_shared_orbits_skips_vanishing(tmp_path, capsys):
     assert "commutator decay" in out
 
 
+def test_cli_theorem13_on_a_large_product_has_no_traceback(tmp_path, capsys):
+    # the three-symbol mixed pair with the stable element at alpha^12: each
+    # product has 23,427 rows and 48,919 columns, one entry per column, and
+    # its columns fit the symbol budget.  A dense matrix of this shape needs
+    # 17 GiB; the sparse rank and norm build none.
+    from sfttrace.algebra import apply_alpha
+    from sfttrace.cli import ExperimentConfig
+    from sfttrace.fixtures import mixed_pair, three_symbol
+
+    sys = three_symbol()
+    a, b = mixed_pair(sys)
+    path = str(tmp_path / "alpha12.json")
+    write_config(ExperimentConfig(sys.sft, sys.p_set, sys.q_set, apply_alpha(a, 12), b,
+                                  (0, 4), {}, None), path)
+    code = main(["theorem13", "--config", path, "--nmax", "0"])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    if code == 4:
+        assert captured.err.startswith("resource cap: ") and captured.err.count("\n") == 1
+    else:
+        assert code == 0 and captured.err == ""
+        assert captured.out.startswith("rank(a.b) = 23427, rank(b.a) = 23427 (finite rank)\n")
+
+
 def test_cli_theorem13_negative_nmax_exits_2(tmp_path, capsys):
     code = main(["theorem13", "--config", write_doc(tmp_path, GOLDEN_DOC),
                  "--nmax", "-1"])
@@ -533,3 +557,24 @@ def test_theorem13_digest(capsys, name):
     assert main(["theorem13", "--config", str(CONFIG_DIR / name), "--nmax", "10"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == THEOREM13_SHA256[name]
+
+
+def test_no_numpy_at_run_time():
+    # a fresh interpreter imports the package and runs the acceptance battery
+    import os
+    import subprocess
+    import sys
+
+    import sfttrace
+
+    src = str(Path(sfttrace.__file__).resolve().parent.parent)
+    script = ("import sys, sfttrace, sfttrace.cli\n"
+              "code = sfttrace.cli.main(['verify'])\n"
+              "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+              "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count(" pass ") == 8

@@ -1,8 +1,17 @@
+import hashlib
 import math
+import random
+import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 import sfttrace.perron as perron_mod
+from sfttrace.cli import load_config
+from sfttrace.fixtures import all_systems
 from sfttrace.perron import (
     InadmissibleWord,
     NoConvergence,
@@ -13,7 +22,7 @@ from sfttrace.perron import (
     mu_s_data,
     mu_u_data,
 )
-from sfttrace.sft import Word, make_sft
+from sfttrace.sft import InvalidMatrix, Sft, Word, ZeroRowOrColumn, is_mixing, make_sft
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -71,6 +80,113 @@ def test_perron_no_convergence(monkeypatch):
     monkeypatch.setattr(perron_mod, "ITERATION_CAP", 50)
     with pytest.raises(NoConvergence):
         compute_perron(GOLDEN, tol=-1.0)
+
+
+def test_stalled_residual_raises_quickly():
+    # the golden mean reaches residual 0.0, so only a negative tol is out of
+    # reach there; the three-symbol residual stops at 4.4e-16.  Both stop
+    # STALL_LIMIT iterations after the floor, not at ITERATION_CAP.
+    for sft, tol in ((GOLDEN, -1.0), (THREE, 1e-20), (THREE, 0.0)):
+        start = time.perf_counter()
+        with pytest.raises(NoConvergence, match="stuck"):
+            compute_perron(sft, tol=tol)
+        assert time.perf_counter() - start < 1.0
+
+
+def perron_data(p):
+    return (p.lam, p.v, p.u, p.residual)
+
+
+# lambda, v, u and residual for the fixtures and the shipped configs; these
+# are also the bits the former numpy iteration gave
+PINNED_PERRON = {
+    "full-2-shift": (2.0, (1.0, 1.0), (0.5, 0.5), 0.0),
+    "golden-mean": (1.618033988749895, (1.6180339887499893, 1.0),
+                    (0.44721359549994627, 0.2763932022499977), 9.43689570931383e-14),
+    "three-symbol": (2.2469796037174667, (1.0, 1.2469796037174314, 1.8019377358048223),
+                     (0.34929169541609484, 0.24171735309001247, 0.1938422668417487),
+                     6.439293542825908e-14),
+}
+PINNED_PERRON["full_shift.json"] = PINNED_PERRON["full-2-shift"]
+PINNED_PERRON["golden_mean.json"] = PINNED_PERRON["golden-mean"]
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def pinned_systems():
+    systems = [(s.name, s.sft) for s in all_systems()]
+    systems += [(name, load_config(str(CONFIG_DIR / name)).sft)
+                for name in ("full_shift.json", "golden_mean.json")]
+    return systems
+
+
+def random_mixing(rng, count):
+    out = []
+    while len(out) < count:
+        n = rng.randrange(2, 9)
+        try:
+            sft = make_sft([[int(rng.random() < 0.6) for _ in range(n)] for _ in range(n)])
+        except (InvalidMatrix, ZeroRowOrColumn):
+            continue
+        if is_mixing(sft):
+            out.append(sft)
+    return out
+
+
+# sha256 of the Perron data reprs of random_mixing(Random(20261018), 40)
+RANDOM_PERRON_SHA256 = "a43b3d8f825431b80bfe94cf3cb50fedbb6a6f3d290526442d1f1f9f94aa7fae"
+
+
+def test_perron_data_pinned(monkeypatch):
+    # the stall check stops no converging run: with it switched off, the
+    # same iterations give the same bits
+    systems = pinned_systems()
+    random_set = random_mixing(random.Random(20261018), 40)
+    for stall_limit in (perron_mod.STALL_LIMIT, perron_mod.ITERATION_CAP):
+        monkeypatch.setattr(perron_mod, "STALL_LIMIT", stall_limit)
+        for name, sft in systems:
+            assert perron_data(compute_perron(sft)) == PINNED_PERRON[name], name
+        digest = hashlib.sha256()
+        for sft in random_set:
+            digest.update(repr(perron_data(compute_perron(sft))).encode())
+        assert digest.hexdigest() == RANDOM_PERRON_SHA256
+
+
+@st.composite
+def mixing_matrices(draw):
+    n = draw(st.integers(2, 6))
+    cells = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+    trans = tuple(tuple(cells[r * n:(r + 1) * n]) for r in range(n))
+    assume(all(any(row) for row in trans) and all(any(col) for col in zip(*trans)))
+    sft = Sft(trans)
+    assume(is_mixing(sft))
+    return sft
+
+
+@seed(20261018)
+@settings(max_examples=80, deadline=None, database=None)
+@given(sft=mixing_matrices())
+def test_stall_check_changes_no_converging_run(sft):
+    p = compute_perron(sft)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perron_mod, "STALL_LIMIT", perron_mod.ITERATION_CAP)
+        assert perron_data(compute_perron(sft)) == perron_data(p)
+    assert p.residual <= 1e-13
+
+
+def once_rounded_dot(x, y):
+    acc = 0.0
+    for p, q in zip(x, y):
+        acc = float(Fraction(acc) + Fraction(p) * Fraction(q))
+    return acc
+
+
+def test_dot_rounds_once_per_multiply_add():
+    rng = random.Random(5)
+    for _ in range(3000):
+        n = rng.randrange(1, 9)
+        x = [rng.uniform(-1, 1) * 2.0 ** rng.randrange(-30, 30) for _ in range(n)]
+        y = [rng.uniform(0, 1) * 2.0 ** rng.randrange(-30, 30) for _ in range(n)]
+        assert perron_mod._dot(x, y) == once_rounded_dot(x, y)
 
 
 def test_entropy():

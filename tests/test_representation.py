@@ -231,6 +231,134 @@ def test_operator_norm_examples():
     assert operator_norm(FiniteOperator({(w, v): 2 + 0j})) == pytest.approx(2.0, abs=1e-10)
 
 
+def dense_rank(entries) -> int:
+    """Rank over Q(i) by dense Gauss-Jordan elimination, each entry an
+    exact (real, imaginary) pair of Fractions."""
+    rows = sorted({r for r, _ in entries})
+    cols = sorted({c for _, c in entries})
+    zero = (Fraction(0), Fraction(0))
+    mat = [[(Fraction(entries[r, c].real), Fraction(entries[r, c].imag))
+            if (r, c) in entries else zero for c in cols] for r in rows]
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    rank = 0
+    for j in range(len(cols)):
+        pivot = next((i for i in range(rank, len(rows)) if mat[i][j] != zero), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        pr, pi = mat[rank][j]
+        norm = pr * pr + pi * pi
+        inverse = (pr / norm, -pi / norm)
+        mat[rank] = [mul(x, inverse) for x in mat[rank]]
+        for i in range(len(rows)):
+            if i != rank and mat[i][j] != zero:
+                f = mat[i][j]
+                mat[i] = [(x[0] - y[0], x[1] - y[1])
+                          for x, y in zip(mat[i], (mul(f, z) for z in mat[rank]))]
+        rank += 1
+    return rank
+
+
+def random_gaussian_dyadic(rng, bound=8):
+    return complex(rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+
+def test_rank_is_exact_on_sparse_dyadic_matrices():
+    rng = random.Random(11)
+    for trial in range(60):
+        n_rows, n_cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        scale_r = [2.0 ** rng.randint(-25, 25) for _ in range(n_rows)]
+        scale_c = [2.0 ** rng.randint(-25, 25) for _ in range(n_cols)]
+        if trial % 2:
+            # a product of thin Gaussian-integer matrices: rank at most `inner`
+            inner = rng.randrange(1, 4)
+            left = [[random_gaussian_dyadic(rng) for _ in range(inner)] for _ in range(n_rows)]
+            right = [[random_gaussian_dyadic(rng) if rng.random() < 0.7 else 0j
+                      for _ in range(n_cols)] for _ in range(inner)]
+            cells = {(r, c): sum(left[r][i] * right[i][c] for i in range(inner))
+                     for r in range(n_rows) for c in range(n_cols)}
+        else:
+            cells = {(r, c): random_gaussian_dyadic(rng)
+                     for r in range(n_rows) for c in range(n_cols) if rng.random() < 0.4}
+        # row and column powers of two, 2^-50 to 2^50, keep every entry exact
+        entries = {(r, c): z * scale_r[r] * scale_c[c] for (r, c), z in cells.items() if z}
+        t = FiniteOperator(entries)
+        assert t.rank() == (dense_rank(entries) if entries else 0)
+        if trial % 2:
+            assert t.rank() <= inner
+
+
+def test_rank_of_a_difference_that_cancels():
+    t = FiniteOperator({(0, 0): 1 + 1j, (0, 1): 2j, (1, 0): 0.5, (1, 1): 0.5 + 0.5j})
+    assert t.rank() == 1  # row 0 is (1 + 1j) times row 1
+    assert (t - t).rank() == 0 and (t - t).is_zero
+    assert (t - FiniteOperator({(1, 1): 0.5 + 0.5j})).rank() == 2
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 60, 2.0 ** -40, 1e-8])
+@pytest.mark.parametrize("pair", ["canonical", "mixed"])
+def test_product_rank_and_pattern_do_not_depend_on_scale(scale, pair):
+    for sys in (FULL, GOLDEN, THREE):
+        a, b = (canonical_pair if pair == "canonical" else mixed_pair)(sys)
+        a = apply_alpha(a, 2)
+        scaled_a = element("stable", [(c * scale, t) for c, t in a.terms])
+        scaled_b = element("unstable", [(c * scale, t) for c, t in b.terms])
+        for order in ("ab", "ba"):
+            t = product_operator(a, b, sys.perron, order)
+            u = product_operator(scaled_a, scaled_b, sys.perron, order)
+            assert set(u.entries) == set(t.entries)
+            assert u.rank() == t.rank() > 0
+
+
+def test_operator_norm_of_one_entry_is_its_modulus():
+    for z in (2 + 0j, -3 + 4j, 0.1 + 0.7j, 1e-300j, 1e300 + 1e300j, 0.5 - 0.25j):
+        assert operator_norm(FiniteOperator({(0, 1): z})) == abs(z)
+
+
+def test_operator_norm_of_diagonal_and_rank_one_operators():
+    rng = random.Random(3)
+    for _ in range(30):
+        diag = {(i, i): complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for i in range(8)}
+        assert operator_norm(FiniteOperator(diag)) == max(map(abs, diag.values()))
+        x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randrange(1, 9))]
+        y = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randrange(1, 9))]
+        outer = FiniteOperator({(i, j): xi * yj.conjugate()
+                                for i, xi in enumerate(x) for j, yj in enumerate(y)})
+        expected = math.hypot(*map(abs, x)) * math.hypot(*map(abs, y))
+        assert operator_norm(outer) == pytest.approx(expected, rel=1e-12)
+
+
+def test_operator_norm_lies_between_column_norm_and_norm_bound():
+    rng = random.Random(4)
+    for _ in range(100):
+        n_rows, n_cols = rng.randrange(1, 10), rng.randrange(1, 10)
+        entries = {(r, c): complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                   for r in range(n_rows) for c in range(n_cols) if rng.random() < 0.5}
+        if not entries:
+            continue
+        row_sums: dict = {}
+        col_sums: dict = {}
+        columns: dict = {}
+        for (r, c), z in entries.items():
+            row_sums[r] = row_sums.get(r, 0.0) + abs(z)
+            col_sums[c] = col_sums.get(c, 0.0) + abs(z)
+            columns.setdefault(c, []).append(abs(z))
+        bound = math.sqrt(max(col_sums.values()) * max(row_sums.values()))
+        norm = operator_norm(FiniteOperator(entries))
+        # the floor is exact; the bound and the estimate are both rounded
+        assert max(math.hypot(*col) for col in columns.values()) <= norm <= bound * (1 + 1e-12)
+
+
+def test_operator_norm_sees_every_block():
+    # a block whose top singular vector is orthogonal to all-ones, beside a
+    # smaller one: the norm is the first block's sqrt(2)
+    t = FiniteOperator({(0, 0): 1 + 0j, (0, 1): -1 + 0j, (1, 2): 1.25 + 0j})
+    assert operator_norm(t) == pytest.approx(math.sqrt(2), rel=1e-15)
+
+
 def test_trace_product_full_shift():
     a, b = canonical_pair(FULL)
     tr = trace_product(a, b, 3, FULL.perron)
