@@ -10,8 +10,9 @@ applied to a finite set of columns: a term pair only moves points whose
 past and future follow its two sources outside a bridge window, so
 `product_operator` enumerates those points and takes each one's image
 under both elements, with no image formula of its own.  Its entries are
-kept exactly as computed, so the rank is exact (elimination over Q(i));
-the operator norm is a power-iteration estimate that never exceeds it.
+exact sums of coefficient products, so the rank is exact (elimination
+over Q(i)); the operator norm is a power-iteration estimate on the
+nearest floats that never exceeds it.
 
 Traces of products are computed symbolically, never by materializing a
 Hilbert-space truncation.  For a stable term at window N and an unstable
@@ -236,14 +237,20 @@ def _apply_unstable(f: UnstableBisection, w: HeteroclinicPoint):
                       gamma.orbit, gamma.phase, gamma.splice)
 
 
-def apply_element(x: AlgebraElement, w: HeteroclinicPoint) -> dict:
-    """The image of a basis vector: a finitely supported point -> coefficient map."""
-    apply = _apply_stable if x.side == "stable" else _apply_unstable
-    out: dict[HeteroclinicPoint, complex] = {}
-    for c, b in x.terms:
+def _moves(side: str, terms, w: HeteroclinicPoint):
+    """(coefficient, image of w) for each (coefficient, term) that moves w."""
+    apply = _apply_stable if side == "stable" else _apply_unstable
+    for c, b in terms:
         y = apply(b, w)
         if y is not None:
-            out[y] = out.get(y, 0j) + c
+            yield c, y
+
+
+def apply_element(x: AlgebraElement, w: HeteroclinicPoint) -> dict:
+    """The image of a basis vector: a finitely supported point -> coefficient map."""
+    out: dict[HeteroclinicPoint, complex] = {}
+    for c, y in _moves(x.side, x.terms, w):
+        out[y] = out.get(y, 0j) + c
     return {pt: c for pt, c in out.items() if c != 0}
 
 
@@ -282,37 +289,56 @@ NORM_ITERATIONS = 500
 class FiniteOperator:
     """A finitely supported operator: (row point, column point) -> coefficient.
 
-    Its coefficients are finite floats, hence dyadic rationals, so `rank`
-    is the exact rank of this matrix over Q(i), with no threshold: it does
-    not change when every coefficient is scaled by a common factor.
+    `exact` holds every entry exactly, as a (real, imaginary) pair of
+    Fractions, and `entries` holds the nearest complex floats.  Built from
+    `entries` alone, the exact entries are the floats' own values, which
+    are dyadic rationals.  `rank` is the exact rank over Q(i) of the exact
+    entries, with no threshold: it does not change when every coefficient
+    is scaled by a common factor.
     """
 
     entries: dict = field(default_factory=dict)
+    exact: dict | None = None
+
+    def __post_init__(self):
+        if self.exact is None:
+            self.exact = {key: (Fraction(z.real), Fraction(z.imag))
+                          for key, z in self.entries.items()}
+
+    @staticmethod
+    def from_exact(exact: dict) -> "FiniteOperator":
+        """The operator with these exact nonzero entries; raises
+        NonFiniteCoefficient when an entry is beyond the float range."""
+        try:
+            entries = {key: complex(float(re), float(im)) for key, (re, im) in exact.items()}
+        except OverflowError:
+            raise NonFiniteCoefficient("an operator entry exceeds the float range") from None
+        return FiniteOperator(entries, exact)
 
     @property
     def is_zero(self) -> bool:
         return not self.entries
 
     def __sub__(self, other: "FiniteOperator") -> "FiniteOperator":
-        out = dict(self.entries)
-        for key, c in other.entries.items():
-            out[key] = out.get(key, 0j) - c
-        return FiniteOperator({k: c for k, c in out.items() if c != 0})
+        out = dict(self.exact)
+        for key, (re, im) in other.exact.items():
+            r, i = out.get(key, (0, 0))
+            out[key] = (r - re, i - im)
+        return FiniteOperator.from_exact({key: z for key, z in out.items() if any(z)})
 
     def rank(self) -> int:
         """Exact rank: sparse Gaussian elimination over Q(i).
 
-        Each entry becomes a pair of Fractions (real, imaginary part).  The
-        rows are reduced one at a time against the pivot rows found so far,
-        always at their lowest column, so a pivot row's other columns all
-        lie above its pivot; each reduced row that is left nonzero becomes
-        a pivot row and adds one to the rank.
+        The rows of the exact entries are reduced one at a time against
+        the pivot rows found so far, always at their lowest column, so a
+        pivot row's other columns all lie above its pivot; each reduced
+        row that is left nonzero becomes a pivot row and adds one to the
+        rank.
         """
         columns: dict = {}
         rows: dict = {}
-        for (r, c), z in self.entries.items():
-            j = columns.setdefault(c, len(columns))
-            rows.setdefault(r, {})[j] = (Fraction(z.real), Fraction(z.imag))
+        for (r, c), z in self.exact.items():
+            rows.setdefault(r, {})[columns.setdefault(c, len(columns))] = z
         pivots: dict[int, dict] = {}
         for row in rows.values():
             while row:
@@ -407,16 +433,15 @@ def _block_norm(block, rng) -> float:
     arithmetic it does not decrease from step to step; the iteration stops
     once it grows by less than NORM_RTOL relatively, or after
     NORM_ITERATIONS steps.  The start gives every column a seeded generic
-    weight, x and Bx are scaled so that their largest entry is exactly 1,
-    which keeps every step in float range, and the largest column norm, the
-    estimate at a unit vector, is a floor.
+    weight, and x and Bx are scaled so that their largest entry is exactly
+    1, which keeps every step in float range.
     """
     rows: dict = {}
     cols: dict = {}
     for i, j, z in block:
         rows.setdefault(i, []).append((j, z))
         cols.setdefault(j, []).append((i, z))
-    best = max(_norm(z for _, z in col) for col in cols.values())
+    best = 0.0
     x = {j: complex(rng.uniform(1, 2), rng.uniform(-1, 1)) for j in cols}
     previous = 0.0
     for _ in range(NORM_ITERATIONS):
@@ -446,7 +471,8 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
     (min(n, m), m) for "ab" and (n, max(n, m)) for "ba": the first
     replacement must leave the second source intact.  Only the admissible
     bridge on [lo, hi) is free, so every pair has finitely many such
-    columns, and each column's entries are its image under both elements.
+    columns, and each column's entries are its image under both elements,
+    with every entry summed exactly (`FiniteOperator.exact`).
     Raises WindowOverflow, before enumerating, when a bridge is wider than
     PRODUCT_WINDOW_CAP, or when the columns, counted exactly by path
     counts, times their bridge steps exceed ENUMERATION_CAP, the symbol
@@ -481,10 +507,31 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
         for bridge in bridges:
             if sft.allowed(bridge[-1] if bridge else past.terminal, future.initial):
                 columns[splice_point(past, bridge, future)] = None
-    return FiniteOperator({
-        (v, w): c
-        for w in columns
-        for v, c in apply_to_combination(second, apply_element(first, w)).items()})
+    # each entry sums coefficient products exactly, as a Gaussian integer
+    # over the product of the two elements' common denominators
+    first_terms, first_den = _gaussian_numerators(first)
+    second_terms, second_den = _gaussian_numerators(second)
+    sums: dict = {}
+    for w in columns:
+        middle: dict = {}
+        for (re, im), y in _moves(first.side, first_terms, w):
+            r, i = middle.get(y, (0, 0))
+            middle[y] = (r + re, i + im)
+        for y, (yr, yi) in middle.items():
+            for (re, im), v in _moves(second.side, second_terms, y):
+                r, i = sums.get((v, w), (0, 0))
+                sums[v, w] = (r + re * yr - im * yi, i + re * yi + im * yr)
+    den = first_den * second_den
+    return FiniteOperator.from_exact({key: (Fraction(r, den), Fraction(i, den))
+                                      for key, (r, i) in sums.items() if r or i})
+
+
+def _gaussian_numerators(x: AlgebraElement):
+    """x's terms as ((re, im), term) with integer re and im, and the one
+    power of two that they are all over: every finite float is p / 2^e."""
+    ratios = [(c.real.as_integer_ratio(), c.imag.as_integer_ratio(), t) for c, t in x.terms]
+    den = max((d for re, im, _ in ratios for _, d in (re, im)), default=1)
+    return [((p * (den // d), q * (den // e)), t) for (p, d), (q, e), t in ratios], den
 
 
 # ---------------------------------------------------------------------------
@@ -738,22 +785,21 @@ def scaled_trace_sequence(a: AlgebraElement, b: AlgebraElement, k_range,
 
 def vanishing_product_check(a: AlgebraElement, b: AlgebraElement, p: PerronData,
                             p_set: PeriodicOrbitSet, q_set: PeriodicOrbitSet,
-                            n_max: int, products=None):
+                            n_max: int, products: tuple):
     """Norms of both products of the backward-conjugated stable element with
     the unstable one, for n = 0..n_max.
 
     Requires the forward and backward orbit sets to be disjoint (with a
     shared orbit the products need not die off).  With disjoint orbit
     sets the products are exactly zero once the overlap outgrows the
-    point where the two periodic patterns can agree.  `products`, when
-    given, is the caller's (a.b, b.a) pair, used for n = 0 instead of
-    building it again.
+    point where the two periodic patterns can agree.  `products` is the
+    caller's (a.b, b.a) pair, the n = 0 products, which are not built again.
     """
     if not p_set.isdisjoint(q_set):
         raise OrbitsNotDisjoint("orbit sets share an orbit")
     rows = []
     for n in range(n_max + 1):
-        if n == 0 and products is not None:
+        if n == 0:
             t_ab, t_ba = products
         else:
             a_n = apply_alpha(a, -n)

@@ -364,6 +364,22 @@ def test_cli_theorem13_on_a_large_product_has_no_traceback(tmp_path, capsys):
         assert captured.out.startswith("rank(a.b) = 23427, rank(b.a) = 23427 (finite rank)\n")
 
 
+def test_cli_theorem13_product_beyond_float_range_exits_3(tmp_path, capsys):
+    # each coefficient is finite, but their product 1e400 is not a float
+    from sfttrace.algebra import element
+    from sfttrace.cli import ExperimentConfig
+    from sfttrace.fixtures import canonical_pair, full_shift
+
+    sys = full_shift()
+    a, b = (element(x.side, [(1e200, t) for _, t in x.terms]) for x in canonical_pair(sys))
+    path = str(tmp_path / "huge.json")
+    write_config(ExperimentConfig(sys.sft, sys.p_set, sys.q_set, a, b, (0, 4), {}, None), path)
+    code = main(["theorem13", "--config", path])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "numerical failure: an operator entry exceeds the float range\n"
+
+
 def test_cli_theorem13_negative_nmax_exits_2(tmp_path, capsys):
     code = main(["theorem13", "--config", write_doc(tmp_path, GOLDEN_DOC),
                  "--nmax", "-1"])

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from sfttrace.algebra import (
+    BisectionError,
     StableBisection,
     UnstableBisection,
     apply_alpha,
@@ -24,6 +25,8 @@ from sfttrace.fixtures import (
     mixed_pair,
     offdiagonal_stable,
     random_element,
+    random_left_ray,
+    random_right_ray,
     three_symbol,
 )
 from sfttrace.perron import compute_perron
@@ -311,6 +314,40 @@ def test_product_rank_and_pattern_do_not_depend_on_scale(scale, pair):
             u = product_operator(scaled_a, scaled_b, sys.perron, order)
             assert set(u.entries) == set(t.entries)
             assert u.rank() == t.rank() > 0
+
+
+def test_product_rank_is_exact_for_inexact_coefficient_products():
+    # two stable terms from one source and two unstable terms into one
+    # target, all at window 0: both products are the outer product of the
+    # coefficients, rank 1, though the rounded products are not proportional
+    rng = random.Random(7)
+
+    def rays_around(make_ray, orbit, bisection):
+        """A shared ray and two other rays that each form a term with it."""
+        shared, others = make_ray(rng, FULL.sft, orbit, 0), []
+        while len(others) < 2:
+            ray = make_ray(rng, FULL.sft, orbit, 0)
+            try:
+                bisection(ray, shared)
+            except BisectionError:
+                continue
+            if ray != shared and ray not in others:
+                others.append(ray)
+        return shared, others
+
+    cs, ds = (0.1, 0.3), (0.7, 0.9 + 0.1j)
+    source, targets = rays_around(random_left_ray, FULL.q_set.orbits[0], StableBisection)
+    target, sources = rays_around(random_right_ray, FULL.p_set.orbits[0],
+                                  lambda ray, shared: UnstableBisection(shared, ray))
+    a = element("stable", [(c, StableBisection(t, source)) for c, t in zip(cs, targets)])
+    b = element("unstable", [(d, UnstableBisection(target, s)) for d, s in zip(ds, sources)])
+    products = {(Fraction(c) * Fraction(d.real), Fraction(c) * Fraction(d.imag))
+                for c in cs for d in ds}
+    for order in ("ab", "ba"):
+        t = product_operator(a, b, FULL.perron, order)
+        assert set(t.exact.values()) == products and len(t.exact) == 4
+        assert t.rank() == 1
+        assert FiniteOperator(t.entries).rank() == 2  # the nearest floats
 
 
 def test_operator_norm_of_one_entry_is_its_modulus():
@@ -907,7 +944,9 @@ def test_exact_total_matches_fraction_reference(pairs, cancel):
 
 def test_vanishing_product_disjoint_orbits():
     a, b = canonical_pair(FULL)
-    rows = vanishing_product_check(a, b, FULL.perron, FULL.p_set, FULL.q_set, 6)
+    products = (product_operator(a, b, FULL.perron, "ab"),
+                product_operator(a, b, FULL.perron, "ba"))
+    rows = vanishing_product_check(a, b, FULL.perron, FULL.p_set, FULL.q_set, 6, products)
     assert rows[0][1] == pytest.approx(1.0, abs=1e-10)
     assert rows[0][2] == pytest.approx(1.0, abs=1e-10)
     for n, nab, nba in rows[1:]:
@@ -916,8 +955,10 @@ def test_vanishing_product_disjoint_orbits():
 
 def test_vanishing_product_requires_disjoint():
     a, b = canonical_pair(GOLDEN)  # P = Q here
+    products = (product_operator(a, b, GOLDEN.perron, "ab"),
+                product_operator(a, b, GOLDEN.perron, "ba"))
     with pytest.raises(OrbitsNotDisjoint):
-        vanishing_product_check(a, b, GOLDEN.perron, GOLDEN.p_set, GOLDEN.q_set, 3)
+        vanishing_product_check(a, b, GOLDEN.perron, GOLDEN.p_set, GOLDEN.q_set, 3, products)
 
 
 def test_commutator_zero_for_diagonal_pairs():
