@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .sft import Sft, Word, count_paths, is_admissible, word_levels
+from .sft import Sft, Word, bridge_words, count_paths, is_admissible
 
 # most middle symbols `enumerate_heteroclinic` holds: sequences x (2 * window + 1);
 # also the most bridge symbols `rep.product_operator` enumerates: columns x steps
@@ -471,8 +471,8 @@ def asymptotic_sequences(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrbit
     primitive, so the phases fix the periodic tails.
 
     The middles depend only on the two joined symbols, so each (left
-    symbol, right symbol) pair builds and filters its words once per call,
-    and groups with the same symbols share one tuple of them.
+    symbol, right symbol) pair takes its words from `bridge_words` once
+    per call, and groups with the same symbols share that tuple.
     """
     if window < 0:
         raise ValueError("window must be >= 0")
@@ -480,18 +480,13 @@ def asymptotic_sequences(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrbit
         orbit.validate(sft)
     rights = [(orbit, phase, orbit.word[phase])
               for orbit in p_set.orbits for phase in range(orbit.period)]
-    # right symbol -> which symbols may precede it
-    before = {right: [row[right] for row in sft.trans] for *_, right in rights}
-    joins: dict = {}  # left symbol -> {right symbol: middles joining them}
+    joins: dict = {}  # (left symbol, right symbol) -> middles joining them
     for left_orbit in q_set.orbits:
         for left_phase, left in enumerate(left_orbit.word):
-            if left not in joins:
-                for words in word_levels(sft, sft.successors(left), 2 * window):
-                    pass
-                joins[left] = {right: tuple([m for m in words if allowed[m[-1] if m else left]])
-                               for right, allowed in before.items()}
             for right_orbit, right_phase, right in rights:
-                yield left_orbit, left_phase, right_orbit, right_phase, joins[left][right]
+                if (left, right) not in joins:
+                    joins[left, right] = bridge_words(sft, left, right, 2 * window)
+                yield left_orbit, left_phase, right_orbit, right_phase, joins[left, right]
 
 
 def count_asymptotic_sequences(sft: Sft, p_set: PeriodicOrbitSet,

@@ -86,7 +86,7 @@ from .points import (
     shift_point,
     splice_point,
 )
-from .sft import count_paths, word_levels
+from .sft import bridge_words, count_paths
 
 
 class WindowTooSmall(ValueError):
@@ -471,8 +471,10 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
     (min(n, m), m) for "ab" and (n, max(n, m)) for "ba": the first
     replacement must leave the second source intact.  Only the admissible
     bridge on [lo, hi) is free, so every pair has finitely many such
-    columns, and each column's entries are its image under both elements,
-    with every entry summed exactly (`FiniteOperator.exact`).
+    columns, one per word of `bridge_words` between the past's terminal
+    and the future's initial symbol, and each column's entries are its
+    image under both elements, with every entry summed exactly
+    (`FiniteOperator.exact`).
     Raises WindowOverflow, before enumerating, when a bridge is wider than
     PRODUCT_WINDOW_CAP, or when the columns, counted exactly by path
     counts, times their bridge steps exceed ENUMERATION_CAP, the symbol
@@ -502,11 +504,8 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
                              f"more than {ENUMERATION_CAP}")
     columns: dict = {}
     for past, future, width in spans:
-        for bridges in word_levels(sft, sft.successors(past.terminal), width):
-            pass
-        for bridge in bridges:
-            if sft.allowed(bridge[-1] if bridge else past.terminal, future.initial):
-                columns[splice_point(past, bridge, future)] = None
+        for bridge in bridge_words(sft, past.terminal, future.initial, width):
+            columns[splice_point(past, bridge, future)] = None
     # each entry sums coefficient products exactly, as a Gaussian integer
     # over the product of the two elements' common denominators
     first_terms, first_den = _gaussian_numerators(first)

@@ -215,7 +215,9 @@ def word_levels(sft: Sft, first, depth: int):
 
     Each level extends the one before by a symbol, so a sweep over every
     length visits each word once; within a level the words are in
-    lexicographic order when `first` is sorted.
+    lexicographic order when `first` is sorted.  For the words of one
+    length between two given symbols, `bridge_words` builds only half of
+    each word this way.
     """
     level = [()]
     yield level
@@ -227,6 +229,37 @@ def word_levels(sft: Sft, first, depth: int):
     for _ in range(depth - 1):
         level = [w + (s,) for w in level for s in succ[w[-1]]]
         yield level
+
+
+def bridge_words(sft: Sft, left: int, right: int, length: int) -> tuple:
+    """Every admissible word of `length` symbols that may follow `left` and
+    precede `right`, in lexicographic order.
+
+    The words meet in the middle: heads of length // 2 symbols run
+    forward from the successors of `left`, tails of the remaining symbols
+    run backward from the predecessors of `right` (over the transpose),
+    and each head is joined to every tail whose first symbol may follow
+    its last (`left`, for the empty head of a one-symbol word).  Only
+    words up to half the length are built level by level, and every word
+    joined is returned, with no filter pass.  Length 0 gives the empty
+    word alone when `right` may follow `left`.
+    """
+    if length < 0:
+        raise ValueError("word length must be >= 0")
+    if length == 0:
+        return ((),) if sft.allowed(left, right) else ()
+    half = length // 2
+    for heads in word_levels(sft, sft.successors(left), half):
+        pass
+    back = sft.transpose
+    for reversed_tails in word_levels(back, back.successors(right), length - half):
+        pass
+    starting: dict = {}  # first symbol -> its tails, in order
+    for tail in sorted(w[::-1] for w in reversed_tails):
+        starting.setdefault(tail[0], []).append(tail)
+    joins = [[t for s in sft.successors(i) for t in starting.get(s, ())]
+             for i in range(sft.n)]
+    return tuple([h + t for h in heads for t in joins[h[-1] if h else left]])
 
 
 def count_paths(sft: Sft, i: int, j: int, length: int) -> int:

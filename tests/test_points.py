@@ -5,6 +5,7 @@ import pytest
 
 from sfttrace.points import (
     HeteroclinicPoint,
+    PeriodicOrbitSet,
     InadmissibleOrbit,
     IncompatibleAtZero,
     WindowOverflow,
@@ -22,7 +23,8 @@ from sfttrace.points import (
     shift_point,
     splice_point,
 )
-from sfttrace.sft import Sft, Word, is_admissible, make_sft
+from sfttrace.fixtures import all_systems
+from sfttrace.sft import Sft, Word, is_admissible, is_mixing, make_sft, word_levels
 
 FULL = make_sft([[1, 1], [1, 1]], ["0", "1"])
 GOLDEN = make_sft([[1, 1], [1, 0]], ["0", "1"])
@@ -438,6 +440,69 @@ def test_asymptotic_sequence_groups(sft, p_words, q_words):
             assert list(middles) == joining
         assert sum(len(group[-1]) for group in groups) == count_asymptotic_sequences(
             sft, p, q, w)
+
+
+def filtered_sequences(sft, p_set, q_set, window):
+    # the build-then-filter form asymptotic_sequences had before its words
+    # met in the middle: every word of length 2 * window after each left
+    # symbol, level by level, then kept per right symbol when that symbol
+    # may follow it
+    rights = [(orbit, phase, orbit.word[phase])
+              for orbit in p_set.orbits for phase in range(orbit.period)]
+    before = {right: [row[right] for row in sft.trans] for *_, right in rights}
+    joins = {}
+    for left_orbit in q_set.orbits:
+        for left_phase, left in enumerate(left_orbit.word):
+            if left not in joins:
+                for words in word_levels(sft, sft.successors(left), 2 * window):
+                    pass
+                joins[left] = {right: tuple([m for m in words if allowed[m[-1] if m else left]])
+                               for right, allowed in before.items()}
+            for right_orbit, right_phase, right in rights:
+                yield left_orbit, left_phase, right_orbit, right_phase, joins[left][right]
+
+
+@pytest.mark.parametrize("system", all_systems(), ids=lambda s: s.name)
+def test_asymptotic_sequences_equal_the_filtered_form_on_fixtures(system):
+    for w in range(7):
+        assert list(asymptotic_sequences(system.sft, system.p_set, system.q_set, w)) == list(
+            filtered_sequences(system.sft, system.p_set, system.q_set, w))
+
+
+def random_orbit_sets(rng, sft):
+    """Two sets of admissible primitive orbits of period <= 3 whose words
+    hold at least two symbols each."""
+    orbits = set()
+    for level in word_levels(sft, range(sft.n), 3):
+        for w in level:
+            if w and sft.allowed(w[-1], w[0]):
+                try:
+                    orbits.add(make_orbit(w, sft))
+                except InadmissibleOrbit:  # not primitive
+                    pass
+    orbits = sorted(orbits, key=lambda o: (o.period, o.word))
+    while True:
+        sets = [rng.sample(orbits, rng.randint(1, min(3, len(orbits)))) for _ in "PQ"]
+        if all(sum(o.period for o in chosen) >= 2 for chosen in sets):
+            return [PeriodicOrbitSet(tuple(chosen)) for chosen in sets]
+
+
+def test_asymptotic_sequences_equal_the_filtered_form_on_random_systems():
+    rng = random.Random(20261019)
+    systems = 0
+    while systems < 12:
+        n = rng.randint(2, 4)
+        sft = Sft(tuple(tuple(int(rng.random() < 0.6) for _ in range(n)) for _ in range(n)))
+        if not is_mixing(sft):
+            continue
+        systems += 1
+        p, q = random_orbit_sets(rng, sft)
+        pairs = {(left, right) for o in q.orbits for left in o.word
+                 for r in p.orbits for right in r.word}
+        assert len(pairs) > 1  # several (left, right) pairs share each call
+        for w in range(5):
+            assert list(asymptotic_sequences(sft, p, q, w)) == list(
+                filtered_sequences(sft, p, q, w))
 
 
 def test_enumerate_cap_raises_before_building_points(monkeypatch):

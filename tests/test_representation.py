@@ -197,7 +197,7 @@ def test_product_operator_symbol_budget(monkeypatch):
         monkeypatch.setattr(rep, "ENUMERATION_CAP", symbols)
         assert len(product_operator(a, b, GOLDEN.perron, order).entries) == 13
         monkeypatch.setattr(rep, "ENUMERATION_CAP", symbols - 1)
-        monkeypatch.setattr(rep, "word_levels", None)  # nothing is enumerated
+        monkeypatch.setattr(rep, "bridge_words", None)  # nothing is enumerated
         with pytest.raises(WindowOverflow, match=f"need {symbols} bridge symbols"):
             product_operator(a, b, GOLDEN.perron, order)
         monkeypatch.undo()

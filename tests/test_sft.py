@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from sfttrace.sft import (
     Sft,
     Word,
     ZeroRowOrColumn,
+    bridge_words,
     count_paths,
     is_admissible,
     is_mixing,
@@ -242,3 +244,39 @@ def test_count_paths_big_exponent_exact():
     # arbitrary precision: value has hundreds of digits and exact parity
     big = count_paths(FULL, 0, 0, 1000)
     assert big == 2 ** 999
+
+
+def brute_bridge_words(sft, length):
+    # independent reference: every word of the length, in lexicographic
+    # order, kept for (left, right) when each transition from left through
+    # it to right is allowed
+    words = [w for w in itertools.product(range(sft.n), repeat=length)
+             if all(sft.allowed(s, t) for s, t in itertools.pairwise(w))]
+    return {(left, right): tuple(w for w in words
+                                 if sft.allowed(left, (*w, right)[0])
+                                 and sft.allowed((left, *w)[-1], right))
+            for left, right in itertools.product(range(sft.n), repeat=2)}
+
+
+def random_nondegenerate_sfts(rng, count):
+    """Seeded random 0/1 matrices of 1-4 symbols with no zero row or column."""
+    while count:
+        n = rng.randint(1, 4)
+        trans = tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n))
+        if all(any(row) for row in trans) and all(any(col) for col in zip(*trans)):
+            count -= 1
+            yield Sft(trans)
+
+
+def test_bridge_words_matches_brute_force():
+    seen = set()
+    for sft in (FULL, GOLDEN, *random_nondegenerate_sfts(random.Random(20261019), 40)):
+        for length in range(8):
+            for (left, right), expected in brute_bridge_words(sft, length).items():
+                assert bridge_words(sft, left, right, length) == expected
+                seen.add((length if length < 2 else "longer", bool(expected)))
+    # the empty word, one-symbol words and an empty result were all met,
+    # with and without words
+    assert seen == {(length, found) for length in (0, 1, "longer") for found in (False, True)}
+    with pytest.raises(ValueError):
+        bridge_words(GOLDEN, 0, 0, -1)
