@@ -64,6 +64,6 @@ from .rep import (
     unitary_conjugation_check,
     vanishing_product_check,
 )
-from .sft import Sft, Word, count_paths, is_admissible, is_mixing, make_sft, validate
+from .sft import Sft, count_paths, is_admissible, is_mixing, make_sft, validate
 
 __version__ = "0.1.0"

@@ -1,19 +1,21 @@
 """The acceptance battery: every headline claim at a pinned tolerance.
 
-Each criterion is a function returning a CheckRow; `run_all` executes the
-battery in order.  The same rows back the test suite and the `verify`
-subcommand, so a green battery means the shipped numbers hold on this
-machine exactly as documented.
+Each criterion is a check returning (ok, measured text) that `_criterion`
+times and turns into a CheckRow; AC-1 to AC-6 must also finish inside
+their `RUNTIME_LIMITS`.  `run_all` returns the rows in order.  The same
+rows back the test suite and the `verify` subcommand, so a green battery
+means the shipped numbers hold on this machine exactly as documented.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
 from dataclasses import dataclass
 
-from .algebra import apply_alpha, diagonal, tau_s, tau_u, trace_property_check
+from .algebra import trace_property_check
 from .fixtures import (
     System,
     all_systems,
@@ -25,7 +27,7 @@ from .fixtures import (
     offdiagonal_stable,
     random_element,
 )
-from .perron import compute_perron, mu_bowen, mu_s_data, mu_u_data
+from .perron import mu_bowen, mu_s_data, mu_u_data
 from .rep import (
     commutator_decay,
     product_operator,
@@ -36,7 +38,7 @@ from .rep import (
     trace_product_oracle,
     vanishing_product_check,
 )
-from .sft import Word, word_levels
+from .sft import word_levels
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -78,13 +80,20 @@ class CheckRow:
                 f" (tol {self.tolerance}, {self.runtime:.2f}s)")
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    rows: tuple[CheckRow, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows)
+def _criterion(name: str, description: str, tolerance: str):
+    """Turn a check returning (ok, measured) into a criterion returning a
+    timed CheckRow, which passes when `ok` holds inside the runtime limit
+    of `name`, if it has one."""
+    def wrap(check):
+        @functools.wraps(check)
+        def criterion() -> CheckRow:
+            start = time.perf_counter()
+            ok, measured = check()
+            elapsed = time.perf_counter() - start
+            passed = ok and elapsed < RUNTIME_LIMITS.get(name, math.inf)
+            return CheckRow(name, description, passed, measured, tolerance, elapsed)
+        return criterion
+    return wrap
 
 
 def _fib(n: int) -> int:
@@ -99,25 +108,22 @@ def _fib(n: int) -> int:
     return doubling(n)[0]
 
 
-def ac1_full_shift_exact() -> CheckRow:
+@_criterion("AC-1", "full-shift scaled traces all equal 1", f"{TOLERANCES['AC-1']:g}")
+def ac1_full_shift_exact():
     """Full 2-shift: every scaled trace and the target are exactly 1."""
-    start = time.perf_counter()
     sys = full_shift()
     a, b = canonical_pair(sys)
     report = scaled_trace_sequence(a, b, range(0, 21), sys.perron)
-    tol = TOLERANCES["AC-1"]
     worst = max(
         [abs(row.scaled - 1) for row in report.rows] + [abs(report.target - 1)]
     )
-    elapsed = time.perf_counter() - start
-    passed = worst <= tol and elapsed < RUNTIME_LIMITS["AC-1"]
-    return CheckRow("AC-1", "full-shift scaled traces all equal 1",
-                    passed, f"worst deviation {worst:.3e}", f"{tol:g}", elapsed)
+    return worst <= TOLERANCES["AC-1"], f"worst deviation {worst:.3e}"
 
 
-def ac2_golden_convergence() -> CheckRow:
+@_criterion("AC-2", "golden-mean traces exact, error matches closed form to k=200",
+            f"{TOLERANCES['AC-2-closed-form']:g}")
+def ac2_golden_convergence():
     """Golden mean out to k = 200: exact Fibonacci traces, closed-form error."""
-    start = time.perf_counter()
     sys = golden_mean()
     a, b = canonical_pair(sys)
     report = scaled_trace_sequence(a, b, range(0, 201), sys.perron)
@@ -135,18 +141,12 @@ def ac2_golden_convergence() -> CheckRow:
     target_dev = abs(report.target - PHI * (PHI / math.sqrt(5)))
     if target_dev > TOLERANCES["AC-2-target"]:
         ok = False
-    elapsed = time.perf_counter() - start
-    passed = ok and elapsed < RUNTIME_LIMITS["AC-2"]
-    return CheckRow(
-        "AC-2", "golden-mean traces exact, error matches closed form to k=200",
-        passed,
-        f"max |err-closed| {worst_closed:.3e}, target dev {target_dev:.3e}",
-        f"{TOLERANCES['AC-2-closed-form']:g}", elapsed)
+    return ok, f"max |err-closed| {worst_closed:.3e}, target dev {target_dev:.3e}"
 
 
-def ac3_offdiagonal_vanishing() -> CheckRow:
+@_criterion("AC-3", "off-diagonal traces vanish with empty fixed-point sets", "exact")
+def ac3_offdiagonal_vanishing():
     """Off-diagonal stable element: zero trace and empty fixed-point sets."""
-    start = time.perf_counter()
     sys = golden_mean()
     a = offdiagonal_stable(sys)
     _, b = canonical_pair(sys)
@@ -155,10 +155,7 @@ def ac3_offdiagonal_vanishing() -> CheckRow:
         tr, diag = trace_product_detail(a, b, k, sys.perron)
         if tr.as_int() != 0 or diag.offdiag_fixed_points != 0:
             ok = False
-    elapsed = time.perf_counter() - start
-    passed = ok and elapsed < RUNTIME_LIMITS["AC-3"]
-    return CheckRow("AC-3", "off-diagonal traces vanish with empty fixed-point sets",
-                    passed, "all k in 2..25 exact zero", "exact", elapsed)
+    return ok, "all k in 2..25 exact zero"
 
 
 def _measure_invariants(sys: System):
@@ -170,9 +167,9 @@ def _measure_invariants(sys: System):
     next(levels)  # the empty word
     for words in levels:
         for syms in words:
-            w = Word(-(len(syms) // 2), syms)
-            split = mu_u_data(p, syms[-1], w.end) * mu_s_data(p, syms[0], w.start)
-            worst_product = max(worst_product, abs(mu_bowen(p, w) - split))
+            start = -(len(syms) // 2)  # the cylinder on [start, start + len(syms))
+            split = mu_u_data(p, syms[-1], start + len(syms)) * mu_s_data(p, syms[0], start)
+            worst_product = max(worst_product, abs(mu_bowen(p, syms) - split))
     for t in range(sft.n):
         ext = sum(mu_u_data(p, j, 1) for j in range(sft.n) if sft.allowed(t, j))
         worst_additive = max(worst_additive, abs(ext - mu_u_data(p, t, 0)))
@@ -184,13 +181,14 @@ def _measure_invariants(sys: System):
         and mu_s_data(p, t, -1) * p.lam == mu_s_data(p, t, 0)
         for t in range(sft.n)
     )
-    mass_dev = abs(sum(mu_bowen(p, Word(0, (i,))) for i in range(sft.n)) - 1)
+    mass_dev = abs(sum(mu_bowen(p, (i,)) for i in range(sft.n)) - 1)
     return worst_product, worst_additive, scale_ok, mass_dev
 
 
-def ac4_measure_invariants() -> CheckRow:
+@_criterion("AC-4", "leaf-measure product/additivity/scaling/mass identities",
+            f"{TOLERANCES['AC-4-product']:g}/{TOLERANCES['AC-4-mass']:g}")
+def ac4_measure_invariants():
     """Product / additivity / scaling / mass identities on all three systems."""
-    start = time.perf_counter()
     ok = True
     worst_p = worst_a = worst_m = 0.0
     for sys in all_systems():
@@ -202,18 +200,12 @@ def ac4_measure_invariants() -> CheckRow:
         ok = False
     if worst_m > TOLERANCES["AC-4-mass"]:
         ok = False
-    elapsed = time.perf_counter() - start
-    passed = ok and elapsed < RUNTIME_LIMITS["AC-4"]
-    return CheckRow(
-        "AC-4", "leaf-measure product/additivity/scaling/mass identities",
-        passed,
-        f"product {worst_p:.2e}, additivity {worst_a:.2e}, mass {worst_m:.2e}",
-        f"{TOLERANCES['AC-4-product']:g}/{TOLERANCES['AC-4-mass']:g}", elapsed)
+    return ok, f"product {worst_p:.2e}, additivity {worst_a:.2e}, mass {worst_m:.2e}"
 
 
-def ac5_oracle_equivalence() -> CheckRow:
+@_criterion("AC-5", "symbolic and brute-force traces agree exactly", "exact")
+def ac5_oracle_equivalence():
     """Symbolic trace equals the basis-enumeration trace exactly everywhere."""
-    start = time.perf_counter()
     ok = True
     checked = 0
     for sys in all_systems():
@@ -225,15 +217,12 @@ def ac5_oracle_equivalence() -> CheckRow:
                 checked += 1
                 if sym != brute:
                     ok = False
-    elapsed = time.perf_counter() - start
-    passed = ok and elapsed < RUNTIME_LIMITS["AC-5"]
-    return CheckRow("AC-5", "symbolic and brute-force traces agree exactly",
-                    passed, f"{checked} cases exact", "exact", elapsed)
+    return ok, f"{checked} cases exact"
 
 
-def ac6_operator_checks() -> CheckRow:
+@_criterion("AC-6", "rank-1 products, vanishing shifted products, commutator decay", "exact")
+def ac6_operator_checks():
     """Finite rank, eventual vanishing of shifted products, commutator decay."""
-    start = time.perf_counter()
     sys = full_shift()
     a, b = canonical_pair(sys)
     ok = True
@@ -261,16 +250,13 @@ def ac6_operator_checks() -> CheckRow:
         ok = False
     if any(n2 > n1 for (_, n1), (_, n2) in zip(norms[decouple:], norms[decouple + 1:])):
         ok = False
-    elapsed = time.perf_counter() - start
-    passed = ok and elapsed < RUNTIME_LIMITS["AC-6"]
-    return CheckRow(
-        "AC-6", "rank-1 products, vanishing shifted products, commutator decay",
-        passed, f"decoupled at n={decouple}", "exact", elapsed)
+    return ok, f"decoupled at n={decouple}"
 
 
-def ac7_perron_values() -> CheckRow:
+@_criterion("AC-7", "Perron data and 1-cylinder masses match closed forms",
+            f"{TOLERANCES['AC-7-lambda']:g}")
+def ac7_perron_values():
     """Eigenvalue, residuals, and 1-cylinder masses against closed forms."""
-    start = time.perf_counter()
     ok = True
     gm = golden_mean()
     lam_dev = abs(gm.perron.lam - PHI)
@@ -282,23 +268,19 @@ def ac7_perron_values() -> CheckRow:
     fs = full_shift()
     parry_dev = 0.0
     for i, expect in ((0, 0.5), (1, 0.5)):
-        parry_dev = max(parry_dev, abs(mu_bowen(fs.perron, Word(0, (i,))) - expect))
+        parry_dev = max(parry_dev, abs(mu_bowen(fs.perron, (i,)) - expect))
     golden_expect = ((5 + math.sqrt(5)) / 10, (5 - math.sqrt(5)) / 10)
     for i, expect in enumerate(golden_expect):
-        parry_dev = max(parry_dev, abs(mu_bowen(gm.perron, Word(0, (i,))) - expect))
+        parry_dev = max(parry_dev, abs(mu_bowen(gm.perron, (i,)) - expect))
     if parry_dev > TOLERANCES["AC-7-parry"]:
         ok = False
-    elapsed = time.perf_counter() - start
-    return CheckRow(
-        "AC-7", "Perron data and 1-cylinder masses match closed forms",
-        ok, f"lambda dev {lam_dev:.2e}, residual {worst_res:.2e}, "
-            f"parry dev {parry_dev:.2e}",
-        f"{TOLERANCES['AC-7-lambda']:g}", elapsed)
+    return ok, (f"lambda dev {lam_dev:.2e}, residual {worst_res:.2e}, "
+                f"parry dev {parry_dev:.2e}")
 
 
-def ac8_trace_property() -> CheckRow:
+@_criterion("AC-8", "trace property on 150 seeded random pairs", f"{TOLERANCES['AC-8']:g}")
+def ac8_trace_property():
     """tau(ab) = tau(ba) for 50 seeded pseudorandom pairs per system."""
-    start = time.perf_counter()
     ok = True
     for sys in all_systems():
         rng = random.Random(20240 + sys.sft.n)
@@ -308,9 +290,7 @@ def ac8_trace_property() -> CheckRow:
             y = random_element(rng, sys, side, 3)
             if not trace_property_check(x, y, sys.perron, TOLERANCES["AC-8"]):
                 ok = False
-    elapsed = time.perf_counter() - start
-    return CheckRow("AC-8", "trace property on 150 seeded random pairs",
-                    ok, "3 systems x 50 pairs", f"{TOLERANCES['AC-8']:g}", elapsed)
+    return ok, "3 systems x 50 pairs"
 
 
 CRITERIA = [
@@ -325,5 +305,6 @@ CRITERIA = [
 ]
 
 
-def run_all() -> RunSummary:
-    return RunSummary(tuple(fn() for fn in CRITERIA))
+def run_all() -> tuple[CheckRow, ...]:
+    """Every criterion's row, in order; the battery passes when all rows do."""
+    return tuple(fn() for fn in CRITERIA)

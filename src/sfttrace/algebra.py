@@ -47,8 +47,6 @@ from .perron import PerronData, mu_s_data, mu_u_data
 from .points import LeftRay, RightRay, reflect
 from .sft import Sft, word_levels
 
-COEFF_EPS = 1e-15  # coefficients below this magnitude are dropped on reduction
-
 
 class SideMismatch(ValueError):
     pass
@@ -160,14 +158,16 @@ def _bisection_class(side: str) -> type:
 
 
 def element(side: str, terms) -> AlgebraElement:
-    """Build a reduced element from (coefficient, bisection) pairs."""
+    """Build a reduced element from (coefficient, bisection) pairs: equal
+    bisections merge, and a term is dropped only when its coefficient is
+    exactly zero."""
     want = _bisection_class(side)
     merged: dict = {}
     for c, b in terms:
         if not isinstance(b, want):
             raise SideMismatch(f"{type(b).__name__} in a {side} element")
         merged[b] = merged.get(b, 0j) + complex(c)
-    kept = [(c, b) for b, c in merged.items() if abs(c) >= COEFF_EPS]
+    kept = [(c, b) for b, c in merged.items() if c != 0]
     kept.sort(key=lambda cb: cb[1].sort_key())
     return AlgebraElement(side, tuple(kept))
 

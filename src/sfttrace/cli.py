@@ -28,11 +28,13 @@ The config document is JSON:
     "output": "trace.csv"
   }
 
-A stable term's rays fix coordinates below the window (the body occupies
-[window - len(body), window)); an unstable term's rays fix coordinates
-from the window on (body on [window, window + len(body))).  a is the
-stable element and b the unstable one; stable rays must run over orbits
-of Q, unstable rays over orbits of P.
+A key outside those shown is read by nothing and exits 2, so a misspelt
+field cannot pass silently.  A stable term's rays fix coordinates below
+the window (the body occupies [window - len(body), window)); an unstable
+term's rays fix coordinates from the window on (body on
+[window, window + len(body))).  a is the stable element and b the
+unstable one; stable rays must run over orbits of Q, unstable rays over
+orbits of P.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from .rep import (
     scaled_trace_sequence,
     vanishing_product_check,
 )
-from .sft import InvalidMatrix, Sft, Word, ZeroRowOrColumn, make_sft
+from .sft import InvalidMatrix, Sft, ZeroRowOrColumn, make_sft
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -125,6 +127,27 @@ class ExperimentConfig:
             "tolerances": dict(sorted(self.tolerances.items())),
             "output": self.output,
         }
+
+
+# the fields `ExperimentConfig.doc` writes at each level; a config field
+# outside them is read by nothing, so a misspelt key is refused rather than
+# silently switching off what it names
+_FIELDS = {
+    "config": ("sft", "P", "Q", "a", "b", "k_range", "tolerances", "output"),
+    "sft": ("symbols", "matrix"),
+    "tolerances": ("final_abs_err",),
+    "element": ("side", "terms"),
+    "term": ("coeff", "target_ray", "source_ray", "window"),
+    "ray": ("orbit", "phase", "body"),
+}
+
+
+def _known_fields(doc: dict, level: str, where: str = "") -> None:
+    """ValidationError naming the first key of `doc` that `_FIELDS[level]`
+    does not list; `where` prefixes the key in the message."""
+    for key in doc:
+        if key not in _FIELDS[level]:
+            raise ValidationError(f"unknown field '{where}{key}'")
 
 
 def _ray_doc(ray, lab) -> dict:
@@ -192,12 +215,14 @@ def _parse_orbit_set(sft, words, field) -> PeriodicOrbitSet:
 
 
 def _parse_element(sft, doc, side, orbit_set, field) -> AlgebraElement:
+    _known_fields(doc, "element", f"{field}.")
     if doc.get("side") != side:
         raise ValidationError(f"{field}: side must be '{side}'")
     terms = []
     for i, term in enumerate(_field(doc, "terms", list, [], f"{field}.")):
         try:
             parts = term["coeff"]
+            _known_fields(term, "term", f"{field}.terms[{i}].")
             if not isinstance(parts, list) or len(parts) != 2:
                 raise ValidationError(f"{field}.terms[{i}].coeff must be [real, imag]")
             coeff = complex(*(_finite_float(x, f"{field}.terms[{i}].coeff") for x in parts))
@@ -206,6 +231,7 @@ def _parse_element(sft, doc, side, orbit_set, field) -> AlgebraElement:
             for key in ("target_ray", "source_ray"):
                 rdoc = term[key]
                 orbit = make_orbit([sft.symbol_of(lab) for lab in rdoc["orbit"]], sft)
+                _known_fields(rdoc, "ray", f"{field}.terms[{i}].{key}.")
                 if orbit not in orbit_set:
                     raise ValidationError(
                         f"{field}.terms[{i}].{key}: orbit {rdoc['orbit']} not in the "
@@ -234,7 +260,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a parsed JSON document; all admissibility checks run eagerly."""
     if not isinstance(doc, dict) or not doc:
         raise ValidationError("empty config document")
+    _known_fields(doc, "config")
     sft_doc = _field(doc, "sft", dict)
+    _known_fields(sft_doc, "sft", "sft.")
     matrix = _field(sft_doc, "matrix", list, where="sft.")
     symbols = sft_doc.get("symbols")
     if not all(isinstance(row, list) for row in matrix) or not isinstance(
@@ -262,6 +290,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(tolerances, dict) or not all(
             type(t) in (int, float) and 0 <= t < math.inf for t in tolerances.values()):
         raise ValidationError("tolerances must map names to finite numbers >= 0")
+    _known_fields(tolerances, "tolerances", "tolerances.")
     output = doc.get("output")
     if not isinstance(output, (str, type(None))):
         raise ValidationError("output must be a path string or null")
@@ -310,7 +339,7 @@ def cmd_inspect(config: ExperimentConfig) -> int:
     print(f"u (left)  : {[round(x, 12) for x in p.u]}")
     print(f"residual  : {p.residual:.3e}")
     for i in range(sft.n):
-        print(f"mu[{sft.label(i)}]     : {mu_bowen(p, Word(0, (i,)))!r}")
+        print(f"mu[{sft.label(i)}]     : {mu_bowen(p, (i,))!r}")
     return EXIT_OK
 
 
@@ -319,12 +348,12 @@ def cmd_measures(config: ExperimentConfig) -> int:
     sft = config.sft
     print("1-cylinder masses:")
     for i in range(sft.n):
-        print(f"  [{sft.label(i)}] {mu_bowen(p, Word(0, (i,)))!r}")
+        print(f"  [{sft.label(i)}] {mu_bowen(p, (i,))!r}")
     print("2-cylinder masses:")
     for i in range(sft.n):
         for j in range(sft.n):
             if sft.allowed(i, j):
-                print(f"  [{sft.label(i)}{sft.label(j)}] {mu_bowen(p, Word(0, (i, j)))!r}")
+                print(f"  [{sft.label(i)}{sft.label(j)}] {mu_bowen(p, (i, j))!r}")
     ts = tau_s(config.a, p)
     tu = tau_u(config.b, p)
     print(f"tau_s(a) = {format_complex(ts)}")
@@ -410,14 +439,14 @@ def cmd_theorem13(config: ExperimentConfig, nmax: int) -> int:
 
 
 def cmd_verify(config: ExperimentConfig | None) -> int:
-    summary = acceptance.run_all()
-    for row in summary.rows:
+    rows = acceptance.run_all()
+    for row in rows:
         print(row.line())
     if config is not None:
         print(f"config OK: {config.sft.n} symbols, "
               f"{len(config.p_set.orbits)}+{len(config.q_set.orbits)} orbits, "
               f"a has {len(config.a.terms)} terms, b has {len(config.b.terms)} terms")
-    if not summary.all_passed:
+    if not all(row.passed for row in rows):
         print("FAILURES")
         return EXIT_NUMERICAL
     print("all criteria passed")

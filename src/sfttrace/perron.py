@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sft import Sft, Word, is_admissible, is_mixing
+from .sft import Sft, is_admissible, is_mixing
 
 ITERATION_CAP = 10 ** 6
 # iterations without a new minimum residual before giving up on tol
@@ -156,18 +156,18 @@ def entropy(p: PerronData) -> float:
     return math.log(p.lam)
 
 
-def mu_bowen(p: PerronData, w: Word) -> float:
-    """Parry measure of the cylinder fixing coordinates [w.start, w.end) to w.
+def mu_bowen(p: PerronData, word: tuple[int, ...]) -> float:
+    """Parry measure of a cylinder fixing consecutive coordinates to `word`.
 
-    Depends only on length and endpoint symbols (shift invariance); the
-    empty word gives the whole space, mass 1.
+    Shift invariance makes it depend only on the length and the endpoint
+    symbols, so no position is taken; the empty word gives the whole
+    space, mass 1.
     """
-    if len(w) == 0:
+    if not word:
         return 1.0
-    if not is_admissible(p.sft, w):
-        raise InadmissibleWord(f"word {w.symbols} not admissible")
-    span = len(w.symbols) - 1
-    return p.u[w.symbols[0]] * p.v[w.symbols[-1]] * p.lam ** (-span)
+    if not is_admissible(p.sft, word):
+        raise InadmissibleWord(f"word {word} not admissible")
+    return p.u[word[0]] * p.v[word[-1]] * p.lam ** (1 - len(word))
 
 
 def mu_u_data(p: PerronData, terminal_symbol: int, n: int) -> float:

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .sft import Sft, Word, bridge_words, count_paths, is_admissible
+from .sft import Sft, bridge_words, count_paths, is_admissible
 
 # most middle symbols `enumerate_heteroclinic` holds: sequences x (2 * window + 1);
 # also the most bridge symbols `rep.product_operator` enumerates: columns x steps
@@ -111,8 +111,7 @@ class Orbit:
         return orbit, t
 
     def validate(self, sft: Sft) -> None:
-        wrapped = Word(0, self.word + (self.word[0],))
-        if not is_admissible(sft, wrapped):
+        if not is_admissible(sft, self.word + (self.word[0],)):
             raise InadmissibleOrbit(f"cyclic word {self.word} not admissible")
 
 
@@ -260,7 +259,7 @@ def make_left_ray(sft: Sft, orbit: Orbit, phase: int, splice: int, body, end: in
     body = tuple(body)
     LeftRay(orbit, phase, splice, body, end)  # raises on a bad length or phase
     orbit.validate(sft)
-    if body and not is_admissible(sft, Word(0, (orbit.word[phase],) + body)):
+    if body and not is_admissible(sft, (orbit.word[phase],) + body):
         raise InadmissibleRay("ray body breaks admissibility")
     return _canonical_left(orbit, phase, splice, body, end)
 

@@ -183,11 +183,14 @@ class ExactTrace:
         return out
 
     def render(self) -> str:
-        """Decimal string; exact integers in full precision."""
+        """Decimal string in the shape of `format_complex`; exact integers in
+        full precision, and a part beyond the float range exactly."""
         re, im = self.exact_total()
         if im == 0 and re.denominator == 1:
             return str(re.numerator)
-        return format_complex(_to_complex(re, im))
+        if im == 0:
+            return _render_part(re)
+        return f"{_render_part(re)}{_render_part(im, '+')}j"
 
     def __eq__(self, other):
         if not isinstance(other, ExactTrace):
@@ -196,6 +199,17 @@ class ExactTrace:
 
     def __hash__(self):
         return hash(self.exact_total())
+
+
+def _render_part(x: Fraction, sign: str = "") -> str:
+    """The float repr of a dyadic total, with the `sign` format option; a
+    total beyond the float range, p/2^e, prints exactly as p*5^e/10^e."""
+    try:
+        return format(float(x), sign)
+    except OverflowError:
+        e = x.denominator.bit_length() - 1
+        whole, frac = divmod(abs(x.numerator) * 5 ** e, 10 ** e)
+        return ("-" if x < 0 else sign) + str(whole) + (f".{frac:0{e}d}" if e else "")
 
 
 def _to_complex(re: Fraction, im: Fraction) -> complex:
@@ -715,7 +729,6 @@ class TraceRow:
     k: int
     trace: ExactTrace
     scaled: complex
-    target: complex
     abs_err: float
 
 
@@ -725,7 +738,6 @@ class TraceReport:
 
     rows: tuple[TraceRow, ...]
     target: complex
-    lam: float
 
     def write_csv(self, fh) -> list[bool]:
         """Write the header and one line per row to `fh`; return, per row,
@@ -733,16 +745,16 @@ class TraceReport:
 
         `render` computes each row's exact total once and prints "0" exactly
         when both parts are 0 (a nonzero integer has a nonzero digit, every
-        other value prints as a float repr), so the zero flags cost no
-        second total.
+        other value prints a float repr or an exact decimal), so the zero
+        flags cost no second total.
         """
         fh.write("k,trace,scaled,target,abs_err\n")
+        target = format_complex(self.target)
         zeros = []
         for r in self.rows:
             trace = r.trace.render()
             zeros.append(trace == "0")
-            fh.write(f"{r.k},{trace},{format_complex(r.scaled)},"
-                     f"{format_complex(r.target)},{r.abs_err!r}\n")
+            fh.write(f"{r.k},{trace},{format_complex(r.scaled)},{target},{r.abs_err!r}\n")
         return zeros
 
     def final_error(self) -> float:
@@ -767,15 +779,16 @@ def format_complex(z: complex) -> str:
 
 def scaled_trace_sequence(a: AlgebraElement, b: AlgebraElement, k_range,
                           p: PerronData) -> TraceReport:
-    """Rows (k, exact trace, lambda^{-2k}-scaled value, target, error) for
-    monotone k, where the target is the product of the two traces."""
+    """Rows (k, exact trace, lambda^{-2k}-scaled value, error against the
+    report's target) for monotone k, where the target is the product of
+    the two traces."""
     target = tau_s(a, p) * tau_u(b, p)
     rows = []
     for k in sorted(k_range):
         tr = trace_product(a, b, k, p)
         scaled = tr.scaled(p.lam, k)
-        rows.append(TraceRow(k, tr, scaled, target, abs(scaled - target)))
-    return TraceReport(tuple(rows), target, p.lam)
+        rows.append(TraceRow(k, tr, scaled, abs(scaled - target)))
+    return TraceReport(tuple(rows), target)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ trace computation downstream.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 # rows of trans^L kept per source symbol: a trace sweep asks, within one k,
@@ -134,21 +134,6 @@ class _PathRows:
         return rows[length - first]
 
 
-@dataclass(frozen=True)
-class Word:
-    """Finite window of a point: symbols occupying [start, start + len)."""
-
-    start: int
-    symbols: tuple[int, ...] = field(default=())
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def end(self) -> int:
-        return self.start + len(self.symbols)
-
-
 def make_sft(matrix, labels=None) -> Sft:
     """Build and validate an Sft from nested sequences."""
     sft = Sft(tuple(tuple(row) for row in matrix),
@@ -201,12 +186,12 @@ def is_mixing(sft: Sft) -> bool:
     return True
 
 
-def is_admissible(sft: Sft, w: Word) -> bool:
-    """True iff every adjacent transition of the word is allowed (vacuous if short)."""
-    for s in w.symbols:
+def is_admissible(sft: Sft, word: tuple[int, ...]) -> bool:
+    """True iff every adjacent transition of the symbol tuple is allowed (vacuous if short)."""
+    for s in word:
         if not 0 <= s < sft.n:
             raise ValueError(f"symbol {s} out of range")
-    return all(sft.allowed(a, b) for a, b in zip(w.symbols, w.symbols[1:]))
+    return all(sft.allowed(a, b) for a, b in zip(word, word[1:]))
 
 
 def word_levels(sft: Sft, first, depth: int):

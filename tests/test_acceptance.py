@@ -43,3 +43,13 @@ def test_ac7_perron_closed_forms():
 
 def test_ac8_trace_property_random_pairs():
     _check(acceptance.ac8_trace_property(), "AC-8")
+
+
+def test_runtime_limit_gates_only_the_criteria_that_have_one(monkeypatch):
+    monkeypatch.setitem(LIMITS, "AC-3", 0)
+    row = acceptance.ac3_offdiagonal_vanishing()
+    assert not row.passed and row.runtime > 0
+    ok, measured = acceptance.ac3_offdiagonal_vanishing.__wrapped__()
+    assert ok and measured == row.measured
+    # AC-7 has no runtime limit, so no runtime fails it
+    assert "AC-7" not in LIMITS and acceptance.ac7_perron_values().passed

@@ -100,7 +100,8 @@ def test_element_reduction_merges_and_drops():
     el = element("stable", [(0.5, e), (0.5, e)])
     assert el.terms == ((1 + 0j, e),)
     assert (el - el).is_zero
-    assert element("stable", [(1e-16, e)]).is_zero
+    # only an exact zero is dropped: a tiny coefficient is a term like any other
+    assert element("stable", [(1e-16, e)]).terms == ((1e-16 + 0j, e),)
 
 
 def test_element_side_checks():

@@ -115,12 +115,19 @@ def test_config_bad_k_range(tmp_path, k_range):
     (("a", "terms", 0, "coeff"), [10 ** 400, 0]),
     (("a", "side"), "unstable"),
     (("b", "side"), "stable"),
+    (("tolerances", "final_abs_error"), 1e-30),
+    (("tolerance",), {"final_abs_err": 1e-30}),
+    (("a", "terms", 0, "windw"), 0),
+    (("b", "terms", 0, "source_ray", "phse"), 0),
+    (("a", "sides"), "stable"),
+    (("sft", "symbol"), ["0", "1"]),
 ], ids=["stable-label", "unstable-label", "tolerance-list", "tolerance-string",
         "sft-list", "matrix-entry", "a-list", "terms-number", "P-number", "Q-orbit-null",
         "output-number", "matrix-float", "matrix-bool", "symbols-duplicate",
         "coeff-infinity", "coeff-nan", "window-float", "window-bool", "phase-float",
         "tol-nan", "tol-inf", "tol-negative", "coeff-bool", "coeff-length", "coeff-huge-int",
-        "a-side-unstable", "b-side-stable"])
+        "a-side-unstable", "b-side-stable", "tolerances-typo", "tolerance-typo",
+        "term-typo", "ray-typo", "element-typo", "sft-typo"])
 def test_config_bad_field_exits_2(tmp_path, capsys, keys, value):
     doc = json.loads(json.dumps(GOLDEN_DOC))
     node = doc
@@ -133,6 +140,23 @@ def test_config_bad_field_exits_2(tmp_path, capsys, keys, value):
     assert main(["trace-run", "--config", path, "--no-timestamp"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_fields_are_those_doc_writes(tmp_path, capsys):
+    from sfttrace.cli import _FIELDS
+
+    doc = load_config(write_doc(tmp_path, GOLDEN_DOC)).doc()
+    term = doc["a"]["terms"][0]
+    levels = {"config": doc, "sft": doc["sft"], "tolerances": doc["tolerances"],
+              "element": doc["a"], "term": term, "ray": term["target_ray"]}
+    assert {level: set(node) for level, node in levels.items()} == {
+        level: set(keys) for level, keys in _FIELDS.items()}
+    typo = json.loads(json.dumps(GOLDEN_DOC))
+    typo["tolerances"] = {"final_abs_error": 1e-30}
+    assert main(["trace-run", "--config", write_doc(tmp_path, typo), "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown field 'tolerances.final_abs_error'\n"
+    assert captured.out == ""
 
 
 def test_config_without_matrix_exits_2(tmp_path, capsys):
@@ -273,6 +297,46 @@ def test_cli_overflowing_coefficient_product_exits_3(tmp_path, capsys):
     assert code == 3
     assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_cli_trace_run_tiny_coefficient_is_kept(tmp_path, capsys):
+    # a coefficient far below 1 is a term like any other, not a rounding residue
+    from fractions import Fraction
+
+    from sfttrace.perron import compute_perron
+    from sfttrace.rep import scaled_trace_sequence
+
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    doc["a"]["terms"][0]["coeff"] = [1e-20, 0]
+    doc["tolerances"] = {}
+    path = write_doc(tmp_path, doc)
+    assert main(["trace-run", "--config", path, "--no-timestamp"]) == 0
+    config = load_config(path)
+    report = scaled_trace_sequence(config.a, config.b, range(0, 13), compute_perron(config.sft))
+    fib = [0, 1]
+    while len(fib) < 2 * 12 + 3:
+        fib.append(fib[-1] + fib[-2])
+    for row in report.rows:
+        assert row.trace.exact_total() == (Fraction(1e-20) * fib[2 * row.k + 2], 0)
+
+
+def test_cli_trace_run_prints_totals_beyond_float_range_exactly(tmp_path, capsys):
+    # half of F(2k+2) is not an integer and passes the float range at k = 739
+    from fractions import Fraction
+
+    doc = json.loads((CONFIG_DIR / "golden_mean.json").read_text())
+    doc["a"]["terms"][0]["coeff"] = [0.5, 0.0]
+    out = tmp_path / "trace.csv"
+    assert main(["trace-run", "--config", write_doc(tmp_path, doc), "--out", str(out),
+                 "--no-timestamp", "--kmax", "3000"]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert not any("inf" in cell for row in rows for cell in row)
+    fib = [0, 1]
+    while len(fib) < 2 * 3000 + 3:
+        fib.append(fib[-1] + fib[-2])
+    assert rows[-1][0] == "3000"
+    assert Fraction(rows[-1][1]) == Fraction(fib[6002], 2)
+    assert rows[738][1] == repr(fib[1478] / 2) and "." in rows[739][1]
 
 
 def test_cli_trace_run_timestamp_header(tmp_path):

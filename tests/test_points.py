@@ -24,7 +24,7 @@ from sfttrace.points import (
     splice_point,
 )
 from sfttrace.fixtures import all_systems
-from sfttrace.sft import Sft, Word, is_admissible, is_mixing, make_sft, word_levels
+from sfttrace.sft import Sft, is_admissible, is_mixing, make_sft, word_levels
 
 FULL = make_sft([[1, 1], [1, 1]], ["0", "1"])
 GOLDEN = make_sft([[1, 1], [1, 0]], ["0", "1"])
@@ -46,7 +46,7 @@ def point_is_admissible(sft, z):
     z.right_orbit.validate(sft)
     lo = z.n_left - z.left_orbit.period
     hi = z.m_right + z.right_orbit.period
-    return is_admissible(sft, Word(lo, z.segment(lo, hi + 1)))
+    return is_admissible(sft, z.segment(lo, hi + 1))
 
 
 def split_point(sft, left_orbit, right_orbit):

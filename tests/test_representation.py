@@ -301,7 +301,7 @@ def test_rank_of_a_difference_that_cancels():
     assert (t - FiniteOperator({(1, 1): 0.5 + 0.5j})).rank() == 2
 
 
-@pytest.mark.parametrize("scale", [2.0 ** 60, 2.0 ** -40, 1e-8])
+@pytest.mark.parametrize("scale", [2.0 ** 60, 2.0 ** -40, 1e-8, 2.0 ** -60])
 @pytest.mark.parametrize("pair", ["canonical", "mixed"])
 def test_product_rank_and_pattern_do_not_depend_on_scale(scale, pair):
     for sys in (FULL, GOLDEN, THREE):
@@ -905,6 +905,11 @@ def test_exact_trace_render():
     assert ExactTrace.from_pairs([((1 + 0j), 5)]).render() == "5"
     assert ExactTrace.from_pairs([((1 + 0j), 2 ** 200)]).render() == str(2 ** 200)
     assert ExactTrace.from_pairs([((0.5 + 0j), 3)]).render() == "1.5"
+    assert ExactTrace.from_pairs([((0.5 - 0.25j), 3)]).render() == "1.5-0.75j"
+    # beyond the float range each part prints exactly, in the same shape
+    n = 2 ** 1100 + 1
+    re, im = ExactTrace.from_pairs([((0.5 - 0.25j), n)]).render().removesuffix("j").split("-")
+    assert (Fraction(re), -Fraction(im)) == (Fraction(n, 2), Fraction(-n, 4))
 
 
 # subnormals, the extremes of the exponent range and both zeros

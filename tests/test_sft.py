@@ -9,7 +9,6 @@ from sfttrace import sft as sft_mod
 from sfttrace.sft import (
     InvalidMatrix,
     Sft,
-    Word,
     ZeroRowOrColumn,
     bridge_words,
     count_paths,
@@ -162,9 +161,9 @@ def test_is_mixing_wielandt_and_cycles(n):
 
 
 def test_is_admissible():
-    assert is_admissible(GOLDEN, Word(0, (0, 1, 0)))
-    assert not is_admissible(GOLDEN, Word(0, (0, 1, 1)))
-    assert is_admissible(GOLDEN, Word(5, ()))
+    assert is_admissible(GOLDEN, (0, 1, 0))
+    assert not is_admissible(GOLDEN, (0, 1, 1))
+    assert is_admissible(GOLDEN, ())
 
 
 def test_count_paths_golden_fibonacci():
