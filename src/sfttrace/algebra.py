@@ -40,6 +40,7 @@ the reflection it checks, and the benchmark reads both classes by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from typing import Union
 
@@ -124,13 +125,23 @@ BISECTIONS = {"stable": StableBisection, "unstable": UnstableBisection}
 class AlgebraElement:
     """Reduced finite combination of same-side bisections.
 
-    Terms are merged by bisection, near-zero coefficients dropped, and the
+    Terms are merged by bisection, exact-zero coefficients dropped, and the
     term order is fixed (by `sort_key`, window first), so equal reduced
-    elements compare equal.  The zero element has no terms.
+    elements compare equal.  The zero element has no terms.  `index` reads
+    each term's window, diagonal flag and edge symbol once per element, for
+    the trace loops that visit every term once per k.
     """
 
     side: str
     terms: tuple[tuple[complex, Bisection], ...]
+
+    @cached_property
+    def index(self) -> tuple[tuple[complex, Bisection, int, bool, int], ...]:
+        """(coefficient, term, window, is_diagonal, edge symbol) per term, in
+        term order; the edge symbol is the sources' `terminal` (stable) or
+        `initial` (unstable) symbol.  Computed on first use and kept on the
+        element; it is no field, so equality, hash and repr ignore it."""
+        return tuple((c, b, b.window, b.is_diagonal, b._edge(b.source)) for c, b in self.terms)
 
     @property
     def is_zero(self) -> bool:

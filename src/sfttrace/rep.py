@@ -27,17 +27,24 @@ according to four ray-segment consistency checks.  The regions are
 disjoint exactly when the gap N - M is at most 2k, so one bisect per
 stable term over the unstable terms sorted by window splits its pairs:
 off-diagonal bridge pairs are never visited, and overlap pairs conjugate
-each term's rays once per k, not once per pair.  Everything is exact
+each term's rays once per k, not once per pair.  Each term's window,
+diagonal flag and edge symbol are read once per element
+(`AlgebraElement.index`), not once per k.  Everything is exact
 integer arithmetic; the lambda^{-2k} scaling is applied through
-logarithms of big integers when plain floats would overflow.  The bridge
+logarithms of big integers when plain floats would overflow, with
+lambda^{2k} and its logarithm computed once per row.  The bridge
 counts come from exact row vectors of the transfer matrix that
 `sft.count_paths` keeps per system and source symbol and advances by one
-step per unit of path length, so a sweep over k pays for each length once.
+step per unit of path length, so a sweep over k pays for each length once;
+within one trace, diagonal bridge pairs that share a (source, target,
+length) share one count.
 Each finite float coefficient is exactly p / 2^e, so a trace's total is
 summed in one pass as one integer numerator over a power-of-two
 denominator, with a single exact rational built at the end.  A trace run
 computes each row's total once: the CSV rendering prints "0" exactly when
-the total is 0, so the exact-zero check reads the rendered rows.
+the total is 0, so the exact-zero check reads the rendered rows.  Totals
+print in full however many digits they have, past the interpreter's limit
+on int-to-string conversions too.
 
 An independent brute-force route (`trace_product_oracle`) enumerates
 every basis point that is periodic outside a window wide enough for all
@@ -176,18 +183,34 @@ class ExactTrace:
         return re.numerator
 
     def scaled(self, lam: float, k: int) -> complex:
-        """The value divided by lam^{2k}, big-integer safe."""
+        """The value divided by lam^{2k}, big-integer safe.
+
+        A count below 2^970, when lam^{2k} is too, is divided by lam^{2k} in
+        plain floats (so the full shift's powers of two cancel exactly);
+        any other goes through logarithms.  lam^{2k} and its logarithm are
+        computed once per call, not once per pair.
+        """
+        in_range = 2 * k * math.log2(lam) < 970
+        power = lam ** (2 * k) if in_range else None
+        log_power = 2 * k * math.log(lam)
         out = 0j
         for c, n in self.pairs:
-            out += c * _scaled_count(n, lam, k)
+            if n == 0:
+                x = 0.0
+            elif in_range and n.bit_length() < 970:
+                x = n / power
+            else:
+                x = math.exp(math.log(n) - log_power)
+            out += c * x
         return out
 
     def render(self) -> str:
         """Decimal string in the shape of `format_complex`; exact integers in
-        full precision, and a part beyond the float range exactly."""
+        full precision, and a part beyond the float range exactly, however
+        many digits they have (`_decimal`)."""
         re, im = self.exact_total()
         if im == 0 and re.denominator == 1:
-            return str(re.numerator)
+            return _decimal(re.numerator)
         if im == 0:
             return _render_part(re)
         return f"{_render_part(re)}{_render_part(im, '+')}j"
@@ -209,21 +232,30 @@ def _render_part(x: Fraction, sign: str = "") -> str:
     except OverflowError:
         e = x.denominator.bit_length() - 1
         whole, frac = divmod(abs(x.numerator) * 5 ** e, 10 ** e)
-        return ("-" if x < 0 else sign) + str(whole) + (f".{frac:0{e}d}" if e else "")
+        return (("-" if x < 0 else sign) + _decimal(whole)
+                + ("." + _decimal(frac).zfill(e) if e else ""))
 
 
 def _to_complex(re: Fraction, im: Fraction) -> complex:
     return complex(_frac_to_float(re), _frac_to_float(im))
 
 
-def _scaled_count(n: int, lam: float, k: int) -> float:
-    if n == 0:
-        return 0.0
-    # stay in exact float arithmetic while representable (keeps the full
-    # shift's powers of two exactly cancelling); fall back to logs
-    if n.bit_length() < 970 and 2 * k * math.log2(lam) < 970:
-        return n / lam ** (2 * k)
-    return math.exp(math.log(n) - 2 * k * math.log(lam))
+def _decimal(n: int) -> str:
+    """str(n), also past the interpreter's limit on the digits of an
+    int-to-string conversion (`sys.get_int_max_str_digits()`), which is left
+    as it is.  An integer within the limit takes the one `str` call; a longer
+    one is split at 10^h, h half its digits, into a high and a low piece,
+    each printed the same way, the low one zero-padded to h digits.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    h = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+    high, low = divmod(n, 10 ** h)
+    return _decimal(high) + _decimal(low).zfill(h)
 
 
 # ---------------------------------------------------------------------------
@@ -574,37 +606,37 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
     terms are in window order (`algebra.element`), and one bisect per
     stable term splits the unstable terms into its overlap pairs, before
     the cut, and its bridge pairs.  Each term's rays are conjugated once,
-    and each truncation check is made once per cut.  Contributions come
-    in term-pair order.
+    and each truncation check is made once per cut.  The windows, diagonal
+    flags and edge symbols come from the elements' `index`, built once per
+    element, and a per-call dict in front of `count_paths` counts each
+    (source, target, length) of the diagonal bridge pairs once.
+    Contributions come in term-pair order.
     """
     if a.side != "stable" or b.side != "unstable":
         raise SideMismatch("trace needs a stable and an unstable element")
     if k < 0:
         raise ValueError("k must be >= 0")
     sft = p.sft
-    windows, b_diag = [], []
-    for cb, f in b.terms:
-        m = f.window
-        windows.append(m)
-        if f.is_diagonal:
-            b_diag.append((cb, m, f.source.initial))
+    b_index = b.index
+    windows = [m for _, _, m, _, _ in b_index]
+    b_diag = [(cb, m, t) for cb, _, m, diag, t in b_index if diag]
     pairs = []
     overlap = fixed = a_diag = 0
     # j -> unstable term j's rays, conjugated, and {n: whether they agree from n on}
     conjugated: dict = {}
-    for ca, e in a.terms:
-        window = e.window
+    # (source, target, length) -> its path count, counted once per call
+    counts: dict = {}
+    for ca, e, window, e_diag, s in a.index:
         cut = bisect_left(windows, window - 2 * k)
         overlap += cut
-        e_diag = e.is_diagonal
         if cut:
             # all coordinates are pinned: four ray-segment consistency checks
             n = window - k
             alpha, beta = e.target.shift(k), e.source.shift(k)
             agree: dict = {}  # m -> whether alpha and beta agree below m
             for j in range(cut):
-                cb, f = b.terms[j]
-                m = windows[j] + k
+                cb, f, m, f_diag, _ = b_index[j]
+                m += k
                 if m not in agree:
                     agree[m] = alpha.truncate(m) == beta.truncate(m)
                 if j not in conjugated:
@@ -616,17 +648,19 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
                         and all(alpha.symbol_at(x) == delta.symbol_at(x) for x in range(m, n))
                         and all(gamma.symbol_at(x) == beta.symbol_at(x) for x in range(m, n))):
                     pairs.append((ca * cb, 1))
-                    if not (e_diag and f.is_diagonal):
+                    if not (e_diag and f_diag):
                         fixed += 1
         if e_diag:
             # a diagonal bridge pair counts the admissible bridges; an
             # off-diagonal one has no fixed points, since the replacement
             # would alter a pinned coordinate
             a_diag += 1
-            s = e.source.terminal
             for cb, m, t in b_diag:
                 if window - m <= 2 * k:
-                    pairs.append((ca * cb, count_paths(sft, s, t, 2 * k - window + m + 1)))
+                    key = (s, t, 2 * k - window + m + 1)
+                    if key not in counts:
+                        counts[key] = count_paths(sft, *key)
+                    pairs.append((ca * cb, counts[key]))
     total = len(a.terms) * len(windows)
     return ExactTrace.from_pairs(pairs), TraceDiagnostics(
         total - overlap, overlap, total - a_diag * len(b_diag), fixed)

@@ -339,6 +339,30 @@ def test_cli_trace_run_prints_totals_beyond_float_range_exactly(tmp_path, capsys
     assert rows[738][1] == repr(fib[1478] / 2) and "." in rows[739][1]
 
 
+@pytest.mark.parametrize("coeff", [1.0, 0.5])
+def test_cli_trace_run_prints_traces_past_the_digit_limit(tmp_path, capsys, coeff):
+    # F(3202) has 669 digits: with the interpreter's int-to-string limit
+    # lowered to 640, every trace still prints in full, byte for byte
+    import sys
+
+    doc = json.loads((CONFIG_DIR / "golden_mean.json").read_text())
+    doc["a"]["terms"][0]["coeff"] = [coeff, 0.0]
+    config = write_doc(tmp_path, doc)
+    outputs = []
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 640):
+            sys.set_int_max_str_digits(digits)
+            out = tmp_path / f"trace-{digits}.csv"
+            assert main(["trace-run", "--config", config, "--out", str(out),
+                         "--no-timestamp", "--kmax", "1600"]) == 0
+            outputs.append(out.read_bytes())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[1].splitlines()[-1].split(b",")[1]) > 640
+
+
 def test_cli_trace_run_timestamp_header(tmp_path):
     config_path = write_doc(tmp_path, GOLDEN_DOC)
     out = tmp_path / "t.csv"

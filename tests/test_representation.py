@@ -829,6 +829,52 @@ def test_sweep_rows_equal_single_k_traces(case):
                 diagnostics.offdiag_pairs, diagnostics.offdiag_fixed_points) == counts
 
 
+def _many_terms_pair(seed, terms, diagonal):
+    """Seeded three-symbol elements with `terms` distinct terms per side, the
+    first `diagonal` drawn ones made diagonal (their source on both sides)."""
+    rng = random.Random(seed)
+
+    def draw(side):
+        picked: dict = {}
+        while len(picked) < terms:
+            for c, t in random_element(rng, THREE, side, 1).terms:
+                if len(picked) < diagonal:
+                    t = type(t)(t.source, t.source)
+                elif t.is_diagonal:
+                    continue
+                picked.setdefault(t, c)
+        return element(side, [(c, t) for t, c in picked.items()])
+
+    return draw("stable"), draw("unstable")
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_trace_counts_each_path_once_per_call(monkeypatch, seed):
+    # every distinct (source, target, length) of the diagonal bridge pairs
+    # is counted once per trace, through the public count_paths, and the
+    # pairs and diagnostics are the pair by pair reference's
+    from sfttrace import rep
+
+    a, b = _many_terms_pair(seed, 24, 8)
+    calls = []
+    monkeypatch.setattr(rep, "count_paths", lambda *args: calls.append(args) or count_paths(*args))
+    repeats = 0
+    for k in range(41):
+        calls.clear()
+        trace, diagnostics = trace_product_detail(a, b, k, THREE.perron)
+        keys = [(e.source.terminal, f.source.initial, f.window - e.window + 2 * k + 1)
+                for _, e in a.terms if e.is_diagonal
+                for _, f in b.terms if f.is_diagonal and e.window - f.window <= 2 * k]
+        assert sorted(calls) == sorted((THREE.sft, *key) for key in set(keys)), k
+        repeats += len(keys) - len(set(keys))
+        pairs, counts = _pairwise_trace(a, b, k, THREE.perron)
+        assert repr(trace.pairs) == repr(ExactTrace.from_pairs(pairs).pairs)
+        assert (diagnostics.bridge_pairs, diagnostics.overlap_pairs,
+                diagnostics.offdiag_pairs, diagnostics.offdiag_fixed_points) == counts
+    # the diagonal bridge pairs do repeat their path counts
+    assert repeats > 0
+
+
 def test_overflowing_coefficient_products():
     from sfttrace.rep import NonFiniteCoefficient
 
@@ -901,6 +947,48 @@ def test_big_k_log_scaling():
     assert tr.scaled(2.0, 300) == pytest.approx(1.0, rel=1e-9)
 
 
+def _per_pair_scaled(pairs, lam, k):
+    """The scaled value with lam^{2k} and its logarithm computed afresh for
+    every pair: the reference `ExactTrace.scaled` must match bit for bit."""
+    def scaled_count(n):
+        if n == 0:
+            return 0.0
+        if n.bit_length() < 970 and 2 * k * math.log2(lam) < 970:
+            return n / lam ** (2 * k)
+        return math.exp(math.log(n) - 2 * k * math.log(lam))
+
+    out = 0j
+    for c, n in pairs:
+        out += c * scaled_count(n)
+    return out
+
+
+def test_scaled_is_bit_identical_to_the_per_pair_formula():
+    rng = random.Random(20261019)
+    while True:
+        size = rng.randrange(3, 7)
+        sft = Sft(tuple(tuple(int(rng.random() < 0.6) for _ in range(size))
+                        for _ in range(size)))
+        if is_mixing(sft):
+            break
+    perron_lam = compute_perron(sft).lam
+    signs = [0.0, -0.0, 1.0, -1.0, 0.5, -3.25, 1e-300, 7e300]
+    for lam in (2.0, PHI, 12.0, perron_lam):
+        edge = 970 / (2 * math.log2(lam))
+        ks = {0, 1, math.floor(edge) - 1, math.floor(edge), math.ceil(edge),
+              math.ceil(edge) + 1, 10 ** 5}
+        counts = [0, 1, 2 ** 969 - 1, 2 ** 969, 2 ** 970 - 1, 2 ** 970, 2 ** 970 + 1,
+                  rng.randrange(2 ** 960, 2 ** 969), rng.randrange(2 ** 970, 2 ** 980),
+                  rng.randrange(1, 2 ** 60)]
+        for k in sorted(ks):
+            for _ in range(20):
+                pairs = tuple((complex(rng.choice(signs) * rng.random(), rng.choice(signs)),
+                               rng.choice(counts)) for _ in range(rng.randrange(1, 6)))
+                assert repr(ExactTrace(pairs).scaled(lam, k)) \
+                    == repr(_per_pair_scaled(pairs, lam, k)), (lam, k, pairs)
+            assert repr(ExactTrace(()).scaled(lam, k)) == repr(0j)
+
+
 def test_exact_trace_render():
     assert ExactTrace.from_pairs([((1 + 0j), 5)]).render() == "5"
     assert ExactTrace.from_pairs([((1 + 0j), 2 ** 200)]).render() == str(2 ** 200)
@@ -910,6 +998,44 @@ def test_exact_trace_render():
     n = 2 ** 1100 + 1
     re, im = ExactTrace.from_pairs([((0.5 - 0.25j), n)]).render().removesuffix("j").split("-")
     assert (Fraction(re), -Fraction(im)) == (Fraction(n, 2), Fraction(-n, 4))
+    # past the interpreter's int-to-string digit limit (4300 by default)
+    # every digit still prints, with the limit left as it was
+    sys_ = sys_modules["sys"]
+    limit = sys_.get_int_max_str_digits()
+    assert ExactTrace.from_pairs([((1 + 0j), 10 ** 5000 + 1)]).render() \
+        == "1" + "0" * 4999 + "1"
+    assert ExactTrace.from_pairs([((-1 + 0j), 10 ** 5000 + 1)]).render() \
+        == "-1" + "0" * 4999 + "1"
+    n = 3 ** 9500  # 4533 digits, odd
+    text = ExactTrace.from_pairs([((0.5 - 0.75j), n)]).render()
+    assert sys_.get_int_max_str_digits() == limit
+    try:
+        sys_.set_int_max_str_digits(0)
+        assert 3 * n % 4 == 3 and text == f"{n // 2}.5-{3 * n // 4}.75j"
+    finally:
+        sys_.set_int_max_str_digits(limit)
+
+
+def test_decimal_pads_every_low_piece():
+    # a split leaves a low piece with leading zeros, at every level
+    from sfttrace.rep import _decimal
+
+    sys_ = sys_modules["sys"]
+    limit = sys_.get_int_max_str_digits()
+    rng = random.Random(20261019)
+    try:
+        sys_.set_int_max_str_digits(640)
+        for digits in (641, 1000, 1281, 2600, 5000):
+            for n in (10 ** (digits - 1), 10 ** digits - 1,
+                      rng.randrange(10 ** (digits - 1), 10 ** digits),
+                      10 ** (digits - 1) + rng.randrange(10 ** (digits // 3))):
+                text = _decimal(n)
+                assert len(text) == digits and text[0] != "0"
+                sys_.set_int_max_str_digits(0)
+                assert text == str(n) and _decimal(-n) == "-" + text
+                sys_.set_int_max_str_digits(640)
+    finally:
+        sys_.set_int_max_str_digits(limit)
 
 
 # subnormals, the extremes of the exponent range and both zeros
