@@ -61,7 +61,6 @@ from .rep import (
     scaled_trace_sequence,
     trace_product,
     trace_product_oracle,
-    unitary_conjugation_check,
     vanishing_product_check,
 )
 from .sft import Sft, count_paths, is_admissible, is_mixing, make_sft, validate

@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
 4 resource cap exceeded.
 
-The config document is JSON:
+Every subcommand but verify reads the config named by --config, a JSON
+document:
 
   {
     "sft": {"symbols": ["0", "1"], "matrix": [[1, 1], [1, 0]]},
@@ -438,14 +439,10 @@ def cmd_theorem13(config: ExperimentConfig, nmax: int) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: ExperimentConfig | None) -> int:
+def cmd_verify() -> int:
     rows = acceptance.run_all()
     for row in rows:
         print(row.line())
-    if config is not None:
-        print(f"config OK: {config.sft.n} symbols, "
-              f"{len(config.p_set.orbits)}+{len(config.q_set.orbits)} orbits, "
-              f"a has {len(config.a.terms)} terms, b has {len(config.b.terms)} terms")
     if not all(row.passed for row in rows):
         print("FAILURES")
         return EXIT_NUMERICAL
@@ -460,9 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_config=True):
+    def add(name, help_text):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", required=needs_config,
+        sp.add_argument("--config", required=True,
                         help="path to the JSON experiment config")
         return sp
 
@@ -477,14 +474,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="omit the timestamp comment for byte-identical output")
     sp = add("theorem13", "finite-rank, vanishing-product and commutator checks")
     sp.add_argument("--nmax", type=int, default=10)
-    sp = add("verify", "run the acceptance battery", needs_config=False)
+    sub.add_parser("verify", help="run the acceptance battery")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if getattr(args, "config", None) else None
+        if args.command == "verify":
+            return cmd_verify()
+        config = load_config(args.config)
         if args.command == "inspect":
             return cmd_inspect(config)
         if args.command == "measures":
@@ -495,8 +494,6 @@ def main(argv=None) -> int:
             return cmd_trace_run(config, args.out, args.kmax, not args.no_timestamp)
         if args.command == "theorem13":
             return cmd_theorem13(config, args.nmax)
-        if args.command == "verify":
-            return cmd_verify(config)
         raise AssertionError(f"unhandled command {args.command}")
     except (ParseError, ValidationError, NotPrimitive, OrbitsNotDisjoint,
             InadmissibleOrbit, InadmissibleRay, ZeroRowOrColumn, InvalidMatrix) as exc:

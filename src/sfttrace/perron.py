@@ -118,8 +118,8 @@ def compute_perron(sft: Sft, tol: float = 1e-13) -> PerronData:
     """
     if not is_mixing(sft):
         raise NotPrimitive("transition matrix is not primitive")
-    succ = [sft.successors(i) for i in range(sft.n)]
-    pred = [sft.transpose.successors(j) for j in range(sft.n)]
+    succ = sft.successor_table
+    pred = sft.transpose.successor_table
     u = v = [1.0] * sft.n
     av = _matvec(succ, v)
     best, stalled = math.inf, 0

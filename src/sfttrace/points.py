@@ -31,10 +31,13 @@ rotation of its reversed word, reached by rotating t places
 
 over the transpose; the map is its own inverse and keeps canonical forms
 canonical.  Reading symbols, shifting, and everything on points works on
-right rays directly, so the brute-force oracle never goes through it.
-For the same reason the ray classes, their `symbol_at` and `shift`, and
-`matches_past`/`matches_future` stay written out for each side, while
-`algebra` shares one bisection body between the sides.
+right rays directly, so the brute-force oracle, which reads its rays
+through `symbol_at`, never goes through it.  For that reason the ray
+classes with their `symbol_at` and `shift` stay written out for each
+side, while `algebra` shares one bisection body between the sides.
+`matches_past`/`matches_future` stay written out for each side too:
+`rep.product_operator` applies its terms through them, and the
+benchmark's tracer wraps both by name.
 """
 
 from __future__ import annotations

@@ -90,7 +90,6 @@ from .points import (
     make_point,
     matches_future,
     matches_past,
-    shift_point,
     splice_point,
 )
 from .sft import bridge_words, count_paths
@@ -110,13 +109,6 @@ class OrbitsNotDisjoint(ValueError):
 
 class NonFiniteCoefficient(ArithmeticError):
     """A coefficient product overflowed to inf or nan: the trace has no exact value."""
-
-
-def _frac_to_float(x: Fraction) -> float:
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 def _dyadic_sum(terms) -> Fraction:
@@ -171,9 +163,6 @@ class ExactTrace:
     def exact_total(self) -> tuple[Fraction, Fraction]:
         return (_dyadic_sum((c.real, n) for c, n in self.pairs),
                 _dyadic_sum((c.imag, n) for c, n in self.pairs))
-
-    def total(self) -> complex:
-        return _to_complex(*self.exact_total())
 
     def as_int(self) -> int:
         """The exact value when it is a plain integer (raises otherwise)."""
@@ -236,10 +225,6 @@ def _render_part(x: Fraction, sign: str = "") -> str:
                 + ("." + _decimal(frac).zfill(e) if e else ""))
 
 
-def _to_complex(re: Fraction, im: Fraction) -> complex:
-    return complex(_frac_to_float(re), _frac_to_float(im))
-
-
 def _decimal(n: int) -> str:
     """str(n), also past the interpreter's limit on the digits of an
     int-to-string conversion (`sys.get_int_max_str_digits()`), which is left
@@ -300,27 +285,6 @@ def apply_element(x: AlgebraElement, w: HeteroclinicPoint) -> dict:
     return {pt: c for pt, c in out.items() if c != 0}
 
 
-def apply_to_combination(x: AlgebraElement, vec: dict) -> dict:
-    out: dict[HeteroclinicPoint, complex] = {}
-    for w, cw in vec.items():
-        for y, cy in apply_element(x, w).items():
-            out[y] = out.get(y, 0j) + cy * cw
-    return {pt: c for pt, c in out.items() if c != 0}
-
-
-def unitary_conjugation_check(x: AlgebraElement, n: int, sample_points) -> bool:
-    """Verify that the shift unitary implements the automorphism on samples:
-    applying the n-shifted element equals conjugating the action by u^n."""
-    xn = apply_alpha(x, n)
-    for w in sample_points:
-        lhs = apply_element(xn, w)
-        inner = apply_element(x, shift_point(w, -n))
-        rhs = {shift_point(z, n): c for z, c in inner.items()}
-        if lhs != rhs:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # finite-rank products
 
@@ -335,45 +299,38 @@ NORM_ITERATIONS = 500
 class FiniteOperator:
     """A finitely supported operator: (row point, column point) -> coefficient.
 
-    `exact` holds every entry exactly, as a (real, imaginary) pair of
-    Fractions, and `entries` holds the nearest complex floats.  Built from
-    `entries` alone, the exact entries are the floats' own values, which
-    are dyadic rationals.  `rank` is the exact rank over Q(i) of the exact
-    entries, with no threshold: it does not change when every coefficient
-    is scaled by a common factor.
+    Built from `exact`, every entry as an exact (real, imaginary) pair of
+    Fractions; zero entries are dropped, and `entries` holds the nearest
+    complex floats of the rest.  Raises NonFiniteCoefficient when an entry
+    is beyond the float range.
     """
 
-    entries: dict = field(default_factory=dict)
-    exact: dict | None = None
+    exact: dict
+    entries: dict = field(init=False)
 
     def __post_init__(self):
-        if self.exact is None:
-            self.exact = {key: (Fraction(z.real), Fraction(z.imag))
-                          for key, z in self.entries.items()}
-
-    @staticmethod
-    def from_exact(exact: dict) -> "FiniteOperator":
-        """The operator with these exact nonzero entries; raises
-        NonFiniteCoefficient when an entry is beyond the float range."""
+        self.exact = {key: z for key, z in self.exact.items() if any(z)}
         try:
-            entries = {key: complex(float(re), float(im)) for key, (re, im) in exact.items()}
+            self.entries = {key: complex(float(re), float(im))
+                            for key, (re, im) in self.exact.items()}
         except OverflowError:
             raise NonFiniteCoefficient("an operator entry exceeds the float range") from None
-        return FiniteOperator(entries, exact)
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.exact
 
     def __sub__(self, other: "FiniteOperator") -> "FiniteOperator":
         out = dict(self.exact)
         for key, (re, im) in other.exact.items():
             r, i = out.get(key, (0, 0))
             out[key] = (r - re, i - im)
-        return FiniteOperator.from_exact({key: z for key, z in out.items() if any(z)})
+        return FiniteOperator(out)
 
     def rank(self) -> int:
-        """Exact rank: sparse Gaussian elimination over Q(i).
+        """Exact rank: sparse Gaussian elimination over Q(i), with no
+        threshold, so it does not change when every entry is scaled by a
+        common factor.
 
         The rows of the exact entries are reduced one at a time against
         the pivot rows found so far, always at their lowest column, so a
@@ -567,8 +524,8 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
                 r, i = sums.get((v, w), (0, 0))
                 sums[v, w] = (r + re * yr - im * yi, i + re * yi + im * yr)
     den = first_den * second_den
-    return FiniteOperator.from_exact({key: (Fraction(r, den), Fraction(i, den))
-                                      for key, (r, i) in sums.items() if r or i})
+    return FiniteOperator({key: (Fraction(r, den), Fraction(i, den))
+                           for key, (r, i) in sums.items()})
 
 
 def _gaussian_numerators(x: AlgebraElement):

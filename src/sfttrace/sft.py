@@ -76,8 +76,13 @@ class Sft:
     def allowed(self, i: int, j: int) -> bool:
         return self.trans[i][j] == 1
 
+    @cached_property
+    def successor_table(self) -> tuple[tuple[int, ...], ...]:
+        """Each symbol's successors in ascending order, built once per system."""
+        return tuple(tuple(j for j, e in enumerate(row) if e) for row in self.trans)
+
     def successors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self.n) if self.trans[i][j])
+        return self.successor_table[i]
 
     @cached_property
     def transpose(self) -> "Sft":
@@ -113,7 +118,7 @@ class _PathRows:
     """
 
     def __init__(self, sft: Sft):
-        self._succ = [sft.successors(i) for i in range(sft.n)]
+        self._succ = sft.successor_table
         self._windows: dict[int, tuple[int, deque]] = {}
 
     def row(self, i: int, length: int) -> list[int]:
@@ -210,7 +215,7 @@ def word_levels(sft: Sft, first, depth: int):
         return
     level = [(s,) for s in first]
     yield level
-    succ = [sft.successors(i) for i in range(sft.n)]
+    succ = sft.successor_table
     for _ in range(depth - 1):
         level = [w + (s,) for w in level for s in succ[w[-1]]]
         yield level
@@ -242,8 +247,8 @@ def bridge_words(sft: Sft, left: int, right: int, length: int) -> tuple:
     starting: dict = {}  # first symbol -> its tails, in order
     for tail in sorted(w[::-1] for w in reversed_tails):
         starting.setdefault(tail[0], []).append(tail)
-    joins = [[t for s in sft.successors(i) for t in starting.get(s, ())]
-             for i in range(sft.n)]
+    joins = [[t for s in succ for t in starting.get(s, ())]
+             for succ in sft.successor_table]
     return tuple([h + t for h in heads for t in joins[h[-1] if h else left]])
 
 

@@ -50,7 +50,6 @@ from sfttrace.rep import (
     WindowOverflow,
     WindowTooSmall,
     apply_element,
-    apply_to_combination,
     commutator_decay,
     operator_norm,
     product_operator,
@@ -59,7 +58,6 @@ from sfttrace.rep import (
     trace_product,
     trace_product_detail,
     trace_product_oracle,
-    unitary_conjugation_check,
     vanishing_product_check,
 )
 from sfttrace.sft import Sft, count_paths, is_mixing, word_levels
@@ -82,6 +80,34 @@ def fib(n):
         return (d, c + d) if m & 1 else (c, d)
 
     return doubling(n)[0]
+
+
+def apply_to_combination(x, vec: dict) -> dict:
+    """The image of a finite combination of basis vectors, point -> coefficient."""
+    out: dict = {}
+    for w, cw in vec.items():
+        for y, cy in apply_element(x, w).items():
+            out[y] = out.get(y, 0j) + cy * cw
+    return {pt: c for pt, c in out.items() if c != 0}
+
+
+def unitary_conjugation_check(x, n: int, sample_points) -> bool:
+    """Whether the shift unitary implements the automorphism on samples:
+    applying the n-shifted element equals conjugating the action by u^n."""
+    xn = apply_alpha(x, n)
+    for w in sample_points:
+        lhs = apply_element(xn, w)
+        inner = apply_element(x, shift_point(w, -n))
+        rhs = {shift_point(z, n): c for z, c in inner.items()}
+        if lhs != rhs:
+            return False
+    return True
+
+
+def float_operator(entries: dict) -> FiniteOperator:
+    """The operator whose exact entries are these floats' own values."""
+    return FiniteOperator({key: (Fraction(z.real), Fraction(z.imag))
+                           for key, z in entries.items()})
 
 
 def split_point_full():
@@ -231,7 +257,7 @@ def test_operator_norm_examples():
     assert operator_norm(FiniteOperator({})) == 0.0
     w = split_point_full()
     v = shift_point(w, 1)
-    assert operator_norm(FiniteOperator({(w, v): 2 + 0j})) == pytest.approx(2.0, abs=1e-10)
+    assert operator_norm(float_operator({(w, v): 2 + 0j})) == pytest.approx(2.0, abs=1e-10)
 
 
 def dense_rank(entries) -> int:
@@ -288,17 +314,17 @@ def test_rank_is_exact_on_sparse_dyadic_matrices():
                      for r in range(n_rows) for c in range(n_cols) if rng.random() < 0.4}
         # row and column powers of two, 2^-50 to 2^50, keep every entry exact
         entries = {(r, c): z * scale_r[r] * scale_c[c] for (r, c), z in cells.items() if z}
-        t = FiniteOperator(entries)
+        t = float_operator(entries)
         assert t.rank() == (dense_rank(entries) if entries else 0)
         if trial % 2:
             assert t.rank() <= inner
 
 
 def test_rank_of_a_difference_that_cancels():
-    t = FiniteOperator({(0, 0): 1 + 1j, (0, 1): 2j, (1, 0): 0.5, (1, 1): 0.5 + 0.5j})
+    t = float_operator({(0, 0): 1 + 1j, (0, 1): 2j, (1, 0): 0.5, (1, 1): 0.5 + 0.5j})
     assert t.rank() == 1  # row 0 is (1 + 1j) times row 1
     assert (t - t).rank() == 0 and (t - t).is_zero
-    assert (t - FiniteOperator({(1, 1): 0.5 + 0.5j})).rank() == 2
+    assert (t - float_operator({(1, 1): 0.5 + 0.5j})).rank() == 2
 
 
 @pytest.mark.parametrize("scale", [2.0 ** 60, 2.0 ** -40, 1e-8, 2.0 ** -60])
@@ -347,22 +373,33 @@ def test_product_rank_is_exact_for_inexact_coefficient_products():
         t = product_operator(a, b, FULL.perron, order)
         assert set(t.exact.values()) == products and len(t.exact) == 4
         assert t.rank() == 1
-        assert FiniteOperator(t.entries).rank() == 2  # the nearest floats
+        assert float_operator(t.entries).rank() == 2  # the nearest floats
+
+
+def test_zero_entries_are_dropped():
+    # an explicit zero entry is no entry: it neither becomes a pivot row nor
+    # makes the operator nonzero
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    t = FiniteOperator({(0, 0): zero, (1, 0): one})
+    assert t.rank() == 1
+    assert t.exact == {(1, 0): one} and t.entries == {(1, 0): 1 + 0j}
+    lone = FiniteOperator({(0, 0): zero})
+    assert lone.is_zero and lone.rank() == 0 and operator_norm(lone) == 0.0
 
 
 def test_operator_norm_of_one_entry_is_its_modulus():
     for z in (2 + 0j, -3 + 4j, 0.1 + 0.7j, 1e-300j, 1e300 + 1e300j, 0.5 - 0.25j):
-        assert operator_norm(FiniteOperator({(0, 1): z})) == abs(z)
+        assert operator_norm(float_operator({(0, 1): z})) == abs(z)
 
 
 def test_operator_norm_of_diagonal_and_rank_one_operators():
     rng = random.Random(3)
     for _ in range(30):
         diag = {(i, i): complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for i in range(8)}
-        assert operator_norm(FiniteOperator(diag)) == max(map(abs, diag.values()))
+        assert operator_norm(float_operator(diag)) == max(map(abs, diag.values()))
         x = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randrange(1, 9))]
         y = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(rng.randrange(1, 9))]
-        outer = FiniteOperator({(i, j): xi * yj.conjugate()
+        outer = float_operator({(i, j): xi * yj.conjugate()
                                 for i, xi in enumerate(x) for j, yj in enumerate(y)})
         expected = math.hypot(*map(abs, x)) * math.hypot(*map(abs, y))
         assert operator_norm(outer) == pytest.approx(expected, rel=1e-12)
@@ -384,7 +421,7 @@ def test_operator_norm_lies_between_column_norm_and_norm_bound():
             col_sums[c] = col_sums.get(c, 0.0) + abs(z)
             columns.setdefault(c, []).append(abs(z))
         bound = math.sqrt(max(col_sums.values()) * max(row_sums.values()))
-        norm = operator_norm(FiniteOperator(entries))
+        norm = operator_norm(float_operator(entries))
         # the floor is exact; the bound and the estimate are both rounded
         assert max(math.hypot(*col) for col in columns.values()) <= norm <= bound * (1 + 1e-12)
 
@@ -392,7 +429,7 @@ def test_operator_norm_lies_between_column_norm_and_norm_bound():
 def test_operator_norm_sees_every_block():
     # a block whose top singular vector is orthogonal to all-ones, beside a
     # smaller one: the norm is the first block's sqrt(2)
-    t = FiniteOperator({(0, 0): 1 + 0j, (0, 1): -1 + 0j, (1, 2): 1.25 + 0j})
+    t = float_operator({(0, 0): 1 + 0j, (0, 1): -1 + 0j, (1, 2): 1.25 + 0j})
     assert operator_norm(t) == pytest.approx(math.sqrt(2), rel=1e-15)
 
 
@@ -427,9 +464,9 @@ def test_trace_product_matches_operator_diagonal():
                 op = product_operator(
                     apply_alpha(a, k), apply_alpha(b, -k), sys.perron, "ab"
                 )
-                diag = sum((c for (row, col), c in op.entries.items() if row == col), 0j)
-                assert tr.total() == pytest.approx(diag, abs=1e-12), (
-                    sys.name, name, k)
+                diag = [z for (row, col), z in op.exact.items() if row == col]
+                assert tr.exact_total() == (sum(re for re, _ in diag),
+                                            sum(im for _, im in diag)), (sys.name, name, k)
 
 
 def test_trace_product_linear():
