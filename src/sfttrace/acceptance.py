@@ -30,6 +30,7 @@ from .fixtures import (
 from .perron import mu_bowen, mu_s_data, mu_u_data
 from .rep import (
     commutator_decay,
+    decoupling_step,
     product_operator,
     required_window,
     scaled_trace_sequence,
@@ -239,12 +240,7 @@ def ac6_operator_checks():
     gm = golden_mean()
     am, bm = mixed_pair(gm)
     norms = commutator_decay(am, bm, gm.perron, range(0, 16))
-    decouple = max(
-        (e.window - f.window + 1) // 2
-        for _, e in am.terms
-        for _, f in bm.terms
-    )
-    decouple = max(decouple, 0)
+    decouple = decoupling_step(am, bm)
     tail = [norm for n, norm in norms if n >= decouple]
     if any(norm != 0.0 for norm in tail):
         ok = False

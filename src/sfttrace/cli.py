@@ -30,7 +30,10 @@ document:
   }
 
 A key outside those shown is read by nothing and exits 2, so a misspelt
-field cannot pass silently.  A stable term's rays fix coordinates below
+field cannot pass silently.  "symbols" may be left out, which names the
+symbols "0", ..., "n-1"; a label is a JSON string and matches exactly, so
+"00" or the number 0 is not the label "0".  A ray's "orbit" and "body" are
+lists of labels.  A stable term's rays fix coordinates below
 the window (the body occupies [window - len(body), window)); an unstable
 term's rays fix coordinates from the window on (body on
 [window, window + len(body))).  a is the stable element and b the
@@ -168,32 +171,36 @@ def _element_doc(x: AlgebraElement, lab) -> dict:
     return {"side": x.side, "terms": terms}
 
 
-def _field(doc: dict, key: str, kind: type, default=None, where: str = ""):
+# the JSON types each kind of field may hold, as json.loads gives them
+_KINDS = {
+    "object": (dict,),
+    "list": (list,),
+    "string": (str,),
+    "integer": (int,),
+    "number": (int, float),
+    "string or null": (str, type(None)),
+}
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, kind: str, default=_REQUIRED, where: str = ""):
     """doc[key], or `default` when the key is absent; ValidationError when
-    it is absent without a default or is not a JSON value of type `kind`.
+    it is absent without a default or is not a JSON value of `kind`.
     `where` prefixes the field name in the message."""
     if key not in doc:
-        if default is None:
+        if default is _REQUIRED:
             raise ValidationError(f"missing field '{where}{key}'")
         return default
-    if not isinstance(doc[key], kind):
-        raise ValidationError(
-            f"{where}{key} must be a JSON {'object' if kind is dict else 'list'}")
+    # type() rather than isinstance(): a bool is an int to isinstance
+    if type(doc[key]) not in _KINDS[kind]:
+        raise ValidationError(f"{where}{key} must be a JSON {kind}")
     return doc[key]
-
-
-def _integer(value, field: str) -> int:
-    """A JSON integer; a float, a bool or a string is a ValidationError, not
-    something int() would silently convert."""
-    if type(value) is not int:
-        raise ValidationError(f"{field} must be an integer")
-    return value
 
 
 def _finite_float(value, field: str) -> float:
     """A JSON number as a finite float; a bool, a string, an infinity, a nan
     or an integer too large for a float is a ValidationError."""
-    if type(value) not in (int, float):
+    if type(value) not in _KINDS["number"]:
         raise ValidationError(f"{field} must be a JSON number")
     try:
         x = float(value)
@@ -215,45 +222,47 @@ def _parse_orbit_set(sft, words, field) -> PeriodicOrbitSet:
         raise ValidationError(f"{field}: {exc}") from exc
 
 
+def _parse_ray(sft, doc, side, orbit_set, window, field):
+    _known_fields(doc, "ray", f"{field}.")
+    labels = _field(doc, "orbit", "list", where=f"{field}.")
+    orbit = make_orbit([sft.symbol_of(lab) for lab in labels], sft)
+    if orbit not in orbit_set:
+        raise ValidationError(
+            f"{field}: orbit {labels} not in the {'Q' if side == 'stable' else 'P'} orbit set")
+    body = tuple(sft.symbol_of(lab) for lab in _field(doc, "body", "list", where=f"{field}."))
+    phase = _field(doc, "phase", "integer", 0, f"{field}.")
+    if side == "stable":
+        return make_left_ray(sft, orbit, phase, window - len(body), body, window)
+    return make_right_ray(sft, orbit, phase, window, body, window + len(body))
+
+
 def _parse_element(sft, doc, side, orbit_set, field) -> AlgebraElement:
     _known_fields(doc, "element", f"{field}.")
-    if doc.get("side") != side:
+    if _field(doc, "side", "string", where=f"{field}.") != side:
         raise ValidationError(f"{field}: side must be '{side}'")
     terms = []
-    for i, term in enumerate(_field(doc, "terms", list, [], f"{field}.")):
+    for i, term in enumerate(_field(doc, "terms", "list", [], f"{field}.")):
+        where = f"{field}.terms[{i}]"
         try:
-            parts = term["coeff"]
-            _known_fields(term, "term", f"{field}.terms[{i}].")
-            if not isinstance(parts, list) or len(parts) != 2:
-                raise ValidationError(f"{field}.terms[{i}].coeff must be [real, imag]")
-            coeff = complex(*(_finite_float(x, f"{field}.terms[{i}].coeff") for x in parts))
-            window = _integer(term["window"], f"{field}.terms[{i}].window")
-            rays = []
-            for key in ("target_ray", "source_ray"):
-                rdoc = term[key]
-                orbit = make_orbit([sft.symbol_of(lab) for lab in rdoc["orbit"]], sft)
-                _known_fields(rdoc, "ray", f"{field}.terms[{i}].{key}.")
-                if orbit not in orbit_set:
-                    raise ValidationError(
-                        f"{field}.terms[{i}].{key}: orbit {rdoc['orbit']} not in the "
-                        f"{'Q' if side == 'stable' else 'P'} orbit set"
-                    )
-                body = tuple(sft.symbol_of(lab) for lab in rdoc["body"])
-                phase = _integer(rdoc.get("phase", 0), f"{field}.terms[{i}].{key}.phase")
-                if side == "stable":
-                    rays.append(make_left_ray(sft, orbit, phase,
-                                              window - len(body), body, window))
-                else:
-                    rays.append(make_right_ray(sft, orbit, phase,
-                                               window, body, window + len(body)))
+            if type(term) is not dict:
+                raise ValidationError(f"{where} must be a JSON object")
+            _known_fields(term, "term", f"{where}.")
+            parts = _field(term, "coeff", "list", where=f"{where}.")
+            if len(parts) != 2:
+                raise ValidationError(f"{where}.coeff must be [real, imag]")
+            coeff = complex(*(_finite_float(x, f"{where}.coeff") for x in parts))
+            window = _field(term, "window", "integer", where=f"{where}.")
+            rays = [_parse_ray(sft, _field(term, key, "object", where=f"{where}."),
+                               side, orbit_set, window, f"{where}.{key}")
+                    for key in ("target_ray", "source_ray")]
             terms.append((coeff, BISECTIONS[side](*rays)))
         except ValidationError:
             raise
         except (KeyError, IndexError, TypeError) as exc:
-            raise ValidationError(f"{field}.terms[{i}]: malformed term ({exc})") from exc
+            raise ValidationError(f"{where}: malformed term ({exc})") from exc
         except ValueError as exc:
             # unknown labels, inadmissible orbits or rays, mismatched bisections
-            raise ValidationError(f"{field}.terms[{i}]: {exc}") from exc
+            raise ValidationError(f"{where}: {exc}") from exc
     return element(side, terms)
 
 
@@ -262,44 +271,39 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict) or not doc:
         raise ValidationError("empty config document")
     _known_fields(doc, "config")
-    sft_doc = _field(doc, "sft", dict)
+    sft_doc = _field(doc, "sft", "object")
     _known_fields(sft_doc, "sft", "sft.")
-    matrix = _field(sft_doc, "matrix", list, where="sft.")
-    symbols = sft_doc.get("symbols")
-    if not all(isinstance(row, list) for row in matrix) or not isinstance(
-            symbols, (list, type(None))):
-        raise ValidationError("sft: matrix must be a list of rows, symbols a list of labels")
+    matrix = _field(sft_doc, "matrix", "list", where="sft.")
+    if not all(isinstance(row, list) for row in matrix):
+        raise ValidationError("sft.matrix must be a list of rows")
+    symbols = _field(sft_doc, "symbols", "list", None, "sft.")
     try:
         sft = make_sft(matrix, symbols)
     except ValueError as exc:
         # InvalidMatrix or ZeroRowOrColumn
         raise ValidationError(f"sft: {exc}") from exc
-    p_set = _parse_orbit_set(sft, _field(doc, "P", list, []), "P")
-    q_set = _parse_orbit_set(sft, _field(doc, "Q", list, []), "Q")
+    p_set = _parse_orbit_set(sft, _field(doc, "P", "list", []), "P")
+    q_set = _parse_orbit_set(sft, _field(doc, "Q", "list", []), "Q")
     if not p_set.orbits or not q_set.orbits:
         raise ValidationError("P and Q must each contain at least one orbit")
-    a = _parse_element(sft, _field(doc, "a", dict, {"side": "stable"}), "stable", q_set, "a")
-    b = _parse_element(sft, _field(doc, "b", dict, {"side": "unstable"}), "unstable", p_set, "b")
-    k_range = doc.get("k_range", [0, 10])
-    if (not isinstance(k_range, (list, tuple)) or len(k_range) != 2
-            or not all(type(k) is int for k in k_range)
+    a = _parse_element(sft, _field(doc, "a", "object", {"side": "stable"}), "stable", q_set, "a")
+    b = _parse_element(sft, _field(doc, "b", "object", {"side": "unstable"}), "unstable",
+                       p_set, "b")
+    k_range = _field(doc, "k_range", "list", [0, 10])
+    if (len(k_range) != 2 or not all(type(k) is int for k in k_range)
             or not 0 <= k_range[0] <= k_range[1]):
         raise ValidationError(
             "k_range must be [first, last] with integers 0 <= first <= last")
-    tolerances = doc.get("tolerances", {})
-    # a nan tolerance would compare False against every error and switch its gate off
-    if not isinstance(tolerances, dict) or not all(
-            type(t) in (int, float) and 0 <= t < math.inf for t in tolerances.values()):
-        raise ValidationError("tolerances must map names to finite numbers >= 0")
+    tolerances = _field(doc, "tolerances", "object", {})
     _known_fields(tolerances, "tolerances", "tolerances.")
-    output = doc.get("output")
-    if not isinstance(output, (str, type(None))):
-        raise ValidationError("output must be a path string or null")
+    for key in tolerances:
+        # a nan tolerance would compare False against every error and switch its gate off
+        if not 0 <= _field(tolerances, key, "number", where="tolerances.") < math.inf:
+            raise ValidationError(f"tolerances.{key} must be finite and >= 0")
     return ExperimentConfig(sft, p_set, q_set, a, b,
                             (k_range[0], k_range[1]),
                             dict(tolerances),
-                            output)
-
+                            _field(doc, "output", "string or null", None))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -325,7 +329,7 @@ def write_config(config: ExperimentConfig, path: str) -> None:
 # subcommands
 
 
-def cmd_inspect(config: ExperimentConfig) -> int:
+def cmd_inspect(config: ExperimentConfig, args) -> int:
     sft = config.sft
     try:
         p = compute_perron(sft)
@@ -344,7 +348,7 @@ def cmd_inspect(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_measures(config: ExperimentConfig) -> int:
+def cmd_measures(config: ExperimentConfig, args) -> int:
     p = compute_perron(config.sft)
     sft = config.sft
     print("1-cylinder masses:")
@@ -363,7 +367,8 @@ def cmd_measures(config: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_enumerate(config: ExperimentConfig, window: int) -> int:
+def cmd_enumerate(config: ExperimentConfig, args) -> int:
+    window = args.window
     if window < 0:
         raise ValidationError(f"--window {window} is negative")
     pts = enumerate_heteroclinic(config.sft, config.p_set, config.q_set, window)
@@ -376,22 +381,21 @@ def cmd_enumerate(config: ExperimentConfig, window: int) -> int:
     return EXIT_OK
 
 
-def cmd_trace_run(config: ExperimentConfig, out: str | None, kmax: int | None,
-                  timestamp: bool) -> int:
+def cmd_trace_run(config: ExperimentConfig, args) -> int:
     k_lo, k_hi = config.k_range
-    if kmax is not None:
-        if kmax < k_lo:
-            raise ValidationError(f"--kmax {kmax} is below the first k ({k_lo}) of k_range")
-        k_hi = kmax
+    if args.kmax is not None:
+        if args.kmax < k_lo:
+            raise ValidationError(f"--kmax {args.kmax} is below the first k ({k_lo}) of k_range")
+        k_hi = args.kmax
     p = compute_perron(config.sft)
     if config.a.is_zero or config.b.is_zero:
         raise ValidationError("trace runs need nonzero elements a and b")
     report = scaled_trace_sequence(config.a, config.b, range(k_lo, k_hi + 1), p)
-    path = out or config.output
+    path = args.out or config.output
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                if timestamp:
+                if not args.no_timestamp:
                     now = datetime.datetime.now(datetime.timezone.utc)
                     fh.write(f"# generated {now.isoformat()}\n")
                 zeros = report.write_csv(fh)
@@ -418,7 +422,8 @@ def cmd_trace_run(config: ExperimentConfig, out: str | None, kmax: int | None,
     return EXIT_OK
 
 
-def cmd_theorem13(config: ExperimentConfig, nmax: int) -> int:
+def cmd_theorem13(config: ExperimentConfig, args) -> int:
+    nmax = args.nmax
     if nmax < 0:
         raise ValidationError(f"--nmax {nmax} is negative")
     p = compute_perron(config.sft)
@@ -457,44 +462,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, handler, help_text):
+        # each subcommand carries its handler; `main` calls it with the parsed
+        # arguments and the config they name
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True,
                         help="path to the JSON experiment config")
+        sp.set_defaults(handler=lambda args: handler(load_config(args.config), args))
         return sp
 
-    add("inspect", "print eigen-data, entropy, and 1-cylinder masses")
-    add("measures", "print cylinder masses and element traces")
-    sp = add("enumerate", "list heteroclinic points up to a window")
+    add("inspect", cmd_inspect, "print eigen-data, entropy, and 1-cylinder masses")
+    add("measures", cmd_measures, "print cylinder masses and element traces")
+    sp = add("enumerate", cmd_enumerate, "list heteroclinic points up to a window")
     sp.add_argument("--window", type=int, default=3)
-    sp = add("trace-run", "write the scaled-trace CSV and a summary")
+    sp = add("trace-run", cmd_trace_run, "write the scaled-trace CSV and a summary")
     sp.add_argument("--out", default=None, help="CSV output path (overrides config)")
     sp.add_argument("--kmax", type=int, default=None, help="override the last k")
     sp.add_argument("--no-timestamp", action="store_true",
                     help="omit the timestamp comment for byte-identical output")
-    sp = add("theorem13", "finite-rank, vanishing-product and commutator checks")
+    sp = add("theorem13", cmd_theorem13, "finite-rank, vanishing-product and commutator checks")
     sp.add_argument("--nmax", type=int, default=10)
-    sub.add_parser("verify", help="run the acceptance battery")
+    sub.add_parser("verify", help="run the acceptance battery").set_defaults(
+        handler=lambda args: cmd_verify())
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return cmd_verify()
-        config = load_config(args.config)
-        if args.command == "inspect":
-            return cmd_inspect(config)
-        if args.command == "measures":
-            return cmd_measures(config)
-        if args.command == "enumerate":
-            return cmd_enumerate(config, args.window)
-        if args.command == "trace-run":
-            return cmd_trace_run(config, args.out, args.kmax, not args.no_timestamp)
-        if args.command == "theorem13":
-            return cmd_theorem13(config, args.nmax)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.handler(args)
     except (ParseError, ValidationError, NotPrimitive, OrbitsNotDisjoint,
             InadmissibleOrbit, InadmissibleRay, ZeroRowOrColumn, InvalidMatrix) as exc:
         print(f"error: {exc}", file=sys.stderr)

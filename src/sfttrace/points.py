@@ -349,11 +349,11 @@ class HeteroclinicPoint:
             out += _cycle(self.right_orbit.word, self.right_phase + start - m, hi - start)
         return out
 
-    def render(self, sft: Sft | None = None) -> str:
-        lab = (lambda s: sft.label(s)) if sft is not None else str
+    def render(self, sft: Sft) -> str:
+        lab = sft.label
         lw = "".join(lab(s) for s in self.left_orbit.word)
         rw = "".join(lab(s) for s in self.right_orbit.word)
-        mid = "".join(lab(s) for s in self.middle) or ""
+        mid = "".join(lab(s) for s in self.middle)
         return f"({lw})^inf [{self.n_left}|{mid}|{self.m_right}) ({rw})^inf"
 
 

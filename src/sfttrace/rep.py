@@ -812,22 +812,24 @@ def vanishing_product_check(a: AlgebraElement, b: AlgebraElement, p: PerronData,
     return rows
 
 
+def decoupling_step(a: AlgebraElement, b: AlgebraElement) -> int:
+    """The first n >= 0 at which the stable constraint window N - n of every
+    term of a is at most the unstable one M + n of every term of b:
+    max(0, ceil((N - M) / 2)) over the term pairs."""
+    return max([0, *((e.window - f.window + 1) // 2 for _, e in a.terms for _, f in b.terms)])
+
+
 def commutator_decay(a: AlgebraElement, b: AlgebraElement, p: PerronData, n_range):
     """Norms of the commutator of the two conjugated elements.
 
-    Once the stable constraint window N - n drops below the unstable one
-    M + n for every term pair, both products coincide term by term
+    From `decoupling_step(a, b)` on, both products coincide term by term
     (identical bridge expansions), so the commutator is exactly zero and
     is reported as such without materializing the two operators.
     """
+    decoupled = decoupling_step(a, b)
     rows = []
     for n in sorted(n_range):
-        decoupled = all(
-            e.window - n <= f.window + n
-            for _, e in a.terms
-            for _, f in b.terms
-        )
-        if decoupled:
+        if n >= decoupled:
             rows.append((n, 0.0))
             continue
         a_n = apply_alpha(a, n)

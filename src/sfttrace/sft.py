@@ -46,7 +46,7 @@ class Sft:
     """
 
     trans: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None = None  # None names the symbols "0", ..., "n-1"
 
     def __post_init__(self):
         n = len(self.trans)
@@ -62,12 +62,15 @@ class Sft:
                         f"entry {e!r} is not the integer 0 or 1; "
                         "recode edge shifts as vertex shifts"
                     )
-        if self.labels is not None:
-            if len(self.labels) != n:
-                raise InvalidMatrix("label count does not match matrix size")
-            for i, lab in enumerate(self.labels):
-                if lab in self.labels[:i]:
-                    raise InvalidMatrix(f"duplicate symbol label {lab!r}")
+        labels = tuple(map(str, range(n))) if self.labels is None else tuple(self.labels)
+        if len(labels) != n:
+            raise InvalidMatrix("label count does not match matrix size")
+        for i, lab in enumerate(labels):
+            if type(lab) is not str:
+                raise InvalidMatrix(f"symbol label {lab!r} is not a string")
+            if lab in labels[:i]:
+                raise InvalidMatrix(f"duplicate symbol label {lab!r}")
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -94,18 +97,14 @@ class Sft:
         return _PathRows(self)
 
     def label(self, i: int) -> str:
-        return self.labels[i] if self.labels is not None else str(i)
+        return self.labels[i]
 
-    def symbol_of(self, lab: str) -> int:
-        """The symbol with this label; ValueError for an unknown label."""
-        if self.labels is not None:
-            if lab not in self.labels:
-                raise ValueError(f"unknown symbol label {lab!r}")
-            return self.labels.index(lab)
-        s = int(lab)
-        if not 0 <= s < self.n:
-            raise ValueError(f"symbol {s} out of range")
-        return s
+    def symbol_of(self, lab) -> int:
+        """The symbol whose label is exactly `lab`; ValueError for anything
+        else, a non-string included."""
+        if lab not in self.labels:
+            raise ValueError(f"unknown symbol label {lab!r}")
+        return self.labels.index(lab)
 
 
 class _PathRows:
@@ -141,8 +140,7 @@ class _PathRows:
 
 def make_sft(matrix, labels=None) -> Sft:
     """Build and validate an Sft from nested sequences."""
-    sft = Sft(tuple(tuple(row) for row in matrix),
-              tuple(labels) if labels is not None else None)
+    sft = Sft(tuple(tuple(row) for row in matrix), labels)
     validate(sft)
     return sft
 

@@ -3,6 +3,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from sfttrace.cli import (
     ParseError,
@@ -31,6 +33,11 @@ GOLDEN_DOC = {
     "tolerances": {"final_abs_err": 1e-08},
     "output": None,
 }
+
+
+# leading key of a `test_config_bad_field_exits_2` case whose config has no
+# "symbols", so that its symbols are named "0", ..., "n-1"
+NO_SYMBOLS = "no-symbols"
 
 
 def write_doc(tmp_path, doc, name="config.json"):
@@ -121,15 +128,29 @@ def test_config_bad_k_range(tmp_path, k_range):
     (("b", "terms", 0, "source_ray", "phse"), 0),
     (("a", "sides"), "stable"),
     (("sft", "symbol"), ["0", "1"]),
+    ((NO_SYMBOLS, "P", 0, 0), "+0"),
+    ((NO_SYMBOLS, "P", 0, 0), " 0"),
+    ((NO_SYMBOLS, "Q", 0, 0), "00"),
+    ((NO_SYMBOLS, "a", "terms", 0, "target_ray", "orbit", 0), 0),
+    ((NO_SYMBOLS, "P", 0), [["0"]]),
+    (("a", "terms", 0, "target_ray", "orbit"), "0"),
+    (("a", "terms", 0, "source_ray", "body"), "10"),
+    (("sft", "symbols"), [0, 1]),
 ], ids=["stable-label", "unstable-label", "tolerance-list", "tolerance-string",
         "sft-list", "matrix-entry", "a-list", "terms-number", "P-number", "Q-orbit-null",
         "output-number", "matrix-float", "matrix-bool", "symbols-duplicate",
         "coeff-infinity", "coeff-nan", "window-float", "window-bool", "phase-float",
         "tol-nan", "tol-inf", "tol-negative", "coeff-bool", "coeff-length", "coeff-huge-int",
         "a-side-unstable", "b-side-stable", "tolerances-typo", "tolerance-typo",
-        "term-typo", "ray-typo", "element-typo", "sft-typo"])
+        "term-typo", "ray-typo", "element-typo", "sft-typo",
+        "unlabelled-plus-zero", "unlabelled-space-zero", "unlabelled-double-zero",
+        "unlabelled-number-zero", "unlabelled-orbit-of-lists", "ray-orbit-string",
+        "ray-body-string", "symbols-numbers"])
 def test_config_bad_field_exits_2(tmp_path, capsys, keys, value):
     doc = json.loads(json.dumps(GOLDEN_DOC))
+    if keys[0] == NO_SYMBOLS:
+        del doc["sft"]["symbols"]
+        keys = keys[1:]
     node = doc
     for key in keys[:-1]:
         node = node[key]
@@ -179,6 +200,91 @@ def test_config_round_trip(tmp_path):
     out2 = tmp_path / "round2.json"
     write_config(config2, str(out2))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_config_without_symbols_round_trip(tmp_path):
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    del doc["sft"]["symbols"]
+    config = load_config(write_doc(tmp_path, doc))
+    assert config.sft.labels == ("0", "1")
+    out = tmp_path / "round.json"
+    write_config(config, str(out))
+    assert load_config(str(out)) == config
+    assert config == load_config(write_doc(tmp_path, GOLDEN_DOC))
+
+
+def _json_values():
+    # every kind of JSON value, the edge cases of each among them: huge and
+    # negative integers, non-finite floats, labels that read as a number
+    text = st.text("01 +-x", max_size=3) | st.sampled_from(["stable", "unstable"])
+    scalars = (st.none() | st.booleans()
+               | st.integers() | st.sampled_from([10 ** 30, -1, 0, 1])
+               | st.floats() | text)
+    keys = text | st.sampled_from(["side", "terms", "orbit", "body", "window"])
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(keys, inner, max_size=3),
+                        max_leaves=4)
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node of a parsed JSON document, the root included."""
+    yield path, node
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _nodes(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _nodes(child, path + (i,))
+
+
+def test_config_fuzz_inspect_exits_cleanly(tmp_path):
+    # one or two nodes of a shipped config, or of the same config without
+    # its "symbols", set to a random JSON value: inspect ends in 0, 2 or 3
+    # with at most one line on stderr, never in an exception.  Half the
+    # edits land on a symbol label, the most numerous free-form input.
+    import contextlib
+    import io
+
+    values = _json_values()
+    cases = []
+    for name in ("golden_mean.json", "full_shift.json"):
+        doc = json.loads((CONFIG_DIR / name).read_text())
+        del doc["output"]
+        unlabelled = json.loads(json.dumps(doc))
+        del unlabelled["sft"]["symbols"]
+        for base in (doc, unlabelled):
+            nodes = list(_nodes(base))
+            labels = [path for path, value in nodes if type(value) is str and path[-1] != "side"]
+            node = st.sampled_from(labels) | st.sampled_from([path for path, _ in nodes])
+            cases.append(st.tuples(st.just(json.dumps(base)),
+                                   st.lists(st.tuples(node, values), min_size=1, max_size=2)))
+    path = str(tmp_path / "fuzz.json")
+
+    @seed(20261019)
+    @settings(max_examples=100, database=None, deadline=None)
+    @given(st.one_of(cases))
+    def run(case):
+        text, edits = case
+        doc = json.loads(text)
+        # deeper edits first, so that an edit never lands inside a node
+        # that another edit has replaced
+        for keys, value in sorted(edits, key=lambda e: -len(e[0])):
+            if not keys:
+                doc = value
+                continue
+            node = doc
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["inspect", "--config", path])
+        assert code in (0, 2, 3), (code, err.getvalue())
+        assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+
+    run()
 
 
 def test_cli_inspect(tmp_path, capsys):
