@@ -45,7 +45,7 @@ from operator import attrgetter
 from typing import Union
 
 from .perron import PerronData, mu_s_data, mu_u_data
-from .points import LeftRay, RightRay, reflect
+from .points import LeftRay, RightRay, lowest_difference, reflect
 from .sft import Sft, word_levels
 
 
@@ -128,20 +128,22 @@ class AlgebraElement:
     Terms are merged by bisection, exact-zero coefficients dropped, and the
     term order is fixed (by `sort_key`, window first), so equal reduced
     elements compare equal.  The zero element has no terms.  `index` reads
-    each term's window, diagonal flag and edge symbol once per element, for
-    the trace loops that visit every term once per k.
+    each term's window, diagonal flag, edge symbol and agreement bound once
+    per element, for the trace loops that visit every term once per k.
     """
 
     side: str
     terms: tuple[tuple[complex, Bisection], ...]
 
     @cached_property
-    def index(self) -> tuple[tuple[complex, Bisection, int, bool, int], ...]:
-        """(coefficient, term, window, is_diagonal, edge symbol) per term, in
-        term order; the edge symbol is the sources' `terminal` (stable) or
-        `initial` (unstable) symbol.  Computed on first use and kept on the
-        element; it is no field, so equality, hash and repr ignore it."""
-        return tuple((c, b, b.window, b.is_diagonal, b._edge(b.source)) for c, b in self.terms)
+    def index(self) -> tuple[tuple[complex, Bisection, int, bool, int, float], ...]:
+        """(coefficient, term, window, is_diagonal, edge symbol, agreement
+        bound) per term, in term order; the edge symbol is the sources'
+        `terminal` (stable) or `initial` (unstable) symbol, and the bound is
+        `agreement_bound`'s.  Computed on first use and kept on the element;
+        it is no field, so equality, hash and repr ignore it."""
+        return tuple((c, b, b.window, b.is_diagonal, b._edge(b.source), agreement_bound(b))
+                     for c, b in self.terms)
 
     @property
     def is_zero(self) -> bool:
@@ -207,6 +209,20 @@ def refine(sft: Sft, e: Bisection, window: int) -> list:
         mirror = refine(sft.transpose, _reflect(e, "stable"), -window)
         return [_reflect(x, "unstable") for x in mirror]
     raise TypeError(f"not a bisection: {e!r}")
+
+
+def agreement_bound(e: Bisection):
+    """Where a term's target and source stop agreeing: for a stable term the
+    lowest coordinate where they differ, so they agree below any m up to it;
+    for an unstable term the highest, so they agree from any m above it.
+    A diagonal term's rays never differ: +inf (stable), -inf (unstable).
+    Rays whose periodic tails differ differ everywhere far out: -inf
+    (stable), +inf (unstable).  The unstable bound is read off the
+    time-reversed rays, x_m -> x_{-1-m}, as a stable one.
+    """
+    if isinstance(e, StableBisection):
+        return lowest_difference(e.target, e.source)
+    return -1 - lowest_difference(reflect(e.target), reflect(e.source))
 
 
 def _reflect(e: Bisection, side: str) -> Bisection:

@@ -53,6 +53,11 @@ class InadmissibleWord(ValueError):
     pass
 
 
+class NonFiniteCoefficient(ArithmeticError):
+    """A value beyond the float range: a coefficient product or operator
+    entry that is inf or nan, or a leaf mass whose power of lambda is."""
+
+
 @dataclass(frozen=True)
 class PerronData:
     """Dominant eigen-data of a primitive SFT; carries the system it came from.
@@ -173,10 +178,18 @@ def mu_bowen(p: PerronData, word: tuple[int, ...]) -> float:
 def mu_u_data(p: PerronData, terminal_symbol: int, n: int) -> float:
     """Unstable-leaf mass of a past cylinder fixing all coordinates < n,
     with `terminal_symbol` at n - 1: lambda^{-n} * v[terminal symbol]."""
-    return p.lam ** (-n) * p.v[terminal_symbol]
+    return _lam_power(p, -n) * p.v[terminal_symbol]
 
 
 def mu_s_data(p: PerronData, initial_symbol: int, m: int) -> float:
     """Stable-leaf mass of a future cylinder fixing all coordinates >= m,
     with `initial_symbol` at m: lambda^{m+1} * u[initial symbol]."""
-    return p.lam ** (m + 1) * p.u[initial_symbol]
+    return _lam_power(p, m + 1) * p.u[initial_symbol]
+
+
+def _lam_power(p: PerronData, e: int) -> float:
+    """lambda^e; NonFiniteCoefficient when it is beyond the float range."""
+    try:
+        return p.lam ** e
+    except OverflowError:
+        raise NonFiniteCoefficient(f"a leaf mass needs lambda^{e}, beyond the float range") from None

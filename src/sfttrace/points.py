@@ -38,10 +38,15 @@ side, while `algebra` shares one bisection body between the sides.
 `matches_past`/`matches_future` stay written out for each side too:
 `rep.product_operator` applies its terms through them, and the
 benchmark's tracer wraps both by name.
+
+`lowest_difference` and `rays_agree` compare two rays by their bodies
+and periodic tails, at a cost that does not grow with the stretch
+compared; the symbolic trace decides its overlap pairs with them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -245,6 +250,49 @@ def reflect(ray):
     if isinstance(ray, RightRay):
         return LeftRay(orbit, phase, -ray.splice, ray.body[::-1], -ray.start)
     return RightRay(orbit, phase, -ray.end, ray.body[::-1], -ray.splice)
+
+
+def lowest_difference(x: LeftRay, y: LeftRay):
+    """The lowest coordinate where two left rays with one end differ: -inf
+    when their periodic tails differ (then they differ below every
+    coordinate), +inf when they are the same ray.
+
+    Below the lower splice both rays are periodic, so one orbit and phase
+    comparison there decides the tails, and only the bodies are read
+    symbol by symbol.
+    """
+    lo = min(x.splice, y.splice)
+    p = x.orbit.period
+    if x.orbit != y.orbit or (x.phase + lo - x.splice) % p != (y.phase + lo - y.splice) % p:
+        return -math.inf
+    for m in range(lo, x.end):
+        if x.symbol_at(m) != y.symbol_at(m):
+            return m
+    return math.inf
+
+
+def rays_agree(past: LeftRay, future: RightRay, shift: int) -> bool:
+    """True iff past.shift(shift) and `future` agree wherever both are
+    defined, on [future.start, past.end - shift), at a cost that does not
+    grow with that stretch.
+
+    Each coordinate there lies in a body of the two rays or where both are
+    periodic.  Two periodic tails over one orbit in phase agree throughout,
+    so only the bodies are compared; two other tails disagree within the
+    sum of their periods (Fine and Wilf), so a longer common stretch
+    decides False at once, and a shorter one is compared with the bodies.
+    """
+    lo, hi = future.start, past.end - shift
+    tails_lo, tails_hi = max(lo, future.splice), min(hi, past.splice - shift)
+    compared = range(lo, hi)
+    if tails_lo < tails_hi:
+        p = future.orbit.period
+        if past.orbit == future.orbit and (
+                past.phase + shift - past.splice + 1) % p == (future.phase - future.splice) % p:
+            compared = (*range(lo, tails_lo), *range(tails_hi, hi))
+        elif tails_hi - tails_lo >= p + past.orbit.period:
+            return False
+    return all(past.symbol_at(x + shift) == future.symbol_at(x) for x in compared)
 
 
 def _canonical_left(orbit, phase, splice, body, end):

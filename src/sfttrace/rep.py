@@ -26,9 +26,14 @@ of a candidate fixed point are pinned, and the contribution is 1 or 0
 according to four ray-segment consistency checks.  The regions are
 disjoint exactly when the gap N - M is at most 2k, so one bisect per
 stable term over the unstable terms sorted by window splits its pairs:
-off-diagonal bridge pairs are never visited, and overlap pairs conjugate
-each term's rays once per k, not once per pair.  Each term's window,
-diagonal flag and edge symbol are read once per element
+off-diagonal bridge pairs are never visited.  Of the four checks, the
+two that compare a term's target with its own source read one agreement
+bound per term: the lowest coordinate where a stable term's rays differ,
+the highest for an unstable term.  The two that compare a target with
+the other term's source go through `points.rays_agree`, which compares
+bodies symbol by symbol and periodic tails by orbit and phase, so an
+overlap pair costs the same at any gap.  Each term's window, diagonal
+flag, edge symbol and agreement bound are read once per element
 (`AlgebraElement.index`), not once per k.  Everything is exact
 integer arithmetic; the lambda^{-2k} scaling is applied through
 logarithms of big integers when plain floats would overflow, with
@@ -39,12 +44,13 @@ step per unit of path length, so a sweep over k pays for each length once;
 within one trace, diagonal bridge pairs that share a (source, target,
 length) share one count.
 Each finite float coefficient is exactly p / 2^e, so a trace's total is
-summed in one pass as one integer numerator over a power-of-two
-denominator, with a single exact rational built at the end.  A trace run
-computes each row's total once: the CSV rendering prints "0" exactly when
-the total is 0, so the exact-zero check reads the rendered rows.  Totals
-print in full however many digits they have, past the interpreter's limit
-on int-to-string conversions too.
+summed in one pass of plain integer multiply-adds to a real and an
+imaginary numerator over one power-of-two denominator; an integer total
+prints straight from its numerator, and only a non-integer one becomes a
+rational.  A trace run computes each row's total once: the CSV
+rendering prints "0" exactly when the total is 0, so the exact-zero
+check reads the rendered rows.  Totals print in full however many digits
+they have, past the interpreter's limit on int-to-string conversions too.
 
 An independent brute-force route (`trace_product_oracle`) enumerates
 every basis point that is periodic outside a window wide enough for all
@@ -68,6 +74,7 @@ import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .algebra import (
     AlgebraElement,
@@ -78,7 +85,7 @@ from .algebra import (
     tau_s,
     tau_u,
 )
-from .perron import PerronData
+from .perron import NonFiniteCoefficient, PerronData
 from .points import (
     ENUMERATION_CAP,
     PRODUCT_WINDOW_CAP,
@@ -90,6 +97,7 @@ from .points import (
     make_point,
     matches_future,
     matches_past,
+    rays_agree,
     splice_point,
 )
 from .sft import bridge_words, count_paths
@@ -107,69 +115,68 @@ class OrbitsNotDisjoint(ValueError):
 # exact traces
 
 
-class NonFiniteCoefficient(ArithmeticError):
-    """A coefficient product overflowed to inf or nan: the trace has no exact value."""
-
-
-def _dyadic_sum(terms) -> Fraction:
-    """The exact sum of x * n over (finite float x, int n) pairs.
-
-    Each float is p / 2^e exactly, so the sum is one integer numerator over
-    the largest denominator seen so far, rescaled when a larger one comes:
-    one pass of integer multiply-adds.  An integer total, the common case,
-    becomes a Fraction without a gcd.
-    """
-    num, den = 0, 1
-    for x, n in terms:
-        p, d = x.as_integer_ratio()
-        if d > den:
-            num *= d // den
-            den = d
-        num += p * n * (den // d)
-    return Fraction(num) if den == 1 else Fraction(num, den)
-
-
 @dataclass(frozen=True)
 class ExactTrace:
     """A trace value as a sum of coefficient x big-integer-count pairs.
 
     Counts are nonnegative path counts; coefficients are the complex term
     products, always finite.  Aggregation is exact, so two routes to the
-    same trace compare exactly, independent of summation order: the real
-    and imaginary totals are dyadic rationals, each summed in one pass as
-    one integer numerator over the largest power-of-two denominator of its
-    coefficients.  No total is stored; `render` computes it once per call,
-    and a trace run renders each row once.
+    same trace compare exactly, independent of summation order: each float
+    is p / 2^e exactly, so the total is summed in one pass of integer
+    multiply-adds (`_numerators`) as a real and an imaginary numerator over
+    the largest power-of-two denominator of the coefficients.  No total is
+    stored; `render` sums once per call, and a trace run renders each row
+    once.
     """
 
     pairs: tuple[tuple[complex, int], ...]
 
     @staticmethod
     def from_pairs(pairs) -> "ExactTrace":
-        """Merge equal coefficients and drop zero terms; raises
-        NonFiniteCoefficient for an inf or nan coefficient."""
+        """Merge equal coefficients and drop zero terms, in (real, imag)
+        coefficient order; raises NonFiniteCoefficient for an inf or nan
+        coefficient."""
         merged: dict = {}
         for c, n in pairs:
-            if n and c != 0:
+            if n and c:
                 merged[c] = merged.get(c, 0) + n
         for c in merged:
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise NonFiniteCoefficient(f"trace coefficient {c!r} is not finite")
-        return ExactTrace(tuple(sorted(
-            ((c, n) for c, n in merged.items() if n),
-            key=lambda p: (p[0].real, p[0].imag),
-        )))
+        order = sorted(merged, key=attrgetter("real", "imag"))
+        # built from a list: tuple() of an iterator held about 30 bytes more
+        # per trace, which a long sweep keeps once per row
+        return ExactTrace(tuple([(c, merged[c]) for c in order]))
+
+    def _numerators(self) -> tuple[int, int, int]:
+        """(real numerator, imaginary numerator, denominator) of the exact
+        total.  The denominator is the largest power of two among the parts
+        summed so far: a larger one rescales the running numerators, and
+        each part is brought up to it from its own."""
+        re = im = 0
+        den = 1
+        for c, n in self.pairs:
+            p, d = c.real.as_integer_ratio()
+            q, e = c.imag.as_integer_ratio()
+            if d > den or e > den:
+                top = d if d > e else e
+                re *= top // den
+                im *= top // den
+                den = top
+            re += p * (den // d) * n
+            im += q * (den // e) * n
+        return re, im, den
 
     def exact_total(self) -> tuple[Fraction, Fraction]:
-        return (_dyadic_sum((c.real, n) for c, n in self.pairs),
-                _dyadic_sum((c.imag, n) for c, n in self.pairs))
+        re, im, den = self._numerators()
+        return Fraction(re, den), Fraction(im, den)
 
     def as_int(self) -> int:
         """The exact value when it is a plain integer (raises otherwise)."""
-        re, im = self.exact_total()
-        if im != 0 or re.denominator != 1:
+        re, im, den = self._numerators()
+        if im or re % den:
             raise ValueError("trace is not an integer")
-        return re.numerator
+        return re // den
 
     def scaled(self, lam: float, k: int) -> complex:
         """The value divided by lam^{2k}, big-integer safe.
@@ -194,15 +201,16 @@ class ExactTrace:
         return out
 
     def render(self) -> str:
-        """Decimal string in the shape of `format_complex`; exact integers in
-        full precision, and a part beyond the float range exactly, however
-        many digits they have (`_decimal`)."""
-        re, im = self.exact_total()
-        if im == 0 and re.denominator == 1:
-            return _decimal(re.numerator)
-        if im == 0:
-            return _render_part(re)
-        return f"{_render_part(re)}{_render_part(im, '+')}j"
+        """Decimal string in the shape of `format_complex`; an integer total
+        prints straight from its numerator in full precision, and a part
+        beyond the float range exactly, however many digits they have
+        (`_decimal`)."""
+        re, im, den = self._numerators()
+        if not im and not re % den:
+            return _decimal(re // den)
+        if not im:
+            return _render_part(Fraction(re, den))
+        return f"{_render_part(Fraction(re, den))}{_render_part(Fraction(im, den), '+')}j"
 
     def __eq__(self, other):
         if not isinstance(other, ExactTrace):
@@ -562,12 +570,15 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
     rays, so the pairs are not visited one by one: a reduced element's
     terms are in window order (`algebra.element`), and one bisect per
     stable term splits the unstable terms into its overlap pairs, before
-    the cut, and its bridge pairs.  Each term's rays are conjugated once,
-    and each truncation check is made once per cut.  The windows, diagonal
-    flags and edge symbols come from the elements' `index`, built once per
-    element, and a per-call dict in front of `count_paths` counts each
-    (source, target, length) of the diagonal bridge pairs once.
-    Contributions come in term-pair order.
+    the cut, and its bridge pairs.  An overlap pair reads whether each
+    term's rays agree where the other term pins them off the two agreement
+    bounds, and checks each target against the other source with one
+    `points.rays_agree`, which reads the rays' bodies and periodic tails:
+    no ray is shifted or truncated, and no cost grows with the gap.  The
+    windows, diagonal flags, edge symbols and agreement bounds come from
+    the elements' `index`, built once per element, and a per-call dict in
+    front of `count_paths` counts each (source, target, length) of the
+    diagonal bridge pairs once.  Contributions come in term-pair order.
     """
     if a.side != "stable" or b.side != "unstable":
         raise SideMismatch("trace needs a stable and an unstable element")
@@ -575,38 +586,27 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
         raise ValueError("k must be >= 0")
     sft = p.sft
     b_index = b.index
-    windows = [m for _, _, m, _, _ in b_index]
-    b_diag = [(cb, m, t) for cb, _, m, diag, t in b_index if diag]
+    windows = [m for _, _, m, _, _, _ in b_index]
+    b_diag = [(cb, m, t) for cb, _, m, diag, t, _ in b_index if diag]
     pairs = []
     overlap = fixed = a_diag = 0
-    # j -> unstable term j's rays, conjugated, and {n: whether they agree from n on}
-    conjugated: dict = {}
     # (source, target, length) -> its path count, counted once per call
     counts: dict = {}
-    for ca, e, window, e_diag, s in a.index:
-        cut = bisect_left(windows, window - 2 * k)
+    for ca, e, window, e_diag, s, lowest in a.index:
+        reach = window - 2 * k
+        cut = bisect_left(windows, reach)
         overlap += cut
-        if cut:
-            # all coordinates are pinned: four ray-segment consistency checks
-            n = window - k
-            alpha, beta = e.target.shift(k), e.source.shift(k)
-            agree: dict = {}  # m -> whether alpha and beta agree below m
-            for j in range(cut):
-                cb, f, m, f_diag, _ = b_index[j]
-                m += k
-                if m not in agree:
-                    agree[m] = alpha.truncate(m) == beta.truncate(m)
-                if j not in conjugated:
-                    conjugated[j] = (f.target.shift(-k), f.source.shift(-k), {})
-                gamma, delta, kept = conjugated[j]
-                if n not in kept:
-                    kept[n] = gamma.truncate(n) == delta.truncate(n)
-                if (agree[m] and kept[n]
-                        and all(alpha.symbol_at(x) == delta.symbol_at(x) for x in range(m, n))
-                        and all(gamma.symbol_at(x) == beta.symbol_at(x) for x in range(m, n))):
-                    pairs.append((ca * cb, 1))
-                    if not (e_diag and f_diag):
-                        fixed += 1
+        for j in range(cut):
+            # all coordinates are pinned: the stable rays must agree below
+            # the unstable window, the unstable rays from the stable window
+            # on, and each target must meet the other term's source between
+            cb, f, m, f_diag, _, highest = b_index[j]
+            if (m + 2 * k <= lowest and highest < reach
+                    and rays_agree(e.target, f.source, 2 * k)
+                    and rays_agree(e.source, f.target, 2 * k)):
+                pairs.append((ca * cb, 1))
+                if not (e_diag and f_diag):
+                    fixed += 1
         if e_diag:
             # a diagonal bridge pair counts the admissible bridges; an
             # off-diagonal one has no fixed points, since the replacement

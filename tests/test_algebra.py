@@ -1,7 +1,10 @@
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from sfttrace.algebra import (
     BISECTIONS,
@@ -9,6 +12,7 @@ from sfttrace.algebra import (
     SideMismatch,
     StableBisection,
     UnstableBisection,
+    agreement_bound,
     apply_alpha,
     convolve,
     diagonal,
@@ -21,14 +25,24 @@ from sfttrace.algebra import (
     trace_property_check,
 )
 from sfttrace.algebra import _reflect
-from sfttrace.fixtures import all_systems, golden_mean, random_element, random_left_ray
+from sfttrace.fixtures import (
+    all_systems,
+    golden_mean,
+    random_element,
+    random_left_ray,
+    random_right_ray,
+)
 from sfttrace.perron import compute_perron
 from sfttrace.points import (
+    InadmissibleOrbit,
+    LeftRay,
+    lowest_difference,
     make_left_ray,
     make_orbit,
     make_right_ray,
     periodic_left_ray,
     periodic_right_ray,
+    rays_agree,
     reflect,
 )
 from sfttrace.sft import make_sft
@@ -317,15 +331,34 @@ def test_zero_element():
     assert tau(z, P_FULL) == 0
 
 
+def _bound_reference(x, y):
+    """The agreement bound of two rays with one window, read coordinate by
+    coordinate: the lowest coordinate where two left rays differ, the
+    highest for two right rays.  Beyond both splices (below the lower one
+    of left rays, above the higher one of right rays) the pair repeats
+    with period p * q, so a difference there shows within p * q
+    coordinates and recurs forever: the bound is then infinite."""
+    far = x.orbit.period * y.orbit.period
+    if isinstance(x, LeftRay):
+        lo = min(x.splice, y.splice)
+        diffs = [m for m in range(lo - far, x.end) if x.symbol_at(m) != y.symbol_at(m)]
+        return math.inf if not diffs else -math.inf if diffs[0] < lo else diffs[0]
+    hi = max(x.splice, y.splice)
+    diffs = [m for m in range(x.start, hi + far) if x.symbol_at(m) != y.symbol_at(m)]
+    return -math.inf if not diffs else math.inf if diffs[-1] >= hi else diffs[-1]
+
+
 def _fresh_index(x):
     edge = "terminal" if x.side == "stable" else "initial"
-    return tuple((c, t, t.window, t.target == t.source, getattr(t.source, edge))
+    return tuple((c, t, t.window, t.target == t.source, getattr(t.source, edge),
+                  _bound_reference(t.target, t.source))
                  for c, t in x.terms)
 
 
 def test_term_index_is_read_off_the_terms():
     # the index is each term's (coefficient, term, window, diagonal flag,
-    # edge symbol), and building it leaves equality, hash and repr alone
+    # edge symbol, agreement bound), and building it leaves equality, hash
+    # and repr alone
     rng = random.Random(20261019)
     for sys in all_systems():
         for side in ("stable", "unstable"):
@@ -346,5 +379,75 @@ def test_term_index_is_read_off_the_terms():
                     assert y is not x
                     assert y.index == _fresh_index(y)
                 shifted = apply_alpha(x, 1)
-                assert [w for _, _, w, _, _ in shifted.index] \
-                    == [w - 1 for _, _, w, _, _ in x.index]
+                assert [w for _, _, w, _, _, _ in shifted.index] \
+                    == [w - 1 for _, _, w, _, _, _ in x.index]
+
+
+def _orbits(sft):
+    """Every admissible primitive orbit of period at most 3."""
+    out = set()
+    for word in itertools.chain.from_iterable(
+            itertools.product(range(sft.n), repeat=n) for n in (1, 2, 3)):
+        try:
+            out.add(make_orbit(word, sft))
+        except InadmissibleOrbit:
+            pass
+    return sorted(out, key=lambda orbit: orbit.word)
+
+
+SYSTEM_ORBITS = [(sys.sft, _orbits(sys.sft)) for sys in all_systems()]
+
+
+@seed(20261019)
+@settings(max_examples=150, database=None, deadline=None)
+@given(system=st.sampled_from(SYSTEM_ORBITS), rng_seed=st.integers(0, 2 ** 32),
+       kind=st.sampled_from(["diagonal", "same orbit", "any orbit"]),
+       shift=st.integers(0, 40))
+@example(system=SYSTEM_ORBITS[0], rng_seed=0, kind="same orbit", shift=40)
+def test_agreement_bounds_and_rays_agree_match_coordinate_reference(system, rng_seed, kind,
+                                                                    shift):
+    # on random rays over one orbit or two, in phase or out of it, with
+    # bodies of 0 to 3 symbols on either ray: the bounds and the segment
+    # helper equal their coordinate-by-coordinate readings, the segment
+    # over stretches far longer than the rays' bodies and periods
+    sft, orbits = system
+    rng = random.Random(rng_seed)
+    for _ in range(8):
+        orbit = rng.choice(orbits)
+        other = orbit if kind == "same orbit" else rng.choice(orbits)
+        end, start = rng.randrange(-3, 4), rng.randrange(-3, 4)
+        left = random_left_ray(rng, sft, orbit, end)
+        right = random_right_ray(rng, sft, other, start)
+        if kind == "diagonal":
+            left2, right2 = left, right
+        else:
+            left2 = random_left_ray(rng, sft, other, end)
+            right2 = random_right_ray(rng, sft, orbit, start)
+        assert lowest_difference(left, left2) == _bound_reference(left, left2)
+        for side, rays in (("stable", (left, left2)), ("unstable", (right, right2))):
+            try:
+                term = BISECTIONS[side](*rays)
+            except BisectionError:  # the rays disagree next to the window
+                continue
+            assert agreement_bound(term) == _bound_reference(*rays), (side, rays)
+        for past, future in ((left, right), (left2, right2), (left, right2)):
+            reference = all(past.symbol_at(x + shift) == future.symbol_at(x)
+                            for x in range(future.start, past.end - shift))
+            assert rays_agree(past, future, shift) == reference, (past, future, shift)
+
+
+def test_rays_agree_on_periodic_tails_across_every_phase_and_length():
+    # two purely periodic rays over every pair of full-shift orbits of
+    # period at most 3, in every pair of phases, over every stretch length
+    # up to 9: tails of periods p and q that are not the same agree on
+    # fewer than p + q - gcd(p, q) coordinates (Fine and Wilf), and (01)
+    # and (001) do agree on "010"
+    sft, orbits = SYSTEM_ORBITS[0]
+    for past_orbit, future_orbit in itertools.product(orbits, repeat=2):
+        for i, j in itertools.product(range(past_orbit.period), range(future_orbit.period)):
+            past = periodic_left_ray(sft, past_orbit, 0, i)
+            future = periodic_right_ray(sft, future_orbit, 0, j)
+            for shift in range(-9, 1):
+                reference = all(past.symbol_at(x + shift) == future.symbol_at(x)
+                                for x in range(0, -shift))
+                assert rays_agree(past, future, shift) == reference, (past, future, shift)

@@ -237,15 +237,15 @@ def _nodes(node, path=()):
             yield from _nodes(child, path + (i,))
 
 
-def test_config_fuzz_inspect_exits_cleanly(tmp_path):
-    # one or two nodes of a shipped config, or of the same config without
-    # its "symbols", set to a random JSON value: inspect ends in 0, 2 or 3
-    # with at most one line on stderr, never in an exception.  Half the
-    # edits land on a symbol label, the most numerous free-form input.
-    import contextlib
-    import io
-
+def _fuzzed_configs(integers=False):
+    """One or two nodes of a shipped config, or of the same config without
+    its "symbols", set to a random JSON value, as (config text, edits).
+    Half the edits land on a symbol label, the most numerous free-form
+    input.  With `integers`, an edit may also set a term's window to any
+    integer, huge ones and those whose leaf mass leaves the float range
+    among them."""
     values = _json_values()
+    any_integer = st.integers() | st.sampled_from([-1500, 1500, 10 ** 9, -10 ** 9, 10 ** 18])
     cases = []
     for name in ("golden_mean.json", "full_shift.json"):
         doc = json.loads((CONFIG_DIR / name).read_text())
@@ -256,35 +256,104 @@ def test_config_fuzz_inspect_exits_cleanly(tmp_path):
             nodes = list(_nodes(base))
             labels = [path for path, value in nodes if type(value) is str and path[-1] != "side"]
             node = st.sampled_from(labels) | st.sampled_from([path for path, _ in nodes])
+            edit = st.tuples(node, values)
+            if integers:
+                windows = [path for path, _ in nodes if path[-1:] == ("window",)]
+                edit |= st.tuples(st.sampled_from(windows), any_integer)
             cases.append(st.tuples(st.just(json.dumps(base)),
-                                   st.lists(st.tuples(node, values), min_size=1, max_size=2)))
+                                   st.lists(edit, min_size=1, max_size=2)))
+    return st.one_of(cases)
+
+
+def _run_fuzzed(case, path, argv):
+    """Write the edited config to `path`, run `main` on it with `argv`, and
+    return (exit code, stderr)."""
+    import contextlib
+    import io
+
+    text, edits = case
+    doc = json.loads(text)
+    # deeper edits first, so that an edit never lands inside a node that
+    # another edit has replaced
+    for keys, value in sorted(edits, key=lambda e: -len(e[0])):
+        if not keys:
+            doc = value
+            continue
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--config", path])
+    return code, err.getvalue()
+
+
+def test_config_fuzz_inspect_exits_cleanly(tmp_path):
+    # a fuzzed shipped config: inspect ends in 0, 2 or 3 with at most one
+    # line on stderr, never in an exception
     path = str(tmp_path / "fuzz.json")
 
     @seed(20261019)
     @settings(max_examples=100, database=None, deadline=None)
-    @given(st.one_of(cases))
+    @given(_fuzzed_configs())
     def run(case):
-        text, edits = case
-        doc = json.loads(text)
-        # deeper edits first, so that an edit never lands inside a node
-        # that another edit has replaced
-        for keys, value in sorted(edits, key=lambda e: -len(e[0])):
-            if not keys:
-                doc = value
-                continue
-            node = doc
-            for key in keys[:-1]:
-                node = node[key]
-            node[keys[-1]] = value
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["inspect", "--config", path])
-        assert code in (0, 2, 3), (code, err.getvalue())
-        assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+        code, err = _run_fuzzed(case, path, ["inspect"])
+        assert code in (0, 2, 3), (code, err)
+        assert err.count("\n") <= 1 and "Traceback" not in err
 
     run()
+
+
+def test_config_fuzz_trace_run_and_measures_exit_cleanly(tmp_path):
+    # a fuzzed shipped config: trace-run to k = 2 and measures end in a
+    # documented exit code with at most one line on stderr, never in an
+    # exception; a huge window, which the fuzz draws, costs no more than a
+    # small one
+    path = str(tmp_path / "fuzz.json")
+
+    @seed(20261019)
+    @settings(max_examples=100, database=None, deadline=None)
+    @given(_fuzzed_configs(integers=True),
+           st.sampled_from([["trace-run", "--kmax", "2"], ["measures"]]))
+    def run(case, argv):
+        code, err = _run_fuzzed(case, path, argv)
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert err.count("\n") <= 1 and "Traceback" not in err
+
+    run()
+
+
+@pytest.mark.parametrize("command", ["measures", "trace-run"])
+@pytest.mark.parametrize("side,window", [("a", -1500), ("b", 1500)])
+def test_leaf_mass_beyond_float_range_exits_3(tmp_path, capsys, command, side, window):
+    # a stable window far below 0, or an unstable one far above, needs a
+    # power of lambda beyond the float range for its leaf mass: one
+    # numerical-failure line and exit 3, no traceback
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    doc[side]["terms"][0]["window"] = window
+    assert main([command, "--config", write_doc(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+def test_trace_run_far_stable_window(tmp_path, capsys):
+    # the golden mean with a stable window of 10^9: every pair up to k = 2
+    # overlaps across a gap of 10^9 coordinates, and each is decided from
+    # the rays' structure, not coordinate by coordinate
+    import time
+
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    doc["a"]["terms"][0]["window"] = 10 ** 9
+    doc["k_range"] = [0, 2]
+    doc["tolerances"] = {}
+    start = time.perf_counter()
+    assert main(["trace-run", "--config", write_doc(tmp_path, doc), "--no-timestamp"]) == 0
+    assert time.perf_counter() - start < 1.0
+    rows = capsys.readouterr().out.splitlines()[1:4]
+    assert [row.split(",")[:2] for row in rows] == [["0", "1"], ["1", "1"], ["2", "1"]]
 
 
 def test_cli_inspect(tmp_path, capsys):
@@ -689,17 +758,18 @@ def test_trace_run_csv_digest(tmp_path, capsys, name):
 
 
 def test_trace_run_sums_each_exact_total_once(tmp_path, capsys, monkeypatch):
-    # the CSV and the exact-zero check share one total per row: one exact
-    # sum for the real part and one for the imaginary part
+    # the CSV and the exact-zero check share one total per row: one pass
+    # that sums the real and the imaginary part together
     from sfttrace import rep
 
     calls = []
-    dyadic_sum = rep._dyadic_sum
-    monkeypatch.setattr(rep, "_dyadic_sum", lambda terms: calls.append(1) or dyadic_sum(terms))
+    numerators = rep.ExactTrace._numerators
+    monkeypatch.setattr(rep.ExactTrace, "_numerators",
+                        lambda trace: calls.append(1) or numerators(trace))
     assert main(["trace-run", "--config", str(CONFIG_DIR / "golden_mean.json"),
                  "--out", str(tmp_path / "trace.csv"), "--no-timestamp"]) == 0
     rows = len((tmp_path / "trace.csv").read_text().splitlines()) - 1
-    assert rows == 16 and len(calls) == 2 * rows
+    assert rows == 16 and len(calls) == rows
 
 
 def test_trace_run_stdout_and_zero_regime(tmp_path, capsys):

@@ -722,14 +722,15 @@ def test_oracle_counts_points_whose_junction_slides_past_the_window(sys, q_word,
 def test_oracle_calls_no_symbolic_or_point_building_code(monkeypatch):
     # the oracle is an independent route: it must not reach time reversal or
     # path counts, nor build points through splicing or canonicalization
-    from sfttrace import points, sft as sft_mod
+    from sfttrace import algebra, points, sft as sft_mod
 
     cases = [(sys, name, a, b, k, trace_product(a, b, k, sys.perron))
              for sys in (FULL, GOLDEN, THREE)
              for name, a, b in fixture_pairs(sys) for k in range(5)]
     banned = [points.reflect, sft_mod.count_paths, points.splice_point,
               points.make_point, points.matches_past, points.matches_future,
-              points.enumerate_heteroclinic]
+              points.enumerate_heteroclinic, points.lowest_difference, points.rays_agree,
+              algebra.agreement_bound]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called a banned function")
