@@ -44,7 +44,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Union
 
-from .perron import PerronData, mu_s_data, mu_u_data
+from .perron import PerronData, mu_s_data, mu_u_data, require_finite
 from .points import LeftRay, RightRay, lowest_difference, reflect
 from .sft import Sft, word_levels
 
@@ -130,6 +130,10 @@ class AlgebraElement:
     elements compare equal.  The zero element has no terms.  `index` reads
     each term's window, diagonal flag, edge symbol and agreement bound once
     per element, for the trace loops that visit every term once per k.
+    Beside it, an unstable element keeps the term-pair table that
+    `rep.trace_product_detail` builds with its last stable partner
+    (`pair_table`); neither is a field, so equality, hash and repr ignore
+    them, and the table holds nothing that refers back to the element.
     """
 
     side: str
@@ -282,14 +286,15 @@ def tau(a: AlgebraElement, p: PerronData) -> complex:
 
     Off-diagonal bisections vanish on the diagonal and contribute nothing;
     a diagonal stable term contributes its past-cylinder's unstable-leaf
-    mass, an unstable one its future-cylinder's stable-leaf mass.
+    mass, an unstable one its future-cylinder's stable-leaf mass.  A total
+    beyond the float range raises NonFiniteCoefficient.
     """
     measure = mu_u_data if a.side == "stable" else mu_s_data
     total = 0j
     for c, b in a.terms:
         if b.is_diagonal:
             total += c * measure(p, b._edge(b.source), b.window)
-    return total
+    return require_finite(total, f"tau_{a.side[0]}")
 
 
 def tau_s(a: AlgebraElement, p: PerronData) -> complex:

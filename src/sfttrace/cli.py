@@ -47,6 +47,7 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -65,6 +66,7 @@ from .perron import (
     compute_perron,
     entropy,
     mu_bowen,
+    require_finite,
 )
 from .points import (
     InadmissibleOrbit,
@@ -363,7 +365,8 @@ def cmd_measures(config: ExperimentConfig, args) -> int:
     tu = tau_u(config.b, p)
     print(f"tau_s(a) = {format_complex(ts)}")
     print(f"tau_u(b) = {format_complex(tu)}")
-    print(f"tau_s(a) * tau_u(b) = {format_complex(ts * tu)}")
+    target = require_finite(ts * tu, "tau_s(a) * tau_u(b)")
+    print(f"tau_s(a) * tau_u(b) = {format_complex(target)}")
     return EXIT_OK
 
 
@@ -487,8 +490,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _drop_stdout() -> None:
+    """Point standard output's file descriptor at the null device, so that
+    the interpreter's flush at exit does not meet the closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+def _run(args) -> int:
+    """The subcommand's exit code, with each documented error as one line."""
     try:
         return args.handler(args)
     except (ParseError, ValidationError, NotPrimitive, OrbitsNotDisjoint,
@@ -501,6 +516,20 @@ def main(argv=None) -> int:
     except WindowOverflow as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        # a reader that closed standard output early shows here, not in
+        # the interpreter's flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        _drop_stdout()
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        return EXIT_VALIDATION
+    return code
 
 
 if __name__ == "__main__":

@@ -187,6 +187,14 @@ def mu_s_data(p: PerronData, initial_symbol: int, m: int) -> float:
     return _lam_power(p, m + 1) * p.u[initial_symbol]
 
 
+def require_finite(z: complex, what: str) -> complex:
+    """z itself; NonFiniteCoefficient, naming z as `what`, when a part of z
+    is inf or nan."""
+    if math.isfinite(z.real) and math.isfinite(z.imag):
+        return z
+    raise NonFiniteCoefficient(f"{what} {z!r} is not finite")
+
+
 def _lam_power(p: PerronData, e: int) -> float:
     """lambda^e; NonFiniteCoefficient when it is beyond the float range."""
     try:

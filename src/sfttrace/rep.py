@@ -34,15 +34,19 @@ the other term's source go through `points.rays_agree`, which compares
 bodies symbol by symbol and periodic tails by orbit and phase, so an
 overlap pair costs the same at any gap.  Each term's window, diagonal
 flag, edge symbol and agreement bound are read once per element
-(`AlgebraElement.index`), not once per k.  Everything is exact
+(`AlgebraElement.index`), not once per k, and what a sweep's rows share is
+read once per (a, b): a term-pair table, kept on the unstable element for
+its last stable partner, holds every coefficient product, the distinct
+ones as slots in (real, imag) order, and the diagonal pairs grouped by
+(window gap, source, target), so a row adds counts to slots and reads its
+pairs off them, with no merge and no sort.  Everything is exact
 integer arithmetic; the lambda^{-2k} scaling is applied through
 logarithms of big integers when plain floats would overflow, with
 lambda^{2k} and its logarithm computed once per row.  The bridge
 counts come from exact row vectors of the transfer matrix that
 `sft.count_paths` keeps per system and source symbol and advances by one
 step per unit of path length, so a sweep over k pays for each length once;
-within one trace, diagonal bridge pairs that share a (source, target,
-length) share one count.
+within one trace, the diagonal bridge pairs of one group share one count.
 Each finite float coefficient is exactly p / 2^e, so a trace's total is
 summed in one pass of plain integer multiply-adds to a real and an
 imaginary numerator over one power-of-two denominator; an integer total
@@ -74,7 +78,8 @@ import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, itemgetter
 
 from .algebra import (
     AlgebraElement,
@@ -85,7 +90,7 @@ from .algebra import (
     tau_s,
     tau_u,
 )
-from .perron import NonFiniteCoefficient, PerronData
+from .perron import NonFiniteCoefficient, PerronData, require_finite
 from .points import (
     ENUMERATION_CAP,
     PRODUCT_WINDOW_CAP,
@@ -120,13 +125,16 @@ class ExactTrace:
     """A trace value as a sum of coefficient x big-integer-count pairs.
 
     Counts are nonnegative path counts; coefficients are the complex term
-    products, always finite.  Aggregation is exact, so two routes to the
-    same trace compare exactly, independent of summation order: each float
-    is p / 2^e exactly, so the total is summed in one pass of integer
-    multiply-adds (`_numerators`) as a real and an imaginary numerator over
-    the largest power-of-two denominator of the coefficients.  No total is
-    stored; `render` sums once per call, and a trace run renders each row
-    once.
+    products, always finite, each once, in (real, imag) order.  The
+    symbolic trace reads its pairs off the slots of its term-pair table
+    (`trace_product_detail`); the oracle and the tests build them with
+    `from_pairs`, and both give the same pairs, to the sign of a zero.
+    Aggregation is exact, so two routes to the same trace compare exactly,
+    independent of summation order: each float is p / 2^e exactly, so the
+    total is summed in one pass of integer multiply-adds (`_numerators`) as
+    a real and an imaginary numerator over the largest power-of-two
+    denominator of the coefficients.  No total is stored; `render` sums
+    once per call, and a trace run renders each row once.
     """
 
     pairs: tuple[tuple[complex, int], ...]
@@ -141,8 +149,7 @@ class ExactTrace:
             if n and c:
                 merged[c] = merged.get(c, 0) + n
         for c in merged:
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise NonFiniteCoefficient(f"trace coefficient {c!r} is not finite")
+            require_finite(c, "trace coefficient")
         order = sorted(merged, key=attrgetter("real", "imag"))
         # built from a list: tuple() of an iterator held about 30 bytes more
         # per trace, which a long sweep keeps once per row
@@ -209,8 +216,8 @@ class ExactTrace:
         if not im and not re % den:
             return _decimal(re // den)
         if not im:
-            return _render_part(Fraction(re, den))
-        return f"{_render_part(Fraction(re, den))}{_render_part(Fraction(im, den), '+')}j"
+            return _render_part(re, den)
+        return f"{_render_part(re, den)}{_render_part(im, den, '+')}j"
 
     def __eq__(self, other):
         if not isinstance(other, ExactTrace):
@@ -221,12 +228,15 @@ class ExactTrace:
         return hash(self.exact_total())
 
 
-def _render_part(x: Fraction, sign: str = "") -> str:
-    """The float repr of a dyadic total, with the `sign` format option; a
-    total beyond the float range, p/2^e, prints exactly as p*5^e/10^e."""
+def _render_part(num: int, den: int, sign: str = "") -> str:
+    """The float repr of the dyadic total num / den, with the `sign` format
+    option.  Int true division is correctly rounded, so num / den is the
+    float of the exact rational; a total beyond the float range, p/2^e in
+    lowest terms, prints exactly as p*5^e/10^e."""
     try:
-        return format(float(x), sign)
+        return format(num / den, sign)
     except OverflowError:
+        x = Fraction(num, den)
         e = x.denominator.bit_length() - 1
         whole, frac = divmod(abs(x.numerator) * 5 ** e, 10 ** e)
         return (("-" if x < 0 else sign) + _decimal(whole)
@@ -559,6 +569,90 @@ class TraceDiagnostics:
     offdiag_fixed_points: int = 0
 
 
+class _PairTable:
+    """Everything of the traces of a stable element a and an unstable element
+    b that does not depend on k, built once per (a, b) from their `index`.
+
+    - `products[i][j]`: the coefficient product of stable term i and
+      unstable term j, the same float product at every k.
+    - Slots: the distinct nonzero products of the pairs that can contribute
+      at some k (diagonal pairs, and pairs whose stable window exceeds the
+      unstable one, the only ones ever in overlap), numbered in (real, imag)
+      order, with the non-finite ones last; `reps` holds each slot's
+      representative, its first member in (i, j) order.  `stable` holds,
+      per stable term, (i, term, window, diagonal flag, agreement bound,
+      the slot of each of its pairs), None for a product of 0 or a pair
+      that never contributes.  A slot whose members differ in the sign of
+      a zero, or that is not finite, is `tracked`: a row reads its
+      representative, or raises for it, off the first pair that contributes
+      to it at that k, as `ExactTrace.from_pairs` does.
+    - `groups`: the diagonal pairs grouped by (m - n, source edge symbol,
+      target edge symbol), in that order, each with the untracked slots it
+      adds to and its pairs in tracked slots.  A group at gap d holds
+      bridge pairs from k = ceil(-d / 2) on and counts its paths of
+      2k + d + 1 steps once per row; `group_gaps` holds the d's for the one
+      bisect that skips the others.  Groups with only zero products stay,
+      so a row makes the same path counts whatever the coefficients.
+    """
+
+    def __init__(self, a: AlgebraElement, b: AlgebraElement):
+        self.partner = a
+        b_index = b.index
+        self.windows = [m for _, _, m, _, _, _ in b_index]
+        self.unstable = [(f, m, f_diag, highest) for _, f, m, f_diag, _, highest in b_index]
+        self.products = [[ca * cb for cb, *_ in b_index] for ca, *_ in a.index]
+        f_diags = [f_diag for _, _, f_diag, _ in self.unstable]
+        members: dict = {}  # nonzero product -> the pairs that have it, in (i, j) order
+        for i, (_, _, n, e_diag, _, _) in enumerate(a.index):
+            for j, (m, f_diag, c) in enumerate(zip(self.windows, f_diags, self.products[i])):
+                if c and (n > m or e_diag and f_diag):
+                    members.setdefault(c, []).append((i, j))
+        finite, other = [], []
+        for c in members:
+            (finite if math.isfinite(c.real) and math.isfinite(c.imag) else other).append(c)
+        finite.sort(key=attrgetter("real", "imag"))
+        self.reps = finite + other
+        slots = [[None] * len(b_index) for _ in a.index]
+        self.tracked = set()
+        for slot, c in enumerate(self.reps):
+            pairs = members[c]
+            for i, j in pairs:
+                slots[i][j] = slot
+            if slot >= len(finite) or len(pairs) > 1 and len(
+                    {repr(self.products[i][j]) for i, j in pairs}) > 1:
+                self.tracked.add(slot)
+        self.stable = [(i, e, n, e_diag, lowest, slots[i])
+                       for i, (_, e, n, e_diag, _, lowest) in enumerate(a.index)]
+        b_diagonal = [j for j, f_diag in enumerate(f_diags) if f_diag]
+        groups: dict = {}
+        a_diagonal = 0
+        for i, (_, _, n, e_diag, s, _) in enumerate(a.index):
+            if not e_diag:
+                continue
+            a_diagonal += 1
+            for j in b_diagonal:
+                adds, tracked = groups.setdefault((self.windows[j] - n, s, b_index[j][4]), ([], []))
+                slot = slots[i][j]
+                if slot in self.tracked:
+                    tracked.append(((i, j), slot, self.products[i][j]))
+                elif slot is not None:
+                    adds.append(slot)
+        self.groups = [(*key, adds, tracked) for key, (adds, tracked) in sorted(groups.items())]
+        self.group_gaps = [d for d, *_ in self.groups]
+        self.total = len(a.terms) * len(b_index)
+        self.offdiag = self.total - a_diagonal * len(b_diagonal)
+
+
+def _pair_table(a: AlgebraElement, b: AlgebraElement) -> _PairTable:
+    """The term-pair table of (a, b), kept on b beside its index for b's
+    last stable partner only, so a sweep builds it once and nothing outlives
+    the elements."""
+    table = b.__dict__.get("pair_table")
+    if table is None or table.partner is not a:
+        table = b.__dict__["pair_table"] = _PairTable(a, b)
+    return table
+
+
 def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
                          p: PerronData) -> tuple[ExactTrace, TraceDiagnostics]:
     """Exact trace of (shift^k-conjugated a) x (shift^{-k}-conjugated b),
@@ -574,53 +668,74 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
     term's rays agree where the other term pins them off the two agreement
     bounds, and checks each target against the other source with one
     `points.rays_agree`, which reads the rays' bodies and periodic tails:
-    no ray is shifted or truncated, and no cost grows with the gap.  The
-    windows, diagonal flags, edge symbols and agreement bounds come from
-    the elements' `index`, built once per element, and a per-call dict in
-    front of `count_paths` counts each (source, target, length) of the
-    diagonal bridge pairs once.  Contributions come in term-pair order.
+    no ray is shifted or truncated, and no cost grows with the gap.
+
+    What does not depend on k comes from the term-pair table of (a, b)
+    (`_PairTable`), built once and kept on b while a is its partner: the
+    coefficient products, their slots in (real, imag) order and the
+    diagonal pairs grouped by (gap, source, target), so each distinct
+    (source, target, length) is counted once per call.  A passing overlap
+    pair adds 1 to its slot, a bridge group its path count to each of its
+    slots, and the row's pairs are the slots with a nonzero count, in slot
+    order: the pairs `ExactTrace.from_pairs` would make of the row's
+    contributions, to the sign of a zero, with no merge and no sort.
     """
     if a.side != "stable" or b.side != "unstable":
         raise SideMismatch("trace needs a stable and an unstable element")
     if k < 0:
         raise ValueError("k must be >= 0")
+    table = _pair_table(a, b)
     sft = p.sft
-    b_index = b.index
-    windows = [m for _, _, m, _, _, _ in b_index]
-    b_diag = [(cb, m, t) for cb, _, m, diag, t, _ in b_index if diag]
-    pairs = []
-    overlap = fixed = a_diag = 0
-    # (source, target, length) -> its path count, counted once per call
-    counts: dict = {}
-    for ca, e, window, e_diag, s, lowest in a.index:
-        reach = window - 2 * k
+    twice = 2 * k
+    windows, unstable, tracked = table.windows, table.unstable, table.tracked
+    counts = [0] * len(table.reps)
+    # ((i, j), slot, product) of each contribution to a tracked slot
+    seen = []
+    overlap = fixed = 0
+    for i, e, window, e_diag, lowest, slots in table.stable:
+        reach = window - twice
         cut = bisect_left(windows, reach)
         overlap += cut
         for j in range(cut):
             # all coordinates are pinned: the stable rays must agree below
             # the unstable window, the unstable rays from the stable window
             # on, and each target must meet the other term's source between
-            cb, f, m, f_diag, _, highest = b_index[j]
-            if (m + 2 * k <= lowest and highest < reach
-                    and rays_agree(e.target, f.source, 2 * k)
-                    and rays_agree(e.source, f.target, 2 * k)):
-                pairs.append((ca * cb, 1))
+            f, m, f_diag, highest = unstable[j]
+            if (m + twice <= lowest and highest < reach
+                    and rays_agree(e.target, f.source, twice)
+                    and rays_agree(e.source, f.target, twice)):
+                slot = slots[j]
+                if slot is not None:
+                    counts[slot] += 1
+                    if slot in tracked:
+                        seen.append(((i, j), slot, table.products[i][j]))
                 if not (e_diag and f_diag):
                     fixed += 1
-        if e_diag:
-            # a diagonal bridge pair counts the admissible bridges; an
-            # off-diagonal one has no fixed points, since the replacement
-            # would alter a pinned coordinate
-            a_diag += 1
-            for cb, m, t in b_diag:
-                if window - m <= 2 * k:
-                    key = (s, t, 2 * k - window + m + 1)
-                    if key not in counts:
-                        counts[key] = count_paths(sft, *key)
-                    pairs.append((ca * cb, counts[key]))
-    total = len(a.terms) * len(windows)
-    return ExactTrace.from_pairs(pairs), TraceDiagnostics(
-        total - overlap, overlap, total - a_diag * len(b_diag), fixed)
+    # a diagonal bridge pair counts the admissible bridges; an off-diagonal
+    # one has no fixed points, since the replacement would alter a pinned
+    # coordinate
+    for gap, s, t, adds, tracked_adds in table.groups[bisect_left(table.group_gaps, -twice):]:
+        n = count_paths(sft, s, t, twice + gap + 1)
+        if n:
+            for slot in adds:
+                counts[slot] += n
+            for position, slot, c in tracked_adds:
+                counts[slot] += n
+                seen.append((position, slot, c))
+    reps = table.reps
+    if seen:
+        # a tracked slot shows, or raises for, its first contributing pair
+        reps = list(reps)
+        seen.sort(key=itemgetter(0))
+        done = set()
+        for _, slot, c in seen:
+            if slot not in done:
+                done.add(slot)
+                reps[slot] = require_finite(c, "trace coefficient")
+    # built from a list: tuple() of an iterator held about 30 bytes more per
+    # trace, which a long sweep keeps once per row
+    return ExactTrace(tuple(list(compress(zip(reps, counts), counts)))), TraceDiagnostics(
+        table.total - overlap, overlap, table.offdiag, fixed)
 
 
 def trace_product(a: AlgebraElement, b: AlgebraElement, k: int, p: PerronData) -> ExactTrace:
@@ -772,8 +887,9 @@ def scaled_trace_sequence(a: AlgebraElement, b: AlgebraElement, k_range,
                           p: PerronData) -> TraceReport:
     """Rows (k, exact trace, lambda^{-2k}-scaled value, error against the
     report's target) for monotone k, where the target is the product of
-    the two traces."""
-    target = tau_s(a, p) * tau_u(b, p)
+    the two traces; NonFiniteCoefficient when that product is beyond the
+    float range."""
+    target = require_finite(tau_s(a, p) * tau_u(b, p), "tau_s(a) * tau_u(b)")
     rows = []
     for k in sorted(k_range):
         tr = trace_product(a, b, k, p)

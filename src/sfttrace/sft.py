@@ -121,8 +121,11 @@ class _PathRows:
         self._windows: dict[int, tuple[int, deque]] = {}
 
     def row(self, i: int, length: int) -> list[int]:
-        n = len(self._succ)
         first, rows = self._windows.get(i, (0, None))
+        if rows is not None and first <= length < first + len(rows):
+            # a sweep has almost always advanced this row already
+            return rows[length - first]
+        n = len(self._succ)
         if rows is None or length < first:
             first, rows = 0, deque([[int(s == i) for s in range(n)]], maxlen=_ROW_WINDOW)
         while first + len(rows) <= length:
@@ -261,7 +264,7 @@ def count_paths(sft: Sft, i: int, j: int, length: int) -> int:
     """
     if length < 0:
         raise ValueError("path length must be >= 0")
-    n = sft.n
+    n = len(sft.trans)
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("symbol out of range")
     return sft._path_rows.row(i, length)[j]

@@ -356,6 +356,52 @@ def test_trace_run_far_stable_window(tmp_path, capsys):
     assert [row.split(",")[:2] for row in rows] == [["0", "1"], ["1", "1"], ["2", "1"]]
 
 
+@pytest.mark.parametrize("command", ["measures", "trace-run"])
+@pytest.mark.parametrize("coeffs,window", [((1e300, 1.0), -1400), ((1e200, 1e200), 0)])
+def test_element_trace_beyond_float_range_exits_3(tmp_path, capsys, command, coeffs, window):
+    # tau_s(a) beyond the float range (a coefficient of 1e300 on a leaf mass
+    # of about 1e292), or two finite element traces whose product is not:
+    # one numerical-failure line and exit 3, not an inf target
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    doc["a"]["terms"][0]["coeff"] = [coeffs[0], 0.0]
+    doc["b"]["terms"][0]["coeff"] = [coeffs[1], 0.0]
+    doc["a"]["terms"][0]["window"] = window
+    doc["tolerances"] = {}
+    argv = [command, "--config", write_doc(tmp_path, doc)]
+    assert main(argv + ["--no-timestamp"] * (command == "trace-run")) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: tau_") and captured.err.count("\n") == 1
+    assert "inf" not in captured.out and "nan" not in captured.out
+
+
+def test_trace_run_into_a_closed_pipe_exits_2_with_one_line(tmp_path):
+    # the reader takes the header and closes the pipe, as `| head -1` does:
+    # one error line, exit 2, and no traceback or flush-at-exit message
+    import os
+    import subprocess
+    import sys
+
+    import sfttrace
+
+    doc = json.loads((CONFIG_DIR / "golden_mean.json").read_text())
+    del doc["output"], doc["tolerances"]
+    src = str(Path(sfttrace.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    # about 2 MB of CSV, far more than a pipe holds
+    argv = [sys.executable, "-c", "import sys; from sfttrace.cli import main; sys.exit(main())",
+            "trace-run", "--config", write_doc(tmp_path, doc), "--no-timestamp",
+            "--kmax", "3000"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        assert proc.stdout.readline() == "k,trace,scaled,target,abs_err\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code == 2, err
+    assert err == "error: cannot write standard output: Broken pipe\n"
+
+
 def test_cli_inspect(tmp_path, capsys):
     code = main(["inspect", "--config", write_doc(tmp_path, GOLDEN_DOC)])
     out = capsys.readouterr().out

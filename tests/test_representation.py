@@ -29,7 +29,7 @@ from sfttrace.fixtures import (
     random_right_ray,
     three_symbol,
 )
-from sfttrace.perron import compute_perron
+from sfttrace.perron import NonFiniteCoefficient, compute_perron
 from sfttrace.points import (
     InadmissibleOrbit,
     PeriodicOrbitSet,
@@ -911,6 +911,98 @@ def test_trace_counts_each_path_once_per_call(monkeypatch, seed):
                 diagnostics.offdiag_pairs, diagnostics.offdiag_fixed_points) == counts
     # the diagonal bridge pairs do repeat their path counts
     assert repeats > 0
+
+
+def _pairwise_result(a, b, k, p):
+    """(repr of the pairs, diagnostics) of the pair by pair reference, or the
+    error that `ExactTrace.from_pairs` raises, as "type: message"."""
+    pairs, counts = _pairwise_trace(a, b, k, p)
+    try:
+        return repr(ExactTrace.from_pairs(pairs).pairs), counts
+    except NonFiniteCoefficient as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _symbolic_result(a, b, k, p):
+    """`_pairwise_result`'s shape for `trace_product_detail`."""
+    try:
+        trace, d = trace_product_detail(a, b, k, p)
+    except NonFiniteCoefficient as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(trace.pairs), (d.bridge_pairs, d.overlap_pairs, d.offdiag_pairs,
+                               d.offdiag_fixed_points)
+
+
+def test_table_slot_shows_its_first_contributing_pair_to_the_sign_of_a_zero():
+    # on the full shift, pairs (0, 0) and (1, 1) have the products
+    # (-1)(-2) = 2-0j and (1)(2) = 2+0j, equal but for the sign of a zero.
+    # At k = 0, (0, 0) overlaps and its rays disagree at -1, so only the
+    # later pair (1, 1) contributes; from k = 1 on both are bridge pairs
+    sft, orbit = FULL.sft, make_orbit((0,))
+    a = element("stable", [(-1, StableBisection(*[periodic_left_ray(sft, orbit, 0)] * 2)),
+                           (1, StableBisection(*[periodic_left_ray(sft, orbit, 1)] * 2))])
+    f0 = make_right_ray(sft, orbit, 0, -1, (1,), 0)
+    b = element("unstable", [(-2, UnstableBisection(f0, f0)),
+                             (2, UnstableBisection(*[periodic_right_ray(sft, orbit, 1)] * 2))])
+    assert [c for c, _ in a.terms] == [-1, 1] and [c for c, _ in b.terms] == [-2, 2]
+    shown = {}
+    for k in range(4):
+        result = _symbolic_result(a, b, k, FULL.perron)
+        assert result == _pairwise_result(a, b, k, FULL.perron), k
+        shown[k] = result[0]
+    assert "(2+0j)" in shown[0] and "(2-0j)" not in shown[0]
+    assert all("(2-0j)" in shown[k] and "(2+0j)" not in shown[k] for k in (1, 2, 3))
+
+
+def test_table_raises_only_for_a_contributing_non_finite_product():
+    sft, orbit = FULL.sft, make_orbit((0,))
+    zeros = StableBisection(*[periodic_left_ray(sft, orbit, 0)] * 2)
+    # window -1: the unstable source's 1 at -1 meets the stable zeros, so
+    # this off-diagonal pair never contributes, though its product is inf
+    conflict = UnstableBisection(make_right_ray(sft, orbit, 0, -1, (1, 1), 1),
+                                 make_right_ray(sft, orbit, 0, -1, (1,), 0))
+    a = element("stable", [(1e200, zeros)])
+    b = element("unstable", [(1e200, conflict),
+                             (1, UnstableBisection(*[periodic_right_ray(sft, orbit, 0)] * 2))])
+    assert math.isinf((a.terms[0][0] * b.terms[0][0]).real)
+    for k in range(6):
+        result = _symbolic_result(a, b, k, FULL.perron)
+        assert result == _pairwise_result(a, b, k, FULL.perron), k
+        assert isinstance(result, tuple), k
+    # the off-diagonal pair of this case has its one roundtrip fixed point
+    # at k = 0, as an overlap pair: with an infinite product it raises there
+    # and nowhere else
+    sys, a, b, _ = _offdiagonal_fixed_point_case()
+    a = element("stable", [(1e200 if c == 1 else c, t) for c, t in a.terms])
+    b = element("unstable", [(1e200 if c == 1 else c, t) for c, t in b.terms])
+    for k in range(6):
+        result = _symbolic_result(a, b, k, sys.perron)
+        assert result == _pairwise_result(a, b, k, sys.perron), k
+        assert isinstance(result, str) == (k == 0), k
+
+
+def test_one_unstable_element_swept_with_two_stable_partners():
+    # the table of b is rebuilt for each new partner, so alternating partners
+    # gives the pair by pair reference on every call
+    a1, b = _many_terms_pair(0, 12, 4)
+    a2, _ = _many_terms_pair(7, 12, 4)
+    for k in range(12):
+        for a in (a1, a2, a1):
+            assert _symbolic_result(a, b, k, THREE.perron) \
+                == _pairwise_result(a, b, k, THREE.perron), k
+
+
+def test_a_finished_sweep_keeps_no_element_alive():
+    # the table lives on the unstable element and holds only its stable
+    # partner, so dropping both elements frees both
+    import weakref
+
+    a, b = _many_terms_pair(3, 8, 3)
+    report = scaled_trace_sequence(a, b, range(0, 9), THREE.perron)
+    refs = [weakref.ref(a), weakref.ref(b)]
+    del a, b
+    assert len(report.rows) == 9
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_overflowing_coefficient_products():
