@@ -8,8 +8,8 @@ Subcommands:
   theorem13  finite-rank product, vanishing-product and commutator checks
   verify     the acceptance battery (exit 3 on any failure)
 
-Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
-4 resource cap exceeded.
+Exit codes: 0 success, 2 config/validation error or a failed write to
+standard output, 3 numerical failure, 4 resource cap exceeded.
 
 Every subcommand but verify reads the config named by --config, a JSON
 document:
@@ -227,8 +227,13 @@ def _parse_orbit_set(sft, words, field) -> PeriodicOrbitSet:
 def _parse_ray(sft, doc, side, orbit_set, window, field):
     _known_fields(doc, "ray", f"{field}.")
     labels = _field(doc, "orbit", "list", where=f"{field}.")
-    orbit = make_orbit([sft.symbol_of(lab) for lab in labels], sft)
-    if orbit not in orbit_set:
+    word = tuple(sft.symbol_of(lab) for lab in labels)
+    # a rotation of a set orbit is that orbit, so every ray over it shares
+    # one object and its cached reversal; any other word is refused, with
+    # the reason `make_orbit` gives when it is no orbit at all
+    orbit = orbit_set.rotations.get(word)
+    if orbit is None:
+        make_orbit(word, sft)
         raise ValidationError(
             f"{field}: orbit {labels} not in the {'Q' if side == 'stable' else 'P'} orbit set")
     body = tuple(sft.symbol_of(lab) for lab in _field(doc, "body", "list", where=f"{field}."))
@@ -492,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _drop_stdout() -> None:
     """Point standard output's file descriptor at the null device, so that
-    the interpreter's flush at exit does not meet the closed pipe again."""
+    the interpreter's flush at exit does not meet the failed output again."""
     try:
         fd = sys.stdout.fileno()
     except (AttributeError, OSError, ValueError):
@@ -522,12 +527,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = _run(args)
-        # a reader that closed standard output early shows here, not in
-        # the interpreter's flush at exit
+        # a reader that closed standard output early, or a full disk, shows
+        # here, not in the interpreter's flush at exit
         sys.stdout.flush()
-    except BrokenPipeError as exc:
+    except OSError as exc:
+        # the config and CSV files turn their own OSErrors into ParseError
+        # and ValidationError, so one that gets here is a failed write to
+        # standard output: a closed pipe (BrokenPipeError), a full disk, ...
         _drop_stdout()
-        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return code
 

@@ -143,6 +143,12 @@ class PeriodicOrbitSet:
     def __contains__(self, orbit: Orbit) -> bool:
         return orbit in self.orbits
 
+    @cached_property
+    def rotations(self) -> dict:
+        """Every rotation of each orbit's word -> that orbit, so a cyclic word
+        finds its orbit here, already validated, without building one."""
+        return {o.word[i:] + o.word[:i]: o for o in self.orbits for i in range(o.period)}
+
     def isdisjoint(self, other: "PeriodicOrbitSet") -> bool:
         return not set(self.orbits) & set(other.orbits)
 

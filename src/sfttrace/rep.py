@@ -49,12 +49,14 @@ step per unit of path length, so a sweep over k pays for each length once;
 within one trace, the diagonal bridge pairs of one group share one count.
 Each finite float coefficient is exactly p / 2^e, so a trace's total is
 summed in one pass of plain integer multiply-adds to a real and an
-imaginary numerator over one power-of-two denominator; an integer total
-prints straight from its numerator, and only a non-integer one becomes a
-rational.  A trace run computes each row's total once: the CSV
-rendering prints "0" exactly when the total is 0, so the exact-zero
-check reads the rendered rows.  Totals print in full however many digits
-they have, past the interpreter's limit on int-to-string conversions too.
+imaginary numerator over one power-of-two denominator; a sweep's rows
+share the numerators of their table's slots, decomposed once per (a, b),
+and store no total of their own; an integer total prints straight from
+its numerator, and only a non-integer one becomes a rational.  A trace
+run computes each row's total once: the CSV rendering prints "0" exactly
+when the total is 0, so the exact-zero check reads the rendered rows.
+Totals print in full however many digits they have, past the
+interpreter's limit on int-to-string conversions too.
 
 An independent brute-force route (`trace_product_oracle`) enumerates
 every basis point that is periodic outside a window wide enough for all
@@ -120,7 +122,7 @@ class OrbitsNotDisjoint(ValueError):
 # exact traces
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactTrace:
     """A trace value as a sum of coefficient x big-integer-count pairs.
 
@@ -130,14 +132,19 @@ class ExactTrace:
     (`trace_product_detail`); the oracle and the tests build them with
     `from_pairs`, and both give the same pairs, to the sign of a zero.
     Aggregation is exact, so two routes to the same trace compare exactly,
-    independent of summation order: each float is p / 2^e exactly, so the
-    total is summed in one pass of integer multiply-adds (`_numerators`) as
-    a real and an imaginary numerator over the largest power-of-two
-    denominator of the coefficients.  No total is stored; `render` sums
-    once per call, and a trace run renders each row once.
+    independent of summation order: each float is p / 2^e exactly, so
+    every coefficient is a real and an imaginary numerator over one
+    power-of-two denominator (`_dyadic`), and the total is summed in one
+    pass of integer multiply-adds (`_numerators`).  `dyadic` holds that
+    denominator and the coefficients' numerators: a table-built row refers
+    to its table's, shared by every row of a sweep, and a trace built any
+    other way derives its own when summed.  No total is stored; `render`
+    sums once per call, and a trace run renders each row once.
     """
 
     pairs: tuple[tuple[complex, int], ...]
+    # (denominator, {coefficient: (real numerator, imaginary numerator)})
+    dyadic: tuple | None = field(default=None, repr=False)
 
     @staticmethod
     def from_pairs(pairs) -> "ExactTrace":
@@ -157,21 +164,13 @@ class ExactTrace:
 
     def _numerators(self) -> tuple[int, int, int]:
         """(real numerator, imaginary numerator, denominator) of the exact
-        total.  The denominator is the largest power of two among the parts
-        summed so far: a larger one rescales the running numerators, and
-        each part is brought up to it from its own."""
+        total: the sum of count x coefficient numerator over the pairs."""
+        den, numerators = self.dyadic or _dyadic(c for c, _ in self.pairs)
         re = im = 0
-        den = 1
         for c, n in self.pairs:
-            p, d = c.real.as_integer_ratio()
-            q, e = c.imag.as_integer_ratio()
-            if d > den or e > den:
-                top = d if d > e else e
-                re *= top // den
-                im *= top // den
-                den = top
-            re += p * (den // d) * n
-            im += q * (den // e) * n
+            p, q = numerators[c]
+            re += p * n
+            im += q * n
         return re, im, den
 
     def exact_total(self) -> tuple[Fraction, Fraction]:
@@ -548,10 +547,18 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
 
 def _gaussian_numerators(x: AlgebraElement):
     """x's terms as ((re, im), term) with integer re and im, and the one
-    power of two that they are all over: every finite float is p / 2^e."""
-    ratios = [(c.real.as_integer_ratio(), c.imag.as_integer_ratio(), t) for c, t in x.terms]
-    den = max((d for re, im, _ in ratios for _, d in (re, im)), default=1)
-    return [((p * (den // d), q * (den // e)), t) for (p, d), (q, e), t in ratios], den
+    power of two that they are all over (`_dyadic`)."""
+    den, numerators = _dyadic(c for c, _ in x.terms)
+    return [(numerators[c], t) for c, t in x.terms], den
+
+
+def _dyadic(coefficients) -> tuple[int, dict]:
+    """(den, {c: (real numerator, imaginary numerator)}) for finite complex
+    coefficients c, with c == complex(re / den, im / den) exactly: every
+    finite float is p / 2^e, and den is the largest 2^e among them."""
+    ratios = [(c, c.real.as_integer_ratio(), c.imag.as_integer_ratio()) for c in coefficients]
+    den = max((d for _, re, im in ratios for _, d in (re, im)), default=1)
+    return den, {c: (p * (den // d), q * (den // e)) for c, (p, d), (q, e) in ratios}
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +586,9 @@ class _PairTable:
       at some k (diagonal pairs, and pairs whose stable window exceeds the
       unstable one, the only ones ever in overlap), numbered in (real, imag)
       order, with the non-finite ones last; `reps` holds each slot's
-      representative, its first member in (i, j) order.  `stable` holds,
+      representative, its first member in (i, j) order, and `dyadic` the
+      finite ones' numerators over one power-of-two denominator, which
+      every row of the sweep refers to and sums.  `stable` holds,
       per stable term, (i, term, window, diagonal flag, agreement bound,
       the slot of each of its pairs), None for a product of 0 or a pair
       that never contributes.  A slot whose members differ in the sign of
@@ -593,6 +602,8 @@ class _PairTable:
       2k + d + 1 steps once per row; `group_gaps` holds the d's for the one
       bisect that skips the others.  Groups with only zero products stay,
       so a row makes the same path counts whatever the coefficients.
+    - `widest`: the largest stable window less the smallest unstable one.
+      Once 2k reaches it no pair overlaps, and a row reads no stable term.
     """
 
     def __init__(self, a: AlgebraElement, b: AlgebraElement):
@@ -612,6 +623,7 @@ class _PairTable:
             (finite if math.isfinite(c.real) and math.isfinite(c.imag) else other).append(c)
         finite.sort(key=attrgetter("real", "imag"))
         self.reps = finite + other
+        self.dyadic = _dyadic(finite)
         slots = [[None] * len(b_index) for _ in a.index]
         self.tracked = set()
         for slot, c in enumerate(self.reps):
@@ -639,6 +651,8 @@ class _PairTable:
                     adds.append(slot)
         self.groups = [(*key, adds, tracked) for key, (adds, tracked) in sorted(groups.items())]
         self.group_gaps = [d for d, *_ in self.groups]
+        self.widest = (max([n for _, _, n, *_ in a.index], default=0)
+                       - min(self.windows, default=0))
         self.total = len(a.terms) * len(b_index)
         self.offdiag = self.total - a_diagonal * len(b_diagonal)
 
@@ -678,7 +692,11 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
     pair adds 1 to its slot, a bridge group its path count to each of its
     slots, and the row's pairs are the slots with a nonzero count, in slot
     order: the pairs `ExactTrace.from_pairs` would make of the row's
-    contributions, to the sign of a zero, with no merge and no sort.
+    contributions, to the sign of a zero, with no merge and no sort.  The
+    row stores no total: it refers to the table's slot numerators, so its
+    total is count x slot numerator summed over its pairs, with no float
+    decomposed again.  Once 2k reaches the table's widest window gap, no
+    pair overlaps, and the stable terms are not visited at all.
     """
     if a.side != "stable" or b.side != "unstable":
         raise SideMismatch("trace needs a stable and an unstable element")
@@ -692,7 +710,8 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
     # ((i, j), slot, product) of each contribution to a tracked slot
     seen = []
     overlap = fixed = 0
-    for i, e, window, e_diag, lowest, slots in table.stable:
+    # from 2k = table.widest on, every pair is a bridge pair
+    for i, e, window, e_diag, lowest, slots in table.stable if twice < table.widest else ():
         reach = window - twice
         cut = bisect_left(windows, reach)
         overlap += cut
@@ -734,8 +753,8 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
                 reps[slot] = require_finite(c, "trace coefficient")
     # built from a list: tuple() of an iterator held about 30 bytes more per
     # trace, which a long sweep keeps once per row
-    return ExactTrace(tuple(list(compress(zip(reps, counts), counts)))), TraceDiagnostics(
-        table.total - overlap, overlap, table.offdiag, fixed)
+    row = ExactTrace(tuple(list(compress(zip(reps, counts), counts))), table.dyadic)
+    return row, TraceDiagnostics(table.total - overlap, overlap, table.offdiag, fixed)
 
 
 def trace_product(a: AlgebraElement, b: AlgebraElement, k: int, p: PerronData) -> ExactTrace:

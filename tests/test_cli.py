@@ -80,6 +80,46 @@ def test_config_orbit_not_in_set(tmp_path):
         load_config(write_doc(tmp_path, doc))
 
 
+@pytest.mark.parametrize("word, message", [
+    (["0", "1"], "a.terms[0].source_ray: orbit ['0', '1'] not in the Q orbit set"),
+    (["1"], "a.terms[0]: cyclic word (1,) not admissible"),
+    (["0", "0"], "a.terms[0]: (0, 0) is not primitive"),
+    (["1", "0"], "a.terms[0].source_ray: orbit ['1', '0'] not in the Q orbit set"),
+], ids=["not-in-set", "inadmissible", "not-primitive", "rotation-not-in-set"])
+def test_config_ray_orbit_errors_exit_2(tmp_path, capsys, word, message):
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    doc["a"]["terms"][0]["source_ray"]["orbit"] = word
+    assert main(["inspect", "--config", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_rays_share_the_orbit_set_orbits(tmp_path):
+    for config in (load_config(str(CONFIG_DIR / "golden_mean.json")),
+                   load_config(_three_symbol_mixed_config(tmp_path / "mixed.json")),
+                   load_config(_three_symbol_many_terms_config(tmp_path / "many.json"))):
+        for x, orbit_set in ((config.a, config.q_set), (config.b, config.p_set)):
+            by_word = {o.word: o for o in orbit_set.orbits}
+            for _, t in x.terms:
+                for ray in (t.target, t.source):
+                    assert ray.orbit is by_word[ray.orbit.word]
+
+
+def test_config_ray_over_a_rotation_of_a_set_orbit(tmp_path):
+    # P holds the golden mean's period-2 orbit, written from its 1; the rays
+    # name it from either symbol and all resolve to the one set orbit
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    doc["P"] = [["1", "0"]]
+    doc["b"]["terms"][0]["target_ray"]["orbit"] = ["0", "1"]
+    doc["b"]["terms"][0]["source_ray"]["orbit"] = ["1", "0"]
+    config = load_config(write_doc(tmp_path, doc))
+    (orbit,) = config.p_set.orbits
+    assert orbit.word == (0, 1)
+    ((_, term),) = config.b.terms
+    assert term.target.orbit is orbit and term.source.orbit is orbit
+    doc["b"]["terms"][0]["source_ray"]["orbit"] = ["0", "1"]
+    assert load_config(write_doc(tmp_path, doc, "minimal.json")).b == config.b
+
+
 def test_config_empty_rejected():
     with pytest.raises(ValidationError):
         parse_config({})
@@ -400,6 +440,33 @@ def test_trace_run_into_a_closed_pipe_exits_2_with_one_line(tmp_path):
         code = proc.wait(timeout=120)
     assert code == 2, err
     assert err == "error: cannot write standard output: Broken pipe\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["inspect", "trace-run"])
+def test_stdout_on_a_full_disk_exits_2_with_one_line(tmp_path, command, unbuffered):
+    # every write to /dev/full fails with ENOSPC: at the first print when
+    # standard output is unbuffered, at the flush after the subcommand when
+    # it is buffered; either way one error line, exit 2, no traceback
+    import os
+    import subprocess
+    import sys
+
+    import sfttrace
+
+    doc = json.loads((CONFIG_DIR / "golden_mean.json").read_text())
+    del doc["output"]
+    src = str(Path(sfttrace.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    argv = [sys.executable, "-c", "import sys; from sfttrace.cli import main; sys.exit(main())",
+            command, "--config", write_doc(tmp_path, doc)]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv + ["--no-timestamp"] * (command == "trace-run"), env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: cannot write standard output: No space left on device\n"
 
 
 def test_cli_inspect(tmp_path, capsys):

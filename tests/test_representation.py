@@ -1005,6 +1005,94 @@ def test_a_finished_sweep_keeps_no_element_alive():
     assert [ref() for ref in refs] == [None, None]
 
 
+def _sum_outcome(trace):
+    """render, exact_total and as_int (or its error) of a trace."""
+    try:
+        whole = trace.as_int()
+    except ValueError as exc:
+        whole = str(exc)
+    return trace.render(), trace.exact_total(), whole
+
+
+def _assert_table_rows_sum_their_pairs(a, b, p, ks):
+    # each row sums the numerators of its table's slots; a trace built from
+    # its pairs derives its own, and both equal the Fraction sum of the pairs
+    for k in ks:
+        row = trace_product(a, b, k, p)
+        assert row.dyadic is not None, k
+        built = ExactTrace.from_pairs(row.pairs)
+        assert built.dyadic is None, k
+        assert _sum_outcome(row) == _sum_outcome(built), k
+        assert row.exact_total() == (sum(Fraction(c.real) * n for c, n in row.pairs),
+                                     sum(Fraction(c.imag) * n for c, n in row.pairs)), k
+
+
+def test_table_rows_with_non_dyadic_coefficients():
+    a, b = _many_terms_pair(11, 24, 8)
+    a = element("stable", [((0.1, 0.3, 1 / 3)[i % 3], t) for i, (_, t) in enumerate(a.terms)])
+    b = element("unstable", [((1 / 3, 0.1 - 0.3j, 0.3)[i % 3], t)
+                             for i, (_, t) in enumerate(b.terms)])
+    _assert_table_rows_sum_their_pairs(a, b, THREE.perron, range(61))
+    # not all totals are integers, and some are not even real
+    outcomes = [_sum_outcome(trace_product(a, b, k, THREE.perron)) for k in range(61)]
+    assert any(isinstance(whole, str) for *_, whole in outcomes)
+    assert any(im for _, (_, im), _ in outcomes)
+
+
+def test_table_rows_with_a_signed_zero_slot():
+    # products 2-0j and 2+0j share a slot (see the case above); the rows
+    # that show 2-0j find its numerators under the slot's 2+0j
+    sft, orbit = FULL.sft, make_orbit((0,))
+    a = element("stable", [(-1, StableBisection(*[periodic_left_ray(sft, orbit, 0)] * 2)),
+                           (1, StableBisection(*[periodic_left_ray(sft, orbit, 1)] * 2))])
+    f0 = make_right_ray(sft, orbit, 0, -1, (1,), 0)
+    b = element("unstable", [(-2, UnstableBisection(f0, f0)),
+                             (2, UnstableBisection(*[periodic_right_ray(sft, orbit, 1)] * 2))])
+    _assert_table_rows_sum_their_pairs(a, b, FULL.perron, range(61))
+    assert "(2-0j)" in repr(trace_product(a, b, 60, FULL.perron).pairs)
+
+
+def test_table_rows_beside_a_non_finite_slot_that_never_contributes():
+    sft, orbit = FULL.sft, make_orbit((0,))
+    zeros = StableBisection(*[periodic_left_ray(sft, orbit, 0)] * 2)
+    conflict = UnstableBisection(make_right_ray(sft, orbit, 0, -1, (1, 1), 1),
+                                 make_right_ray(sft, orbit, 0, -1, (1,), 0))
+    a = element("stable", [(1e200, zeros)])
+    b = element("unstable", [(1e200, conflict),
+                             (0.1, UnstableBisection(*[periodic_right_ray(sft, orbit, 0)] * 2))])
+    assert math.isinf((a.terms[0][0] * b.terms[0][0]).real)
+    _assert_table_rows_sum_their_pairs(a, b, FULL.perron, range(61))
+
+
+def test_table_rows_of_golden_mean_traces_beyond_the_float_range():
+    a, b = canonical_pair(GOLDEN)
+    a, b = 0.1 * a, 0.3 * b
+    ks = [*range(61), 740, 800]
+    _assert_table_rows_sum_their_pairs(a, b, GOLDEN.perron, ks)
+    # F(1602) is about 10^334: the row prints exactly, past the float range,
+    # as the count times the float product 0.1 * 0.3 (ROADMAP item 10)
+    row = trace_product(a, b, 800, GOLDEN.perron)
+    assert row.exact_total()[0] == Fraction(0.1 * 0.3) * fib(1602)
+    assert len(row.render()) > 334 and "e" not in row.render()
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_diagnostics_where_the_last_overlap_ends(seed, shift):
+    # the last k with an overlap pair and the first k without one, where the
+    # row stops reading stable terms: both as the pair by pair reference, at
+    # an even and at an odd widest window gap
+    a, b = _many_terms_pair(seed, 24, 8)
+    a = apply_alpha(a, -shift)
+    widest = max(e.window for _, e in a.terms) - min(f.window for _, f in b.terms)
+    assert widest > 0 and widest % 2 == shift
+    last = (widest - 1) // 2
+    for k, overlapping in ((last, True), (last + 1, False)):
+        result = _symbolic_result(a, b, k, THREE.perron)
+        assert result == _pairwise_result(a, b, k, THREE.perron), k
+        assert (result[1][1] > 0) == overlapping, k
+
+
 def test_overflowing_coefficient_products():
     from sfttrace.rep import NonFiniteCoefficient
 
