@@ -36,10 +36,10 @@ overlap pair costs the same at any gap.  Each term's window, diagonal
 flag, edge symbol and agreement bound are read once per element
 (`AlgebraElement.index`), not once per k, and what a sweep's rows share is
 read once per (a, b): a term-pair table, kept on the unstable element for
-its last stable partner, holds every coefficient product, the distinct
-ones as slots in (real, imag) order, and the diagonal pairs grouped by
-(window gap, source, target), so a row adds counts to slots and reads its
-pairs off them, with no merge and no sort.  Everything is exact
+its last stable partner, holds the distinct coefficient products as slots
+in (real, imag) order, one value each, and the diagonal pairs grouped by
+(window gap, source, target), so a row adds counts to slots and its pairs
+are the slots it counted, with no merge and no sort.  Everything is exact
 integer arithmetic; the lambda^{-2k} scaling is applied through
 logarithms of big integers when plain floats would overflow, with
 lambda^{2k} and its logarithm computed once per row.  The bridge
@@ -81,7 +81,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .algebra import (
     AlgebraElement,
@@ -130,7 +130,8 @@ class ExactTrace:
     products, always finite, each once, in (real, imag) order.  The
     symbolic trace reads its pairs off the slots of its term-pair table
     (`trace_product_detail`); the oracle and the tests build them with
-    `from_pairs`, and both give the same pairs, to the sign of a zero.
+    `from_pairs`, and both give equal pairs, though a coefficient may show
+    the other sign of a zero.
     Aggregation is exact, so two routes to the same trace compare exactly,
     independent of summation order: each float is p / 2^e exactly, so
     every coefficient is a real and an imaginary numerator over one
@@ -580,30 +581,26 @@ class _PairTable:
     """Everything of the traces of a stable element a and an unstable element
     b that does not depend on k, built once per (a, b) from their `index`.
 
-    - `products[i][j]`: the coefficient product of stable term i and
-      unstable term j, the same float product at every k.
-    - Slots: the distinct nonzero products of the pairs that can contribute
-      at some k (diagonal pairs, and pairs whose stable window exceeds the
-      unstable one, the only ones ever in overlap), numbered in (real, imag)
-      order, with the non-finite ones last; `reps` holds each slot's
-      representative, its first member in (i, j) order, and `dyadic` the
-      finite ones' numerators over one power-of-two denominator, which
-      every row of the sweep refers to and sums.  `stable` holds,
-      per stable term, (i, term, window, diagonal flag, agreement bound,
-      the slot of each of its pairs), None for a product of 0 or a pair
-      that never contributes.  A slot whose members differ in the sign of
-      a zero, or that is not finite, is `tracked`: a row reads its
-      representative, or raises for it, off the first pair that contributes
-      to it at that k, as `ExactTrace.from_pairs` does.
+    - Slots: the distinct nonzero coefficient products of the pairs that
+      can contribute at some k (diagonal pairs, and pairs whose stable
+      window exceeds the unstable one, the only ones ever in overlap),
+      numbered in (real, imag) order, with the `finite` ones first.  `reps`
+      holds each slot's one value, its first member in (i, j) order, so
+      members that differ only in the sign of a zero show as the first;
+      `dyadic` holds the finite ones' numerators over one power-of-two
+      denominator, which every row of the sweep refers to and sums.
+      `stable` holds, per stable term, (term, window, diagonal flag,
+      agreement bound, the slot of each of its pairs), None for a product
+      of 0 or a pair that never contributes.
     - `groups`: the diagonal pairs grouped by (m - n, source edge symbol,
-      target edge symbol), in that order, each with the untracked slots it
-      adds to and its pairs in tracked slots.  A group at gap d holds
-      bridge pairs from k = ceil(-d / 2) on and counts its paths of
-      2k + d + 1 steps once per row; `group_gaps` holds the d's for the one
-      bisect that skips the others.  Groups with only zero products stay,
-      so a row makes the same path counts whatever the coefficients.
-    - `widest`: the largest stable window less the smallest unstable one.
-      Once 2k reaches it no pair overlaps, and a row reads no stable term.
+      target edge symbol), in that order, each with the slots it adds to.
+      A group at gap d holds bridge pairs from k = ceil(-d / 2) on and
+      counts its paths of 2k + d + 1 steps once per row; `group_gaps` holds
+      the d's for the one bisect that skips the others.  Groups with only
+      zero products stay, so a row makes the same path counts whatever the
+      coefficients.
+    - `decoupled`: `decoupling_step(a, b)`.  From that k on no pair
+      overlaps, and a row reads no stable term.
     """
 
     def __init__(self, a: AlgebraElement, b: AlgebraElement):
@@ -611,11 +608,10 @@ class _PairTable:
         b_index = b.index
         self.windows = [m for _, _, m, _, _, _ in b_index]
         self.unstable = [(f, m, f_diag, highest) for _, f, m, f_diag, _, highest in b_index]
-        self.products = [[ca * cb for cb, *_ in b_index] for ca, *_ in a.index]
-        f_diags = [f_diag for _, _, f_diag, _ in self.unstable]
         members: dict = {}  # nonzero product -> the pairs that have it, in (i, j) order
-        for i, (_, _, n, e_diag, _, _) in enumerate(a.index):
-            for j, (m, f_diag, c) in enumerate(zip(self.windows, f_diags, self.products[i])):
+        for i, (ca, _, n, e_diag, _, _) in enumerate(a.index):
+            for j, (cb, _, m, f_diag, _, _) in enumerate(b_index):
+                c = ca * cb
                 if c and (n > m or e_diag and f_diag):
                     members.setdefault(c, []).append((i, j))
         finite, other = [], []
@@ -623,19 +619,15 @@ class _PairTable:
             (finite if math.isfinite(c.real) and math.isfinite(c.imag) else other).append(c)
         finite.sort(key=attrgetter("real", "imag"))
         self.reps = finite + other
+        self.finite = len(finite)
         self.dyadic = _dyadic(finite)
         slots = [[None] * len(b_index) for _ in a.index]
-        self.tracked = set()
         for slot, c in enumerate(self.reps):
-            pairs = members[c]
-            for i, j in pairs:
+            for i, j in members[c]:
                 slots[i][j] = slot
-            if slot >= len(finite) or len(pairs) > 1 and len(
-                    {repr(self.products[i][j]) for i, j in pairs}) > 1:
-                self.tracked.add(slot)
-        self.stable = [(i, e, n, e_diag, lowest, slots[i])
+        self.stable = [(e, n, e_diag, lowest, slots[i])
                        for i, (_, e, n, e_diag, _, lowest) in enumerate(a.index)]
-        b_diagonal = [j for j, f_diag in enumerate(f_diags) if f_diag]
+        b_diagonal = [j for j, (_, _, f_diag, _) in enumerate(self.unstable) if f_diag]
         groups: dict = {}
         a_diagonal = 0
         for i, (_, _, n, e_diag, s, _) in enumerate(a.index):
@@ -643,16 +635,12 @@ class _PairTable:
                 continue
             a_diagonal += 1
             for j in b_diagonal:
-                adds, tracked = groups.setdefault((self.windows[j] - n, s, b_index[j][4]), ([], []))
-                slot = slots[i][j]
-                if slot in self.tracked:
-                    tracked.append(((i, j), slot, self.products[i][j]))
-                elif slot is not None:
-                    adds.append(slot)
-        self.groups = [(*key, adds, tracked) for key, (adds, tracked) in sorted(groups.items())]
+                adds = groups.setdefault((self.windows[j] - n, s, b_index[j][4]), [])
+                if slots[i][j] is not None:
+                    adds.append(slots[i][j])
+        self.groups = [(*key, adds) for key, adds in sorted(groups.items())]
         self.group_gaps = [d for d, *_ in self.groups]
-        self.widest = (max([n for _, _, n, *_ in a.index], default=0)
-                       - min(self.windows, default=0))
+        self.decoupled = decoupling_step(a, b)
         self.total = len(a.terms) * len(b_index)
         self.offdiag = self.total - a_diagonal * len(b_diagonal)
 
@@ -686,17 +674,18 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
 
     What does not depend on k comes from the term-pair table of (a, b)
     (`_PairTable`), built once and kept on b while a is its partner: the
-    coefficient products, their slots in (real, imag) order and the
-    diagonal pairs grouped by (gap, source, target), so each distinct
-    (source, target, length) is counted once per call.  A passing overlap
-    pair adds 1 to its slot, a bridge group its path count to each of its
-    slots, and the row's pairs are the slots with a nonzero count, in slot
-    order: the pairs `ExactTrace.from_pairs` would make of the row's
-    contributions, to the sign of a zero, with no merge and no sort.  The
-    row stores no total: it refers to the table's slot numerators, so its
-    total is count x slot numerator summed over its pairs, with no float
-    decomposed again.  Once 2k reaches the table's widest window gap, no
-    pair overlaps, and the stable terms are not visited at all.
+    coefficient products as slots in (real, imag) order and the diagonal
+    pairs grouped by (gap, source, target), so each distinct (source,
+    target, length) is counted once per call.  A passing overlap pair adds
+    1 to its slot, a bridge group its path count to each of its slots, and
+    the row's pairs are the slots with a nonzero count, each with its one
+    value, in slot order: pairs equal to those `ExactTrace.from_pairs`
+    would make of the row's contributions, with no merge and no sort.  A
+    counted slot that is not finite raises NonFiniteCoefficient.  The row
+    stores no total: it refers to the table's slot numerators, so its total
+    is count x slot numerator summed over its pairs, with no float
+    decomposed again.  From `decoupling_step(a, b)` on no pair overlaps,
+    and the stable terms are not visited at all.
     """
     if a.side != "stable" or b.side != "unstable":
         raise SideMismatch("trace needs a stable and an unstable element")
@@ -705,13 +694,11 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
     table = _pair_table(a, b)
     sft = p.sft
     twice = 2 * k
-    windows, unstable, tracked = table.windows, table.unstable, table.tracked
+    windows, unstable = table.windows, table.unstable
     counts = [0] * len(table.reps)
-    # ((i, j), slot, product) of each contribution to a tracked slot
-    seen = []
     overlap = fixed = 0
-    # from 2k = table.widest on, every pair is a bridge pair
-    for i, e, window, e_diag, lowest, slots in table.stable if twice < table.widest else ():
+    # from the decoupling step on, every pair is a bridge pair
+    for e, window, e_diag, lowest, slots in table.stable if k < table.decoupled else ():
         reach = window - twice
         cut = bisect_left(windows, reach)
         overlap += cut
@@ -726,34 +713,22 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
                 slot = slots[j]
                 if slot is not None:
                     counts[slot] += 1
-                    if slot in tracked:
-                        seen.append(((i, j), slot, table.products[i][j]))
                 if not (e_diag and f_diag):
                     fixed += 1
     # a diagonal bridge pair counts the admissible bridges; an off-diagonal
     # one has no fixed points, since the replacement would alter a pinned
     # coordinate
-    for gap, s, t, adds, tracked_adds in table.groups[bisect_left(table.group_gaps, -twice):]:
+    for gap, s, t, adds in table.groups[bisect_left(table.group_gaps, -twice):]:
         n = count_paths(sft, s, t, twice + gap + 1)
         if n:
             for slot in adds:
                 counts[slot] += n
-            for position, slot, c in tracked_adds:
-                counts[slot] += n
-                seen.append((position, slot, c))
-    reps = table.reps
-    if seen:
-        # a tracked slot shows, or raises for, its first contributing pair
-        reps = list(reps)
-        seen.sort(key=itemgetter(0))
-        done = set()
-        for _, slot, c in seen:
-            if slot not in done:
-                done.add(slot)
-                reps[slot] = require_finite(c, "trace coefficient")
+    for slot in range(table.finite, len(counts)):
+        if counts[slot]:
+            require_finite(table.reps[slot], "trace coefficient")
     # built from a list: tuple() of an iterator held about 30 bytes more per
     # trace, which a long sweep keeps once per row
-    row = ExactTrace(tuple(list(compress(zip(reps, counts), counts))), table.dyadic)
+    row = ExactTrace(tuple(list(compress(zip(table.reps, counts), counts))), table.dyadic)
     return row, TraceDiagnostics(table.total - overlap, overlap, table.offdiag, fixed)
 
 

@@ -51,6 +51,7 @@ from sfttrace.rep import (
     WindowTooSmall,
     apply_element,
     commutator_decay,
+    decoupling_step,
     operator_norm,
     product_operator,
     required_window,
@@ -809,6 +810,22 @@ def _pairwise_trace(a, b, k, p):
     return pairs, (bridge, overlap, offdiag, fixed)
 
 
+def _sum_outcome(trace):
+    """render, exact_total and as_int (or its error) of a trace."""
+    try:
+        whole = trace.as_int()
+    except ValueError as exc:
+        whole = str(exc)
+    return trace.render(), trace.exact_total(), whole
+
+
+def _outputs(trace, lam, k):
+    """Everything a trace shows: its pairs, compared by value (a table-built
+    row and `ExactTrace.from_pairs` may show a slot's coefficient with the
+    other sign of a zero), the repr of `scaled(lam, k)`, and `_sum_outcome`."""
+    return (trace.pairs, repr(trace.scaled(lam, k)), *_sum_outcome(trace))
+
+
 @st.composite
 def sweep_cases(draw):
     """Seeded multi-term elements on a fixture, some terms made diagonal, and
@@ -853,16 +870,17 @@ def _offdiagonal_fixed_point_case():
 @example(case=_offdiagonal_fixed_point_case())
 def test_sweep_rows_equal_single_k_traces(case):
     # every row of a sweep is the trace at that k, and both equal the pair
-    # by pair reference: the same pairs, to the sign of a zero, and the same
-    # diagnostics
+    # by pair reference: the same pairs by value, the same outputs and the
+    # same diagnostics
     sys, a, b, k_range = case
+    lam = sys.perron.lam
     report = scaled_trace_sequence(a, b, k_range, sys.perron)
     assert [row.k for row in report.rows] == sorted(k_range)
     for row in report.rows:
         trace, diagnostics = trace_product_detail(a, b, row.k, sys.perron)
         pairs, counts = _pairwise_trace(a, b, row.k, sys.perron)
-        assert repr(row.trace.pairs) == repr(trace.pairs) \
-            == repr(ExactTrace.from_pairs(pairs).pairs)
+        assert _outputs(row.trace, lam, row.k) == _outputs(trace, lam, row.k) \
+            == _outputs(ExactTrace.from_pairs(pairs), lam, row.k)
         assert (diagnostics.bridge_pairs, diagnostics.overlap_pairs,
                 diagnostics.offdiag_pairs, diagnostics.offdiag_fixed_points) == counts
 
@@ -906,7 +924,8 @@ def test_trace_counts_each_path_once_per_call(monkeypatch, seed):
         assert sorted(calls) == sorted((THREE.sft, *key) for key in set(keys)), k
         repeats += len(keys) - len(set(keys))
         pairs, counts = _pairwise_trace(a, b, k, THREE.perron)
-        assert repr(trace.pairs) == repr(ExactTrace.from_pairs(pairs).pairs)
+        assert _outputs(trace, THREE.perron.lam, k) \
+            == _outputs(ExactTrace.from_pairs(pairs), THREE.perron.lam, k)
         assert (diagnostics.bridge_pairs, diagnostics.overlap_pairs,
                 diagnostics.offdiag_pairs, diagnostics.offdiag_fixed_points) == counts
     # the diagonal bridge pairs do repeat their path counts
@@ -914,11 +933,11 @@ def test_trace_counts_each_path_once_per_call(monkeypatch, seed):
 
 
 def _pairwise_result(a, b, k, p):
-    """(repr of the pairs, diagnostics) of the pair by pair reference, or the
-    error that `ExactTrace.from_pairs` raises, as "type: message"."""
+    """(`_outputs`, diagnostics) of the pair by pair reference, or the error
+    that `ExactTrace.from_pairs` raises, as "type: message"."""
     pairs, counts = _pairwise_trace(a, b, k, p)
     try:
-        return repr(ExactTrace.from_pairs(pairs).pairs), counts
+        return _outputs(ExactTrace.from_pairs(pairs), p.lam, k), counts
     except NonFiniteCoefficient as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -929,15 +948,17 @@ def _symbolic_result(a, b, k, p):
         trace, d = trace_product_detail(a, b, k, p)
     except NonFiniteCoefficient as exc:
         return f"{type(exc).__name__}: {exc}"
-    return repr(trace.pairs), (d.bridge_pairs, d.overlap_pairs, d.offdiag_pairs,
-                               d.offdiag_fixed_points)
+    return _outputs(trace, p.lam, k), (d.bridge_pairs, d.overlap_pairs, d.offdiag_pairs,
+                                       d.offdiag_fixed_points)
 
 
-def test_table_slot_shows_its_first_contributing_pair_to_the_sign_of_a_zero():
+def test_table_slot_shows_its_first_member_with_the_outputs_of_from_pairs():
     # on the full shift, pairs (0, 0) and (1, 1) have the products
-    # (-1)(-2) = 2-0j and (1)(2) = 2+0j, equal but for the sign of a zero.
-    # At k = 0, (0, 0) overlaps and its rays disagree at -1, so only the
-    # later pair (1, 1) contributes; from k = 1 on both are bridge pairs
+    # (-1)(-2) = 2-0j and (1)(2) = 2+0j, equal but for the sign of a zero,
+    # so they share one slot, which shows its first member, 2-0j.  At k = 0,
+    # (0, 0) overlaps and its rays disagree at -1, so only the later pair
+    # (1, 1) contributes, and the pair by pair reference shows 2+0j; from
+    # k = 1 on both are bridge pairs.  Every output is the reference's
     sft, orbit = FULL.sft, make_orbit((0,))
     a = element("stable", [(-1, StableBisection(*[periodic_left_ray(sft, orbit, 0)] * 2)),
                            (1, StableBisection(*[periodic_left_ray(sft, orbit, 1)] * 2))])
@@ -945,13 +966,14 @@ def test_table_slot_shows_its_first_contributing_pair_to_the_sign_of_a_zero():
     b = element("unstable", [(-2, UnstableBisection(f0, f0)),
                              (2, UnstableBisection(*[periodic_right_ray(sft, orbit, 1)] * 2))])
     assert [c for c, _ in a.terms] == [-1, 1] and [c for c, _ in b.terms] == [-2, 2]
-    shown = {}
-    for k in range(4):
+    for k in (0, 1, 2, 3, 60):
         result = _symbolic_result(a, b, k, FULL.perron)
-        assert result == _pairwise_result(a, b, k, FULL.perron), k
-        shown[k] = result[0]
-    assert "(2+0j)" in shown[0] and "(2-0j)" not in shown[0]
-    assert all("(2-0j)" in shown[k] and "(2+0j)" not in shown[k] for k in (1, 2, 3))
+        reference = _pairwise_result(a, b, k, FULL.perron)
+        assert result == reference, k
+        shown = repr(result[0][0])
+        assert "(2-0j)" in shown and "(2+0j)" not in shown, k
+        if k == 0:
+            assert "(2+0j)" in repr(reference[0][0])
 
 
 def test_table_raises_only_for_a_contributing_non_finite_product():
@@ -981,6 +1003,35 @@ def test_table_raises_only_for_a_contributing_non_finite_product():
         assert isinstance(result, str) == (k == 0), k
 
 
+def test_table_rows_equal_from_pairs_over_signed_zeros_and_overflows():
+    # seeded random fixture elements whose coefficient parts mix signed
+    # zeros, tiny, inexact and huge values: every row shows the outputs and
+    # diagnostics of `ExactTrace.from_pairs` of the pair by pair reference,
+    # or both raise NonFiniteCoefficient
+    parts = (0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e200, -1e200, 1e-200, 0.1, 3.0)
+    rng = random.Random(20261019)
+    raised = 0
+    for _ in range(300):
+        sys = rng.choice([FULL, GOLDEN, THREE])
+
+        def draw(side):
+            x = random_element(rng, sys, side, rng.randint(1, 5))
+            return element(side, [(complex(rng.choice(parts), rng.choice(parts)),
+                                   type(t)(t.source, t.source) if rng.random() < 0.4 else t)
+                                  for _, t in x.terms])
+
+        a, b = draw("stable"), draw("unstable")
+        for k in range(6):
+            result = _symbolic_result(a, b, k, sys.perron)
+            reference = _pairwise_result(a, b, k, sys.perron)
+            if isinstance(reference, str):
+                raised += 1
+                assert isinstance(result, str) and result.startswith("NonFiniteCoefficient: ")
+            else:
+                assert result == reference, (a, b, k)
+    assert 0 < raised < 300 * 6
+
+
 def test_one_unstable_element_swept_with_two_stable_partners():
     # the table of b is rebuilt for each new partner, so alternating partners
     # gives the pair by pair reference on every call
@@ -1003,15 +1054,6 @@ def test_a_finished_sweep_keeps_no_element_alive():
     del a, b
     assert len(report.rows) == 9
     assert [ref() for ref in refs] == [None, None]
-
-
-def _sum_outcome(trace):
-    """render, exact_total and as_int (or its error) of a trace."""
-    try:
-        whole = trace.as_int()
-    except ValueError as exc:
-        whole = str(exc)
-    return trace.render(), trace.exact_total(), whole
 
 
 def _assert_table_rows_sum_their_pairs(a, b, p, ks):
@@ -1040,8 +1082,8 @@ def test_table_rows_with_non_dyadic_coefficients():
 
 
 def test_table_rows_with_a_signed_zero_slot():
-    # products 2-0j and 2+0j share a slot (see the case above); the rows
-    # that show 2-0j find its numerators under the slot's 2+0j
+    # products 2-0j and 2+0j share a slot (see the case above), which every
+    # row shows as its first member, 2-0j, and sums by that member's numerators
     sft, orbit = FULL.sft, make_orbit((0,))
     a = element("stable", [(-1, StableBisection(*[periodic_left_ray(sft, orbit, 0)] * 2)),
                            (1, StableBisection(*[periodic_left_ray(sft, orbit, 1)] * 2))])
@@ -1079,14 +1121,15 @@ def test_table_rows_of_golden_mean_traces_beyond_the_float_range():
 @pytest.mark.parametrize("shift", [0, 1])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_diagnostics_where_the_last_overlap_ends(seed, shift):
-    # the last k with an overlap pair and the first k without one, where the
-    # row stops reading stable terms: both as the pair by pair reference, at
-    # an even and at an odd widest window gap
+    # the last k with an overlap pair and the first k without one, the
+    # decoupling step, from which the row reads no stable term: both as the
+    # pair by pair reference, at an even and at an odd widest window gap
     a, b = _many_terms_pair(seed, 24, 8)
     a = apply_alpha(a, -shift)
     widest = max(e.window for _, e in a.terms) - min(f.window for _, f in b.terms)
     assert widest > 0 and widest % 2 == shift
     last = (widest - 1) // 2
+    assert last + 1 == decoupling_step(a, b)
     for k, overlapping in ((last, True), (last + 1, False)):
         result = _symbolic_result(a, b, k, THREE.perron)
         assert result == _pairwise_result(a, b, k, THREE.perron), k
