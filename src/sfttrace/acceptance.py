@@ -27,17 +27,15 @@ from .fixtures import (
     offdiagonal_stable,
     random_element,
 )
+from .operators import commutator_decay, product_operator, vanishing_product_check
 from .perron import mu_bowen, mu_s_data, mu_u_data
 from .rep import (
-    commutator_decay,
     decoupling_step,
-    product_operator,
     required_window,
     scaled_trace_sequence,
     trace_product,
     trace_product_detail,
     trace_product_oracle,
-    vanishing_product_check,
 )
 from .sft import word_levels
 

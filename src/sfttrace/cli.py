@@ -51,7 +51,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import acceptance
 from .algebra import (
     BISECTIONS,
     AlgebraElement,
@@ -72,6 +71,7 @@ from .points import (
     InadmissibleOrbit,
     InadmissibleRay,
     PeriodicOrbitSet,
+    WindowOverflow,
     enumerate_heteroclinic,
     make_left_ray,
     make_orbit,
@@ -81,12 +81,8 @@ from .points import (
 from .rep import (
     NonFiniteCoefficient,
     OrbitsNotDisjoint,
-    WindowOverflow,
-    commutator_decay,
     format_complex,
-    product_operator,
     scaled_trace_sequence,
-    vanishing_product_check,
 )
 from .sft import InvalidMatrix, Sft, ZeroRowOrColumn, make_sft
 
@@ -431,6 +427,10 @@ def cmd_trace_run(config: ExperimentConfig, args) -> int:
 
 
 def cmd_theorem13(config: ExperimentConfig, args) -> int:
+    # imported on use, like `acceptance` in `cmd_verify`: no other subcommand
+    # needs the finite operators, so none pays to load them
+    from .operators import commutator_decay, product_operator, vanishing_product_check
+
     nmax = args.nmax
     if nmax < 0:
         raise ValidationError(f"--nmax {nmax} is negative")
@@ -453,6 +453,8 @@ def cmd_theorem13(config: ExperimentConfig, args) -> int:
 
 
 def cmd_verify() -> int:
+    from . import acceptance
+
     rows = acceptance.run_all()
     for row in rows:
         print(row.line())

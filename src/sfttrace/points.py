@@ -36,7 +36,7 @@ through `symbol_at`, never goes through it.  For that reason the ray
 classes with their `symbol_at` and `shift` stay written out for each
 side, while `algebra` shares one bisection body between the sides.
 `matches_past`/`matches_future` stay written out for each side too:
-`rep.product_operator` applies its terms through them, and the
+`operators.product_operator` applies its terms through them, and the
 benchmark's tracer wraps both by name.
 
 `lowest_difference` and `rays_agree` compare two rays by their bodies
@@ -53,9 +53,9 @@ from functools import cached_property
 from .sft import Sft, bridge_words, count_paths, is_admissible
 
 # most middle symbols `enumerate_heteroclinic` holds: sequences x (2 * window + 1);
-# also the most bridge symbols `rep.product_operator` enumerates: columns x steps
+# also the most bridge symbols `operators.product_operator` enumerates: columns x steps
 ENUMERATION_CAP = 2 ** 22
-# widest free bridge `rep.product_operator` enumerates columns over
+# widest free bridge `operators.product_operator` enumerates columns over
 PRODUCT_WINDOW_CAP = 16
 
 

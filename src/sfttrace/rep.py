@@ -1,18 +1,9 @@
-"""The fundamental representation on square-summable sequences over the
-heteroclinic set, and exact operator-trace asymptotics.
-
-Basis vectors are indexed by heteroclinic points.  A stable element acts
-by past replacement wherever the point matches the term's source
-cylinder; an unstable element replaces futures.  The single unitary
-induced by the shift (u xi = xi o shift^{-1}) implements the algebra
-automorphism on both sides.  Finite-rank products are this representation
-applied to a finite set of columns: a term pair only moves points whose
-past and future follow its two sources outside a bridge window, so
-`product_operator` enumerates those points and takes each one's image
-under both elements, with no image formula of its own.  Its entries are
-exact sums of coefficient products, so the rank is exact (elimination
-over Q(i)); the operator norm is a power-iteration estimate on the
-nearest floats that never exceeds it.
+"""Exact operator-trace asymptotics in the fundamental representation on
+square-summable sequences over the heteroclinic set: traces of
+shift-conjugated products, the brute-force oracle that checks them, and
+the trace reports of `trace-run`.  The representation's action on basis
+points and its finite-rank products are in `operators`, which this module
+does not import.
 
 Traces of products are computed symbolically, never by materializing a
 Hilbert-space truncation.  For a stable term at window N and an unstable
@@ -75,7 +66,6 @@ counts paths, reflects rays, or builds, canonicalizes or sorts points.
 from __future__ import annotations
 
 import math
-import random
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -83,31 +73,10 @@ from fractions import Fraction
 from itertools import compress
 from operator import attrgetter
 
-from .algebra import (
-    AlgebraElement,
-    SideMismatch,
-    StableBisection,
-    UnstableBisection,
-    apply_alpha,
-    tau_s,
-    tau_u,
-)
+from .algebra import AlgebraElement, SideMismatch, apply_alpha, tau_s, tau_u
 from .perron import NonFiniteCoefficient, PerronData, require_finite
-from .points import (
-    ENUMERATION_CAP,
-    PRODUCT_WINDOW_CAP,
-    HeteroclinicPoint,
-    PeriodicOrbitSet,
-    WindowOverflow,
-    _cycle,
-    asymptotic_sequences,
-    make_point,
-    matches_future,
-    matches_past,
-    rays_agree,
-    splice_point,
-)
-from .sft import bridge_words, count_paths
+from .points import PeriodicOrbitSet, _cycle, asymptotic_sequences, rays_agree
+from .sft import count_paths
 
 
 class WindowTooSmall(ValueError):
@@ -259,298 +228,6 @@ def _decimal(n: int) -> str:
     h = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
     high, low = divmod(n, 10 ** h)
     return _decimal(high) + _decimal(low).zfill(h)
-
-
-# ---------------------------------------------------------------------------
-# the representation
-
-
-def _apply_stable(e: StableBisection, w: HeteroclinicPoint):
-    """Past replacement, or None when w misses the source cylinder."""
-    n = e.window
-    if not matches_past(w, e.source, n):
-        return None
-    alpha, upper = e.target, max(n, w.m_right)
-    return make_point(alpha.orbit, alpha.phase, alpha.splice,
-                      alpha.body + w.segment(n, upper), w.right_orbit,
-                      (w.right_phase + upper - w.m_right) % w.right_orbit.period, upper)
-
-
-def _apply_unstable(f: UnstableBisection, w: HeteroclinicPoint):
-    m = f.window
-    if not matches_future(w, f.source, m):
-        return None
-    gamma, lower = f.target, min(m, w.n_left)
-    return make_point(w.left_orbit, (w.left_phase + lower - w.n_left) % w.left_orbit.period,
-                      lower, w.segment(lower, m) + gamma.body,
-                      gamma.orbit, gamma.phase, gamma.splice)
-
-
-def _moves(side: str, terms, w: HeteroclinicPoint):
-    """(coefficient, image of w) for each (coefficient, term) that moves w."""
-    apply = _apply_stable if side == "stable" else _apply_unstable
-    for c, b in terms:
-        y = apply(b, w)
-        if y is not None:
-            yield c, y
-
-
-def apply_element(x: AlgebraElement, w: HeteroclinicPoint) -> dict:
-    """The image of a basis vector: a finitely supported point -> coefficient map."""
-    out: dict[HeteroclinicPoint, complex] = {}
-    for c, y in _moves(x.side, x.terms, w):
-        out[y] = out.get(y, 0j) + c
-    return {pt: c for pt, c in out.items() if c != 0}
-
-
-# ---------------------------------------------------------------------------
-# finite-rank products
-
-
-# operator_norm stops when its estimate grows by less than this, relatively,
-# or after this many power-iteration steps
-NORM_RTOL = 1e-15
-NORM_ITERATIONS = 500
-
-
-@dataclass
-class FiniteOperator:
-    """A finitely supported operator: (row point, column point) -> coefficient.
-
-    Built from `exact`, every entry as an exact (real, imaginary) pair of
-    Fractions; zero entries are dropped, and `entries` holds the nearest
-    complex floats of the rest.  Raises NonFiniteCoefficient when an entry
-    is beyond the float range.
-    """
-
-    exact: dict
-    entries: dict = field(init=False)
-
-    def __post_init__(self):
-        self.exact = {key: z for key, z in self.exact.items() if any(z)}
-        try:
-            self.entries = {key: complex(float(re), float(im))
-                            for key, (re, im) in self.exact.items()}
-        except OverflowError:
-            raise NonFiniteCoefficient("an operator entry exceeds the float range") from None
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.exact
-
-    def __sub__(self, other: "FiniteOperator") -> "FiniteOperator":
-        out = dict(self.exact)
-        for key, (re, im) in other.exact.items():
-            r, i = out.get(key, (0, 0))
-            out[key] = (r - re, i - im)
-        return FiniteOperator(out)
-
-    def rank(self) -> int:
-        """Exact rank: sparse Gaussian elimination over Q(i), with no
-        threshold, so it does not change when every entry is scaled by a
-        common factor.
-
-        The rows of the exact entries are reduced one at a time against
-        the pivot rows found so far, always at their lowest column, so a
-        pivot row's other columns all lie above its pivot; each reduced
-        row that is left nonzero becomes a pivot row and adds one to the
-        rank.
-        """
-        columns: dict = {}
-        rows: dict = {}
-        for (r, c), z in self.exact.items():
-            rows.setdefault(r, {})[columns.setdefault(c, len(columns))] = z
-        pivots: dict[int, dict] = {}
-        for row in rows.values():
-            while row:
-                j = min(row)
-                pivot = pivots.get(j)
-                if pivot is None:
-                    pivots[j] = row
-                    break
-                # row -= (row[j] / pivot[j]) * pivot, which clears column j
-                xr, xi = row[j]
-                pr, pi = pivot[j]
-                norm = pr * pr + pi * pi
-                fr, fi = (xr * pr + xi * pi) / norm, (xi * pr - xr * pi) / norm
-                for i, (pr, pi) in pivot.items():
-                    xr, xi = row.get(i, (0, 0))
-                    xr -= fr * pr - fi * pi
-                    xi -= fr * pi + fi * pr
-                    if xr or xi:
-                        row[i] = (xr, xi)
-                    else:
-                        del row[i]
-        return len(pivots)
-
-
-def _norm(vec) -> float:
-    return math.hypot(*map(abs, vec))
-
-
-def operator_norm(t: FiniteOperator) -> float:
-    """A lower estimate of the largest singular value ‖T‖; exactly 0.0 for
-    the zero operator, exactly |c| for a one-entry one.
-
-    T is the direct sum of the blocks that its entries link (rows and
-    columns that share an entry), so ‖T‖ is the largest block norm.  The
-    blocks go in decreasing order of the bound √(‖B‖₁‖B‖∞), and those whose
-    bound does not exceed the best estimate so far are skipped.  No dense
-    matrix is built.
-    """
-    if t.is_zero:
-        return 0.0
-    rows: dict = {}
-    cols: dict = {}
-    edges = []
-    for (r, c), z in t.entries.items():
-        edges.append((rows.setdefault(r, len(rows)), cols.setdefault(c, len(cols)), z))
-    parent = list(range(len(rows) + len(cols)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    offset = len(rows)
-    for i, j, _ in edges:
-        parent[find(i)] = find(offset + j)
-    blocks: dict = {}
-    for edge in edges:
-        blocks.setdefault(find(edge[0]), []).append(edge)
-    bounded = sorted(((_block_bound(block), block) for block in blocks.values()),
-                     key=lambda pair: -pair[0])
-    rng = random.Random(0)
-    best = 0.0
-    for bound, block in bounded:
-        if bound <= best:
-            break
-        best = max(best, _block_norm(block, rng))
-    return best
-
-
-def _block_bound(block) -> float:
-    row_sums: dict = {}
-    col_sums: dict = {}
-    for i, j, z in block:
-        row_sums[i] = row_sums.get(i, 0.0) + abs(z)
-        col_sums[j] = col_sums.get(j, 0.0) + abs(z)
-    return math.sqrt(max(row_sums.values())) * math.sqrt(max(col_sums.values()))
-
-
-def _top_to_one(vec: dict) -> dict:
-    """vec scaled so that its entry of largest modulus is exactly 1."""
-    top = max(vec, key=lambda key: abs(vec[key]))
-    scale = vec[top]
-    out = {key: z / scale for key, z in vec.items()}
-    out[top] = 1.0
-    return out
-
-
-def _block_norm(block, rng) -> float:
-    """Power iteration on B*B over B's sparse rows and columns.
-
-    Each step's Rayleigh estimate ‖Bx‖/‖x‖ is at most ‖B‖, and in exact
-    arithmetic it does not decrease from step to step; the iteration stops
-    once it grows by less than NORM_RTOL relatively, or after
-    NORM_ITERATIONS steps.  The start gives every column a seeded generic
-    weight, and x and Bx are scaled so that their largest entry is exactly
-    1, which keeps every step in float range.
-    """
-    rows: dict = {}
-    cols: dict = {}
-    for i, j, z in block:
-        rows.setdefault(i, []).append((j, z))
-        cols.setdefault(j, []).append((i, z))
-    best = 0.0
-    x = {j: complex(rng.uniform(1, 2), rng.uniform(-1, 1)) for j in cols}
-    previous = 0.0
-    for _ in range(NORM_ITERATIONS):
-        x = _top_to_one(x)
-        y = {i: sum(z * x[j] for j, z in row) for i, row in rows.items()}
-        estimate = _norm(y.values()) / _norm(x.values())
-        best = max(best, estimate)
-        if estimate <= previous * (1 + NORM_RTOL):
-            break
-        previous = estimate
-        y = _top_to_one(y)
-        x = {j: sum(z.conjugate() * y[i] for i, z in col) for j, col in cols.items()}
-        if not any(x.values()):
-            break
-    return best
-
-
-def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
-                     order: str = "ab") -> FiniteOperator:
-    """The exact matrix of the product of a stable and an unstable element:
-    the representation applied to a finite set of columns.
-
-    order "ab" applies the unstable element first (the operator a.b);
-    "ba" applies the stable element first.  A term pair at windows n and
-    m can only move a point whose past below lo follows the stable source
-    and whose future from hi follows the unstable source, with (lo, hi) =
-    (min(n, m), m) for "ab" and (n, max(n, m)) for "ba": the first
-    replacement must leave the second source intact.  Only the admissible
-    bridge on [lo, hi) is free, so every pair has finitely many such
-    columns, one per word of `bridge_words` between the past's terminal
-    and the future's initial symbol, and each column's entries are its
-    image under both elements, with every entry summed exactly
-    (`FiniteOperator.exact`).
-    Raises WindowOverflow, before enumerating, when a bridge is wider than
-    PRODUCT_WINDOW_CAP, or when the columns, counted exactly by path
-    counts, times their bridge steps exceed ENUMERATION_CAP, the symbol
-    budget `enumerate` keeps too.
-    """
-    if a.side != "stable" or b.side != "unstable":
-        raise SideMismatch("product needs a stable and an unstable element")
-    if order not in ("ab", "ba"):
-        raise ValueError("order must be 'ab' or 'ba'")
-    first, second = (b, a) if order == "ab" else (a, b)
-    sft = p.sft
-    spans = []
-    symbols = 0
-    for _, e in a.terms:
-        for _, f in b.terms:
-            n, m = e.window, f.window
-            lo, hi = (min(n, m), m) if order == "ab" else (n, max(n, m))
-            if hi - lo > PRODUCT_WINDOW_CAP:
-                raise WindowOverflow(
-                    f"free window of width {hi - lo} exceeds cap {PRODUCT_WINDOW_CAP}")
-            past, future = e.source.truncate(lo), f.source.truncate(hi)
-            steps = hi - lo + 1
-            symbols += count_paths(sft, past.terminal, future.initial, steps) * steps
-            spans.append((past, future, hi - lo))
-    if symbols > ENUMERATION_CAP:
-        raise WindowOverflow(f"product columns need {symbols} bridge symbols, "
-                             f"more than {ENUMERATION_CAP}")
-    columns: dict = {}
-    for past, future, width in spans:
-        for bridge in bridge_words(sft, past.terminal, future.initial, width):
-            columns[splice_point(past, bridge, future)] = None
-    # each entry sums coefficient products exactly, as a Gaussian integer
-    # over the product of the two elements' common denominators
-    first_terms, first_den = _gaussian_numerators(first)
-    second_terms, second_den = _gaussian_numerators(second)
-    sums: dict = {}
-    for w in columns:
-        middle: dict = {}
-        for (re, im), y in _moves(first.side, first_terms, w):
-            r, i = middle.get(y, (0, 0))
-            middle[y] = (r + re, i + im)
-        for y, (yr, yi) in middle.items():
-            for (re, im), v in _moves(second.side, second_terms, y):
-                r, i = sums.get((v, w), (0, 0))
-                sums[v, w] = (r + re * yr - im * yi, i + re * yi + im * yr)
-    den = first_den * second_den
-    return FiniteOperator({key: (Fraction(r, den), Fraction(i, den))
-                           for key, (r, i) in sums.items()})
-
-
-def _gaussian_numerators(x: AlgebraElement):
-    """x's terms as ((re, im), term) with integer re and im, and the one
-    power of two that they are all over (`_dyadic`)."""
-    den, numerators = _dyadic(c for c, _ in x.terms)
-    return [(numerators[c], t) for c, t in x.terms], den
 
 
 def _dyadic(coefficients) -> tuple[int, dict]:
@@ -736,6 +413,13 @@ def trace_product(a: AlgebraElement, b: AlgebraElement, k: int, p: PerronData) -
     return trace_product_detail(a, b, k, p)[0]
 
 
+def decoupling_step(a: AlgebraElement, b: AlgebraElement) -> int:
+    """The first n >= 0 at which the stable constraint window N - n of every
+    term of a is at most the unstable one M + n of every term of b:
+    max(0, ceil((N - M) / 2)) over the term pairs."""
+    return max([0, *((e.window - f.window + 1) // 2 for _, e in a.terms for _, f in b.terms)])
+
+
 def required_window(a: AlgebraElement, b: AlgebraElement, k: int) -> int:
     """A window req such that every basis point that can contribute to the
     k-th conjugated trace is periodic outside [-req, req) (its canonical
@@ -890,61 +574,3 @@ def scaled_trace_sequence(a: AlgebraElement, b: AlgebraElement, k_range,
         scaled = tr.scaled(p.lam, k)
         rows.append(TraceRow(k, tr, scaled, abs(scaled - target)))
     return TraceReport(tuple(rows), target)
-
-
-# ---------------------------------------------------------------------------
-# norm decay checks
-
-
-def vanishing_product_check(a: AlgebraElement, b: AlgebraElement, p: PerronData,
-                            p_set: PeriodicOrbitSet, q_set: PeriodicOrbitSet,
-                            n_max: int, products: tuple):
-    """Norms of both products of the backward-conjugated stable element with
-    the unstable one, for n = 0..n_max.
-
-    Requires the forward and backward orbit sets to be disjoint (with a
-    shared orbit the products need not die off).  With disjoint orbit
-    sets the products are exactly zero once the overlap outgrows the
-    point where the two periodic patterns can agree.  `products` is the
-    caller's (a.b, b.a) pair, the n = 0 products, which are not built again.
-    """
-    if not p_set.isdisjoint(q_set):
-        raise OrbitsNotDisjoint("orbit sets share an orbit")
-    rows = []
-    for n in range(n_max + 1):
-        if n == 0:
-            t_ab, t_ba = products
-        else:
-            a_n = apply_alpha(a, -n)
-            t_ab = product_operator(a_n, b, p, "ab")
-            t_ba = product_operator(a_n, b, p, "ba")
-        rows.append((n, operator_norm(t_ab), operator_norm(t_ba)))
-    return rows
-
-
-def decoupling_step(a: AlgebraElement, b: AlgebraElement) -> int:
-    """The first n >= 0 at which the stable constraint window N - n of every
-    term of a is at most the unstable one M + n of every term of b:
-    max(0, ceil((N - M) / 2)) over the term pairs."""
-    return max([0, *((e.window - f.window + 1) // 2 for _, e in a.terms for _, f in b.terms)])
-
-
-def commutator_decay(a: AlgebraElement, b: AlgebraElement, p: PerronData, n_range):
-    """Norms of the commutator of the two conjugated elements.
-
-    From `decoupling_step(a, b)` on, both products coincide term by term
-    (identical bridge expansions), so the commutator is exactly zero and
-    is reported as such without materializing the two operators.
-    """
-    decoupled = decoupling_step(a, b)
-    rows = []
-    for n in sorted(n_range):
-        if n >= decoupled:
-            rows.append((n, 0.0))
-            continue
-        a_n = apply_alpha(a, n)
-        b_n = apply_alpha(b, -n)
-        t_ab = product_operator(a_n, b_n, p, "ab")
-        t_ba = product_operator(a_n, b_n, p, "ba")
-        rows.append((n, operator_norm(t_ab - t_ba)))
-    return rows

@@ -971,3 +971,59 @@ def test_no_numpy_at_run_time():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.count(" pass ") == 8
+
+
+# each command with the modules of these two that it loads: `operators`
+# holds the finite-rank products of theorem13, `acceptance` the battery of
+# verify, and no other command loads either
+COMMAND_MODULES = [
+    (["inspect"], set()),
+    (["measures"], set()),
+    (["enumerate", "--window", "3"], set()),
+    (["trace-run", "--no-timestamp"], set()),
+    (["theorem13", "--nmax", "2"], {"sfttrace.operators"}),
+    (["verify"], {"sfttrace.operators", "sfttrace.acceptance"}),
+]
+
+
+def _loaded_modules(tmp_path, script, *args):
+    """The sfttrace modules that a fresh interpreter running `script` with
+    `args` in `tmp_path` has loaded when it ends; its output goes to the
+    null device."""
+    import os
+    import subprocess
+    import sys
+
+    import sfttrace
+
+    src = str(Path(sfttrace.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script += ("\nimport json, sys\n"
+               "with open('modules.json', 'w') as fh:\n"
+               "    json.dump([m for m in sys.modules if m.partition('.')[0] == 'sfttrace'], fh)\n")
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=tmp_path,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads((tmp_path / "modules.json").read_text()))
+
+
+@pytest.mark.parametrize("argv,needs", COMMAND_MODULES,
+                         ids=[argv[0] for argv, _ in COMMAND_MODULES])
+def test_each_command_imports_only_what_it_runs(tmp_path, argv, needs):
+    script = "import sys\nfrom sfttrace.cli import main\nassert main(sys.argv[1:]) == 0"
+    config = [] if argv == ["verify"] else ["--config", str(CONFIG_DIR / "golden_mean.json")]
+    loaded = _loaded_modules(tmp_path, script, *argv, *config)
+    assert loaded >= {"sfttrace.cli", "sfttrace.rep"}
+    assert loaded & {"sfttrace.operators", "sfttrace.acceptance"} == needs
+
+
+def test_bench_set_up_imports_neither_operators_nor_acceptance(tmp_path):
+    # what the benchmark's probe times before a workload's first item
+    script = ("import sys\n"
+              "from sfttrace import cli, fixtures, perron\n"
+              "perron.compute_perron(cli.load_config(sys.argv[1]).sft)")
+    loaded = _loaded_modules(tmp_path, script, str(CONFIG_DIR / "golden_mean.json"))
+    assert "sfttrace.fixtures" in loaded
+    assert not loaded & {"sfttrace.operators", "sfttrace.acceptance"}

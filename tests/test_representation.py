@@ -43,23 +43,25 @@ from sfttrace.points import (
     periodic_right_ray,
     shift_point,
 )
-from sfttrace.rep import (
-    ExactTrace,
+from sfttrace.operators import (
     FiniteOperator,
-    OrbitsNotDisjoint,
-    WindowOverflow,
-    WindowTooSmall,
     apply_element,
     commutator_decay,
-    decoupling_step,
     operator_norm,
     product_operator,
+    vanishing_product_check,
+)
+from sfttrace.points import WindowOverflow
+from sfttrace.rep import (
+    ExactTrace,
+    OrbitsNotDisjoint,
+    WindowTooSmall,
+    decoupling_step,
     required_window,
     scaled_trace_sequence,
     trace_product,
     trace_product_detail,
     trace_product_oracle,
-    vanishing_product_check,
 )
 from sfttrace.sft import Sft, count_paths, is_mixing, word_levels
 
@@ -194,7 +196,7 @@ def test_product_operator_conflicting_constraints_vanish():
 
 
 def test_product_operator_window_cap(monkeypatch):
-    from sfttrace import rep
+    from sfttrace import operators
 
     a, b = canonical_pair(FULL)
     with pytest.raises(WindowOverflow):
@@ -202,7 +204,7 @@ def test_product_operator_window_cap(monkeypatch):
     # a stable window n against an unstable window m leaves a free bridge
     # of max(m - n, 0) symbols in both orders; the cap applies to exactly that
     for cap in (0, 2):
-        monkeypatch.setattr(rep, "PRODUCT_WINDOW_CAP", cap)
+        monkeypatch.setattr(operators, "PRODUCT_WINDOW_CAP", cap)
         for shift in range(-3, cap + 3):
             for order in ("ab", "ba"):
                 if shift > cap:
@@ -215,16 +217,16 @@ def test_product_operator_window_cap(monkeypatch):
 def test_product_operator_symbol_budget(monkeypatch):
     # the budget counts every pair's columns exactly, times their steps,
     # before any column is built
-    from sfttrace import rep
+    from sfttrace import operators
 
     a, b = canonical_pair(GOLDEN)
     a = apply_alpha(a, 5)  # stable window -5 against unstable window 0
     symbols = count_paths(GOLDEN.sft, 0, 0, 6) * 6
     for order in ("ab", "ba"):
-        monkeypatch.setattr(rep, "ENUMERATION_CAP", symbols)
+        monkeypatch.setattr(operators, "ENUMERATION_CAP", symbols)
         assert len(product_operator(a, b, GOLDEN.perron, order).entries) == 13
-        monkeypatch.setattr(rep, "ENUMERATION_CAP", symbols - 1)
-        monkeypatch.setattr(rep, "bridge_words", None)  # nothing is enumerated
+        monkeypatch.setattr(operators, "ENUMERATION_CAP", symbols - 1)
+        monkeypatch.setattr(operators, "bridge_words", None)  # nothing is enumerated
         with pytest.raises(WindowOverflow, match=f"need {symbols} bridge symbols"):
             product_operator(a, b, GOLDEN.perron, order)
         monkeypatch.undo()
@@ -745,6 +747,35 @@ def test_oracle_calls_no_symbolic_or_point_building_code(monkeypatch):
         oracle = trace_product_oracle(a, b, k, required_window(a, b, k),
                                       sys.perron, sys.p_set, sys.q_set)
         assert oracle == known, (sys.name, name, k)
+
+
+def _package_imports(module: str) -> set:
+    """The package modules that a module of sfttrace imports anywhere in
+    its source, function bodies included."""
+    import ast
+    from pathlib import Path
+
+    import sfttrace
+
+    tree = ast.parse((Path(sfttrace.__file__).parent / f"{module}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sfttrace"):
+            out |= {node.module.partition(".")[2] or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {a.name.partition(".")[2] for a in node.names
+                    if a.name.startswith("sfttrace.")}
+    return out
+
+
+def test_oracle_module_imports_no_operator_or_driver_code():
+    # `rep`, which holds the oracle, imports neither the finite operators nor
+    # the drivers above it, so the oracle cannot reach `apply_element`,
+    # `_apply_*` or `_moves`; `operators` imports no driver either
+    assert not _package_imports("rep") & {"operators", "acceptance", "cli", "fixtures"}
+    assert not _package_imports("operators") & {"acceptance", "cli"}
 
 
 def test_oracle_orbit_tests_where_tails_agree_on_the_padded_window():

@@ -24,6 +24,7 @@ ALLOWED = {
     "bracket": "the local product structure [x, y] of heteroclinic points",
     "shift_point": "the shift on heteroclinic points, the unitary's action on the basis",
     "apply_element": "the representation of an element on one basis vector",
+    "__getattr__": "the package's lazy exports, which the interpreter calls (PEP 562)",
 }
 
 
