@@ -34,12 +34,12 @@ _EXPORTS = {
         "make_orbit", "make_orbit_set", "make_point", "make_right_ray", "shift_point",
     ), "points"),
     **dict.fromkeys((
-        "ExactTrace", "OrbitsNotDisjoint", "TraceReport", "WindowTooSmall",
-        "scaled_trace_sequence", "trace_product", "trace_product_oracle",
+        "ExactTrace", "TraceReport", "WindowTooSmall", "scaled_trace_sequence",
+        "trace_product", "trace_product_oracle",
     ), "rep"),
     **dict.fromkeys((
-        "FiniteOperator", "apply_element", "commutator_decay", "operator_norm",
-        "product_operator", "vanishing_product_check",
+        "FiniteOperator", "OrbitsNotDisjoint", "apply_element", "commutator_decay",
+        "operator_norm", "product_operator", "vanishing_product_check",
     ), "operators"),
     **dict.fromkeys((
         "Sft", "count_paths", "is_admissible", "is_mixing", "make_sft", "validate",

@@ -40,7 +40,6 @@ the reflection it checks, and the benchmark reads both classes by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 from typing import Union
 
@@ -127,27 +126,11 @@ class AlgebraElement:
 
     Terms are merged by bisection, exact-zero coefficients dropped, and the
     term order is fixed (by `sort_key`, window first), so equal reduced
-    elements compare equal.  The zero element has no terms.  `index` reads
-    each term's window, diagonal flag, edge symbol and agreement bound once
-    per element, for the trace loops that visit every term once per k.
-    Beside it, an unstable element keeps the term-pair table that
-    `rep.trace_product_detail` builds with its last stable partner
-    (`pair_table`); neither is a field, so equality, hash and repr ignore
-    them, and the table holds nothing that refers back to the element.
+    elements compare equal.  The zero element has no terms.
     """
 
     side: str
     terms: tuple[tuple[complex, Bisection], ...]
-
-    @cached_property
-    def index(self) -> tuple[tuple[complex, Bisection, int, bool, int, float], ...]:
-        """(coefficient, term, window, is_diagonal, edge symbol, agreement
-        bound) per term, in term order; the edge symbol is the sources'
-        `terminal` (stable) or `initial` (unstable) symbol, and the bound is
-        `agreement_bound`'s.  Computed on first use and kept on the element;
-        it is no field, so equality, hash and repr ignore it."""
-        return tuple((c, b, b.window, b.is_diagonal, b._edge(b.source), agreement_bound(b))
-                     for c, b in self.terms)
 
     @property
     def is_zero(self) -> bool:

@@ -80,7 +80,6 @@ from .points import (
 )
 from .rep import (
     NonFiniteCoefficient,
-    OrbitsNotDisjoint,
     format_complex,
     scaled_trace_sequence,
 )
@@ -417,8 +416,7 @@ def cmd_trace_run(config: ExperimentConfig, args) -> int:
         first_zero = len(zeros) - 1
         while first_zero > 0 and zeros[first_zero - 1]:
             first_zero -= 1
-        print(f"exact-zero regime: every trace vanishes for k >= {report.rows[first_zero].k} "
-              f"(roundtrip fixed-point sets empty)")
+        print(f"exact-zero regime: every trace vanishes for k >= {report.rows[first_zero].k}")
     tol = config.tolerances.get("final_abs_err")
     if tol is not None and report.rows and report.final_error() > tol:
         print(f"FAIL final error {report.final_error():.3e} > {tol:g}")
@@ -513,8 +511,8 @@ def _run(args) -> int:
     """The subcommand's exit code, with each documented error as one line."""
     try:
         return args.handler(args)
-    except (ParseError, ValidationError, NotPrimitive, OrbitsNotDisjoint,
-            InadmissibleOrbit, InadmissibleRay, ZeroRowOrColumn, InvalidMatrix) as exc:
+    except (ParseError, ValidationError, NotPrimitive, InadmissibleOrbit, InadmissibleRay,
+            ZeroRowOrColumn, InvalidMatrix) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NoConvergence, NonFiniteCoefficient) as exc:

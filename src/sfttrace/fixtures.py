@@ -153,29 +153,23 @@ def fixture_pairs(sys: System):
 
 
 def random_left_ray(rng, sft, orbit, end):
+    """A seeded left ray over `orbit` ending at `end`, its body of 0 to 3
+    symbols drawn from the last one back.  `make_sft` gives every symbol a
+    predecessor, so a draw is repeated only when no phase fits the body."""
     while True:
-        length = rng.randrange(0, 4)
         body = []
-        for _ in range(length):
-            prev = body[0] if body else None
-            choices = (
-                [s for s in range(sft.n) if sft.allowed(s, prev)]
-                if prev is not None
-                else list(range(sft.n))
+        for _ in range(rng.randrange(0, 4)):
+            body.insert(0, rng.choice(
+                [s for s in range(sft.n) if sft.allowed(s, body[0])] if body else range(sft.n)))
+        phases = [
+            ph
+            for ph in range(orbit.period)
+            if not body or sft.allowed(orbit.word[ph], body[0])
+        ]
+        if phases:
+            return make_left_ray(
+                sft, orbit, rng.choice(phases), end - len(body), tuple(body), end
             )
-            if not choices:
-                break
-            body.insert(0, rng.choice(choices))
-        else:
-            phases = [
-                ph
-                for ph in range(orbit.period)
-                if not body or sft.allowed(orbit.word[ph], body[0])
-            ]
-            if phases:
-                return make_left_ray(
-                    sft, orbit, rng.choice(phases), end - len(body), tuple(body), end
-                )
 
 
 def random_right_ray(rng, sft, orbit, start):

@@ -17,9 +17,8 @@ commutator checks are norms of such products along the shift.
 
 Only `theorem13` and the acceptance battery use this module, so a trace
 run does not import it.  It reads from `rep` the exact decomposition of
-coefficients (`_dyadic`), `decoupling_step` and `OrbitsNotDisjoint`, which
-stays there so that the CLI catches it without loading this module; `rep`,
-and with it the brute-force oracle, reads nothing from here.
+coefficients (`_dyadic`) and `decoupling_step`; `rep`, and with it the
+brute-force oracle, reads nothing from here.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .algebra import (
 from .perron import NonFiniteCoefficient, PerronData
 from .points import (
     ENUMERATION_CAP,
-    PRODUCT_WINDOW_CAP,
     HeteroclinicPoint,
     PeriodicOrbitSet,
     WindowOverflow,
@@ -48,8 +46,15 @@ from .points import (
     matches_past,
     splice_point,
 )
-from .rep import OrbitsNotDisjoint, _dyadic, decoupling_step
+from .rep import _dyadic, decoupling_step
 from .sft import bridge_words, count_paths
+
+# widest free bridge `product_operator` enumerates columns over
+PRODUCT_WINDOW_CAP = 16
+
+
+class OrbitsNotDisjoint(ValueError):
+    """The forward and backward orbit sets share an orbit."""
 
 
 # ---------------------------------------------------------------------------

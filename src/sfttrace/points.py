@@ -55,8 +55,6 @@ from .sft import Sft, bridge_words, count_paths, is_admissible
 # most middle symbols `enumerate_heteroclinic` holds: sequences x (2 * window + 1);
 # also the most bridge symbols `operators.product_operator` enumerates: columns x steps
 ENUMERATION_CAP = 2 ** 22
-# widest free bridge `operators.product_operator` enumerates columns over
-PRODUCT_WINDOW_CAP = 16
 
 
 class WindowOverflow(RuntimeError):
@@ -328,16 +326,14 @@ def make_right_ray(sft: Sft, orbit: Orbit, phase: int, start: int, body, splice:
                                  mirror.splice, mirror.body, mirror.end))
 
 
-def periodic_left_ray(sft: Sft, orbit: Orbit, end: int, phase_at_end: int = None) -> LeftRay:
+def periodic_left_ray(sft: Sft, orbit: Orbit, end: int, phase_at_end: int = 0) -> LeftRay:
     """Pure periodic past below `end`; phase taken so symbol at end-1 is word[phase]."""
-    phase = 0 if phase_at_end is None else phase_at_end
-    return make_left_ray(sft, orbit, phase, end, (), end)
+    return make_left_ray(sft, orbit, phase_at_end, end, (), end)
 
 
-def periodic_right_ray(sft: Sft, orbit: Orbit, start: int, phase_at_start: int = None) -> RightRay:
+def periodic_right_ray(sft: Sft, orbit: Orbit, start: int, phase_at_start: int = 0) -> RightRay:
     """Pure periodic future from `start`; symbol at start is word[phase]."""
-    phase = 0 if phase_at_start is None else phase_at_start
-    return make_right_ray(sft, orbit, phase, start, (), start)
+    return make_right_ray(sft, orbit, phase_at_start, start, (), start)
 
 
 @dataclass(frozen=True)

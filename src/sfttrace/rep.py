@@ -23,17 +23,17 @@ bound per term: the lowest coordinate where a stable term's rays differ,
 the highest for an unstable term.  The two that compare a target with
 the other term's source go through `points.rays_agree`, which compares
 bodies symbol by symbol and periodic tails by orbit and phase, so an
-overlap pair costs the same at any gap.  Each term's window, diagonal
-flag, edge symbol and agreement bound are read once per element
-(`AlgebraElement.index`), not once per k, and what a sweep's rows share is
-read once per (a, b): a term-pair table, kept on the unstable element for
-its last stable partner, holds the distinct coefficient products as slots
-in (real, imag) order, one value each, and the diagonal pairs grouped by
-(window gap, source, target), so a row adds counts to slots and its pairs
-are the slots it counted, with no merge and no sort.  Everything is exact
-integer arithmetic; the lambda^{-2k} scaling is applied through
-logarithms of big integers when plain floats would overflow, with
-lambda^{2k} and its logarithm computed once per row.  The bridge
+overlap pair costs the same at any gap.  What a sweep's rows share is
+read once per (a, b), not once per k: a term-pair table, kept on the
+unstable element for its last stable partner, reads each term's window,
+diagonal flag, edge symbol and agreement bound, and holds the distinct
+coefficient products as slots in (real, imag) order, one value each, and
+the diagonal pairs grouped by (window gap, source, target), so a row
+adds counts to slots and its pairs are the slots it counted, with no
+merge and no sort.  Everything is exact integer arithmetic; the
+lambda^{-2k} scaling is applied through logarithms of big integers when
+plain floats would overflow, with lambda^{2k} and its logarithm computed
+once per row.  The bridge
 counts come from exact row vectors of the transfer matrix that
 `sft.count_paths` keeps per system and source symbol and advances by one
 step per unit of path length, so a sweep over k pays for each length once;
@@ -73,7 +73,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import attrgetter
 
-from .algebra import AlgebraElement, SideMismatch, apply_alpha, tau_s, tau_u
+from .algebra import AlgebraElement, SideMismatch, agreement_bound, apply_alpha, tau_s, tau_u
 from .perron import NonFiniteCoefficient, PerronData, require_finite
 from .points import PeriodicOrbitSet, _cycle, asymptotic_sequences, rays_agree
 from .sft import count_paths
@@ -81,10 +81,6 @@ from .sft import count_paths
 
 class WindowTooSmall(ValueError):
     """Oracle enumeration window does not cover all affected basis points."""
-
-
-class OrbitsNotDisjoint(ValueError):
-    """The forward and backward orbit sets share an orbit."""
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +252,7 @@ class TraceDiagnostics:
 
 class _PairTable:
     """Everything of the traces of a stable element a and an unstable element
-    b that does not depend on k, built once per (a, b) from their `index`.
+    b that does not depend on k, built once per (a, b) from their terms.
 
     - Slots: the distinct nonzero coefficient products of the pairs that
       can contribute at some k (diagonal pairs, and pairs whose stable
@@ -282,11 +278,14 @@ class _PairTable:
 
     def __init__(self, a: AlgebraElement, b: AlgebraElement):
         self.partner = a
-        b_index = b.index
+        # (coefficient, term, window, diagonal flag, edge symbol, agreement
+        # bound) per term, in term order
+        a_index, b_index = ([(c, t, t.window, t.is_diagonal, t._edge(t.source), agreement_bound(t))
+                             for c, t in x.terms] for x in (a, b))
         self.windows = [m for _, _, m, _, _, _ in b_index]
         self.unstable = [(f, m, f_diag, highest) for _, f, m, f_diag, _, highest in b_index]
         members: dict = {}  # nonzero product -> the pairs that have it, in (i, j) order
-        for i, (ca, _, n, e_diag, _, _) in enumerate(a.index):
+        for i, (ca, _, n, e_diag, _, _) in enumerate(a_index):
             for j, (cb, _, m, f_diag, _, _) in enumerate(b_index):
                 c = ca * cb
                 if c and (n > m or e_diag and f_diag):
@@ -298,16 +297,16 @@ class _PairTable:
         self.reps = finite + other
         self.finite = len(finite)
         self.dyadic = _dyadic(finite)
-        slots = [[None] * len(b_index) for _ in a.index]
+        slots = [[None] * len(b_index) for _ in a_index]
         for slot, c in enumerate(self.reps):
             for i, j in members[c]:
                 slots[i][j] = slot
         self.stable = [(e, n, e_diag, lowest, slots[i])
-                       for i, (_, e, n, e_diag, _, lowest) in enumerate(a.index)]
+                       for i, (_, e, n, e_diag, _, lowest) in enumerate(a_index)]
         b_diagonal = [j for j, (_, _, f_diag, _) in enumerate(self.unstable) if f_diag]
         groups: dict = {}
         a_diagonal = 0
-        for i, (_, _, n, e_diag, s, _) in enumerate(a.index):
+        for i, (_, _, n, e_diag, s, _) in enumerate(a_index):
             if not e_diag:
                 continue
             a_diagonal += 1
@@ -323,9 +322,10 @@ class _PairTable:
 
 
 def _pair_table(a: AlgebraElement, b: AlgebraElement) -> _PairTable:
-    """The term-pair table of (a, b), kept on b beside its index for b's
-    last stable partner only, so a sweep builds it once and nothing outlives
-    the elements."""
+    """The term-pair table of (a, b), kept on b for b's last stable partner
+    only, so a sweep builds it once and nothing outlives the elements.  The
+    stash (`pair_table`) is no field of b, so b's equality, hash and repr
+    ignore it, and the table holds nothing that refers back to b."""
     table = b.__dict__.get("pair_table")
     if table is None or table.partner is not a:
         table = b.__dict__["pair_table"] = _PairTable(a, b)

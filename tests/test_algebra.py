@@ -348,41 +348,6 @@ def _bound_reference(x, y):
     return -math.inf if not diffs else math.inf if diffs[-1] >= hi else diffs[-1]
 
 
-def _fresh_index(x):
-    edge = "terminal" if x.side == "stable" else "initial"
-    return tuple((c, t, t.window, t.target == t.source, getattr(t.source, edge),
-                  _bound_reference(t.target, t.source))
-                 for c, t in x.terms)
-
-
-def test_term_index_is_read_off_the_terms():
-    # the index is each term's (coefficient, term, window, diagonal flag,
-    # edge symbol, agreement bound), and building it leaves equality, hash
-    # and repr alone
-    rng = random.Random(20261019)
-    for sys in all_systems():
-        for side in ("stable", "unstable"):
-            for _ in range(10):
-                x = random_element(rng, sys, side, rng.randrange(1, 8))
-                x = element(side, [(c, type(t)(t.source, t.source) if rng.random() < 0.4 else t)
-                                   for c, t in x.terms])
-                twin = element(side, x.terms)
-                before = (repr(x), hash(x))
-                assert x.index == _fresh_index(x)
-                assert x.index is x.index
-                assert (repr(x), hash(x)) == before
-                assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
-                assert "index" not in repr(x)
-                # every new element gets its own index, of its own terms
-                for y in (apply_alpha(x, 3), apply_alpha(x, -2), involute(x),
-                          element(side, x.terms[::-1]), 2j * x):
-                    assert y is not x
-                    assert y.index == _fresh_index(y)
-                shifted = apply_alpha(x, 1)
-                assert [w for _, _, w, _, _, _ in shifted.index] \
-                    == [w - 1 for _, _, w, _, _, _ in x.index]
-
-
 def _orbits(sft):
     """Every admissible primitive orbit of period at most 3."""
     out = set()

@@ -902,8 +902,47 @@ def test_trace_run_stdout_and_zero_regime(tmp_path, capsys):
         + "".join(f"{k},0,0.0,0.0,0.0\n" for k in range(1, 5))
         + "target tau_s(a)*tau_u(b) = 0.0\n"
         "final abs error          = 0.0\n"
-        "exact-zero regime: every trace vanishes for k >= 1 "
-        "(roundtrip fixed-point sets empty)\n")
+        "exact-zero regime: every trace vanishes for k >= 1\n")
+
+
+def test_trace_run_zero_regime_of_cancelling_terms(tmp_path, capsys):
+    # full shift: a's two diagonal terms, with coefficients 1 and -1, each
+    # form a bridge pair with b's, and their path counts cancel, so every
+    # row is 0 although no fixed-point set is empty
+    from sfttrace.perron import compute_perron
+    from sfttrace.rep import trace_product_detail
+    from sfttrace.sft import count_paths
+
+    ray = {"orbit": ["1"], "body": ["0"]}
+    doc = {
+        "sft": {"matrix": [[1, 1], [1, 1]]}, "P": [["0"]], "Q": [["1"]],
+        "a": {"side": "stable", "terms": [
+            {"coeff": [1.0, 0.0], "target_ray": ray, "source_ray": ray, "window": 0},
+            {"coeff": [-1.0, 0.0], "target_ray": {"orbit": ["1"], "body": []},
+             "source_ray": {"orbit": ["1"], "body": []}, "window": 0}]},
+        "b": {"side": "unstable", "terms": [
+            {"coeff": [1.0, 0.0], "target_ray": {"orbit": ["0"], "body": []},
+             "source_ray": {"orbit": ["0"], "body": []}, "window": 0}]},
+        "k_range": [0, 3],
+    }
+    path = write_doc(tmp_path, doc)
+    assert main(["trace-run", "--config", path, "--no-timestamp"]) == 0
+    assert capsys.readouterr().out == (
+        "k,trace,scaled,target,abs_err\n"
+        + "".join(f"{k},0,0.0,0.0,0.0\n" for k in range(4))
+        + "target tau_s(a)*tau_u(b) = 0.0\n"
+        "final abs error          = 0.0\n"
+        "exact-zero regime: every trace vanishes for k >= 0\n")
+    config = load_config(path)
+    p = compute_perron(config.sft)
+    for k in range(4):
+        diagnostics = trace_product_detail(config.a, config.b, k, p)[1]
+        assert (diagnostics.bridge_pairs, diagnostics.overlap_pairs) == (2, 0)
+        for _, e in config.a.terms:
+            for _, f in config.b.terms:
+                assert e.is_diagonal and f.is_diagonal
+                assert count_paths(config.sft, e.source.terminal, f.source.initial,
+                                   2 * k + 1) == 4 ** k
 
 
 # sha256 of `enumerate` stdout for the shipped configs at windows 0..5; any

@@ -45,6 +45,7 @@ from sfttrace.points import (
 )
 from sfttrace.operators import (
     FiniteOperator,
+    OrbitsNotDisjoint,
     apply_element,
     commutator_decay,
     operator_norm,
@@ -54,7 +55,6 @@ from sfttrace.operators import (
 from sfttrace.points import WindowOverflow
 from sfttrace.rep import (
     ExactTrace,
-    OrbitsNotDisjoint,
     WindowTooSmall,
     decoupling_step,
     required_window,
@@ -1085,6 +1085,17 @@ def test_a_finished_sweep_keeps_no_element_alive():
     del a, b
     assert len(report.rows) == 9
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_a_sweeps_table_leaves_equality_hash_and_repr_alone():
+    # the table is stashed on b, not held in a field
+    a, b = _many_terms_pair(3, 8, 3)
+    scaled_trace_sequence(a, b, range(0, 9), THREE.perron)
+    assert "pair_table" in b.__dict__
+    for x in (a, b):
+        twin = element(x.side, x.terms)
+        assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
+    assert "pair_table" not in repr(b)
 
 
 def _assert_table_rows_sum_their_pairs(a, b, p, ks):
