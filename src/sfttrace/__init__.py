@@ -47,7 +47,7 @@ _EXPORTS = {
 }
 # every module, also reachable as an attribute after a bare `import sfttrace`
 _MODULES = ("acceptance", "algebra", "cli", "fixtures", "operators", "perron", "points",
-            "rep", "sft")
+            "rep", "sft", "values")
 
 
 def __getattr__(name):

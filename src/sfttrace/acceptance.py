@@ -13,7 +13,6 @@ import functools
 import math
 import random
 import time
-from dataclasses import dataclass
 
 from .algebra import trace_property_check
 from .fixtures import (
@@ -38,6 +37,7 @@ from .rep import (
     trace_product_oracle,
 )
 from .sft import word_levels
+from .values import Value
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -64,14 +64,13 @@ RUNTIME_LIMITS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    name: str
-    description: str
-    passed: bool
-    measured: str
-    tolerance: str
-    runtime: float
+class CheckRow(Value):
+    _fields = ("name", "description", "passed", "measured", "tolerance", "runtime")
+
+    def __init__(self, name: str, description: str, passed: bool, measured: str,
+                 tolerance: str, runtime: float):
+        self.__dict__.update(name=name, description=description, passed=passed,
+                             measured=measured, tolerance=tolerance, runtime=runtime)
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"

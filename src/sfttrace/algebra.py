@@ -39,13 +39,13 @@ the reflection it checks, and the benchmark reads both classes by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Union
 
 from .perron import PerronData, mu_s_data, mu_u_data, require_finite
 from .points import LeftRay, RightRay, lowest_difference, reflect
 from .sft import Sft, word_levels
+from .values import Value
 
 
 class SideMismatch(ValueError):
@@ -56,9 +56,9 @@ class BisectionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class _Bisection:
-    """The replacement map of both sides, written once.
+class _Bisection(Value):
+    """The replacement map of both sides, written once: a target and a
+    source ray, left rays on the stable side and right rays on the unstable.
 
     A side names, as class keywords, the ray coordinate that is the window
     (`at`) and the ray's symbol next to it (`edge`): a stable bisection's
@@ -68,19 +68,19 @@ class _Bisection:
     coordinate, since the trace loops read it for every term.
     """
 
-    target: LeftRay | RightRay
-    source: LeftRay | RightRay
+    _fields = ("target", "source")
 
     def __init_subclass__(cls, at: str, edge: str, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._at, cls._edge, cls._edge_name = attrgetter(at), attrgetter(edge), edge
         cls.window = property(attrgetter(f"target.{at}"))
 
-    def __post_init__(self):
-        if self._at(self.target) != self._at(self.source):
+    def __init__(self, target: LeftRay | RightRay, source: LeftRay | RightRay):
+        if self._at(target) != self._at(source):
             raise BisectionError("target and source rays must share their window")
-        if self._edge(self.target) != self._edge(self.source):
+        if self._edge(target) != self._edge(source):
             raise BisectionError(f"target and source must share the {self._edge_name} symbol")
+        self.__dict__.update(target=target, source=source)
 
     @property
     def is_diagonal(self) -> bool:
@@ -99,29 +99,20 @@ class _Bisection:
                 (w, s.splice, s.body, s.orbit.word, s.phase))
 
 
-@dataclass(frozen=True)
 class StableBisection(_Bisection, at="end", edge="terminal"):
     """Past replacement: send source-cylinder points to target-past points."""
 
-    target: LeftRay
-    source: LeftRay
 
-
-@dataclass(frozen=True)
 class UnstableBisection(_Bisection, at="start", edge="initial"):
     """Future replacement on the cylinder of points matching the source from
     the window on."""
-
-    target: RightRay
-    source: RightRay
 
 
 Bisection = Union[StableBisection, UnstableBisection]
 BISECTIONS = {"stable": StableBisection, "unstable": UnstableBisection}
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Value):
     """Reduced finite combination of same-side bisections.
 
     Terms are merged by bisection, exact-zero coefficients dropped, and the
@@ -129,8 +120,10 @@ class AlgebraElement:
     elements compare equal.  The zero element has no terms.
     """
 
-    side: str
-    terms: tuple[tuple[complex, Bisection], ...]
+    _fields = ("side", "terms")
+
+    def __init__(self, side: str, terms: tuple[tuple[complex, Bisection], ...]):
+        self.__dict__.update(side=side, terms=terms)
 
     @property
     def is_zero(self) -> bool:

@@ -49,7 +49,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .algebra import (
     BISECTIONS,
@@ -60,8 +59,8 @@ from .algebra import (
 )
 from .perron import (
     NoConvergence,
+    NonFiniteCoefficient,
     NotPrimitive,
-    PerronData,
     compute_perron,
     entropy,
     mu_bowen,
@@ -78,12 +77,9 @@ from .points import (
     make_orbit_set,
     make_right_ray,
 )
-from .rep import (
-    NonFiniteCoefficient,
-    format_complex,
-    scaled_trace_sequence,
-)
+from .rep import format_complex, scaled_trace_sequence
 from .sft import InvalidMatrix, Sft, ZeroRowOrColumn, make_sft
+from .values import Value
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -101,16 +97,14 @@ class ValidationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    sft: Sft
-    p_set: PeriodicOrbitSet
-    q_set: PeriodicOrbitSet
-    a: AlgebraElement
-    b: AlgebraElement
-    k_range: tuple[int, int]
-    tolerances: dict
-    output: str | None
+class ExperimentConfig(Value):
+    _fields = ("sft", "p_set", "q_set", "a", "b", "k_range", "tolerances", "output")
+
+    def __init__(self, sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrbitSet,
+                 a: AlgebraElement, b: AlgebraElement, k_range: tuple[int, int],
+                 tolerances: dict, output: str | None):
+        self.__dict__.update(sft=sft, p_set=p_set, q_set=q_set, a=a, b=b, k_range=k_range,
+                             tolerances=tolerances, output=output)
 
     def doc(self) -> dict:
         """The normalized JSON document (canonical ray forms)."""

@@ -10,8 +10,6 @@ element pairs used by the verification suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     BISECTIONS,
     AlgebraElement,
@@ -32,17 +30,17 @@ from .points import (
     reflect,
 )
 from .sft import Sft, make_sft
+from .values import Value
 
 
-@dataclass(frozen=True)
-class System:
+class System(Value):
     """A mixing shift with chosen orbit sets and Perron data."""
 
-    name: str
-    sft: Sft
-    p_set: PeriodicOrbitSet
-    q_set: PeriodicOrbitSet
-    perron: PerronData
+    _fields = ("name", "sft", "p_set", "q_set", "perron")
+
+    def __init__(self, name: str, sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrbitSet,
+                 perron: PerronData):
+        self.__dict__.update(name=name, sft=sft, p_set=p_set, q_set=q_set, perron=perron)
 
 
 def full_shift() -> System:

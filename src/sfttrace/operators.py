@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
@@ -48,6 +47,7 @@ from .points import (
 )
 from .rep import _dyadic, decoupling_step
 from .sft import bridge_words, count_paths
+from .values import Value
 
 # widest free bridge `product_operator` enumerates columns over
 PRODUCT_WINDOW_CAP = 16
@@ -109,26 +109,25 @@ NORM_RTOL = 1e-15
 NORM_ITERATIONS = 500
 
 
-@dataclass
-class FiniteOperator:
+class FiniteOperator(Value):
     """A finitely supported operator: (row point, column point) -> coefficient.
 
     Built from `exact`, every entry as an exact (real, imaginary) pair of
     Fractions; zero entries are dropped, and `entries` holds the nearest
     complex floats of the rest.  Raises NonFiniteCoefficient when an entry
-    is beyond the float range.
+    is beyond the float range.  Its fields are dicts, so it has no hash.
     """
 
-    exact: dict
-    entries: dict = field(init=False)
+    _fields = ("exact", "entries")
+    __hash__ = None
 
-    def __post_init__(self):
-        self.exact = {key: z for key, z in self.exact.items() if any(z)}
+    def __init__(self, exact: dict):
+        exact = {key: z for key, z in exact.items() if any(z)}
         try:
-            self.entries = {key: complex(float(re), float(im))
-                            for key, (re, im) in self.exact.items()}
+            entries = {key: complex(float(re), float(im)) for key, (re, im) in exact.items()}
         except OverflowError:
             raise NonFiniteCoefficient("an operator entry exceeds the float range") from None
+        self.__dict__.update(exact=exact, entries=entries)
 
     @property
     def is_zero(self) -> bool:

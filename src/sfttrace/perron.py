@@ -31,9 +31,9 @@ fixture, and with them the scaled trace values of every report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .sft import Sft, is_admissible, is_mixing
+from .values import Value
 
 ITERATION_CAP = 10 ** 6
 # iterations without a new minimum residual before giving up on tol
@@ -58,19 +58,18 @@ class NonFiniteCoefficient(ArithmeticError):
     entry that is inf or nan, or a leaf mass whose power of lambda is."""
 
 
-@dataclass(frozen=True)
-class PerronData:
+class PerronData(Value):
     """Dominant eigen-data of a primitive SFT; carries the system it came from.
 
     Invariants: u.v = 1, all entries strictly positive, and both
     eigen-residuals (max-norm) bounded by `residual`.
     """
 
-    sft: Sft
-    lam: float
-    v: tuple[float, ...]
-    u: tuple[float, ...]
-    residual: float
+    _fields = ("sft", "lam", "v", "u", "residual")
+
+    def __init__(self, sft: Sft, lam: float, v: tuple[float, ...], u: tuple[float, ...],
+                 residual: float):
+        self.__dict__.update(sft=sft, lam=lam, v=v, u=u, residual=residual)
 
 
 def _matvec(adjacency, x) -> list[float]:

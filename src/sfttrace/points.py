@@ -47,10 +47,10 @@ compared; the symbolic trace decides its overlap pairs with them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .sft import Sft, bridge_words, count_paths, is_admissible
+from .values import Value
 
 # most middle symbols `enumerate_heteroclinic` holds: sequences x (2 * window + 1);
 # also the most bridge symbols `operators.product_operator` enumerates: columns x steps
@@ -84,21 +84,29 @@ def _cycle(word, phase, length):
     return (word * ((phase + length) // len(word) + 1))[phase:phase + length]
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Value):
     """A primitive admissible cyclic word, stored as its minimal rotation."""
 
-    word: tuple[int, ...]
+    _fields = ("word",)
 
-    def __post_init__(self):
-        if not self.word:
+    def __init__(self, word: tuple[int, ...]):
+        if not word:
             raise InadmissibleOrbit("empty cyclic word")
-        if self.word != _min_rotation(self.word):
-            raise InadmissibleOrbit(f"{self.word} is not the minimal rotation")
-        p = len(self.word)
+        if word != _min_rotation(word):
+            raise InadmissibleOrbit(f"{word} is not the minimal rotation")
+        p = len(word)
         for d in range(1, p):
-            if p % d == 0 and self.word == self.word[d:] + self.word[:d]:
-                raise InadmissibleOrbit(f"{self.word} is not primitive")
+            if p % d == 0 and word == word[d:] + word[:d]:
+                raise InadmissibleOrbit(f"{word} is not primitive")
+        self.__dict__.update(word=word)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.word == other.word
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.word,))
 
     @property
     def period(self) -> int:
@@ -117,8 +125,14 @@ class Orbit:
         return orbit, t
 
     def validate(self, sft: Sft) -> None:
-        if not is_admissible(sft, self.word + (self.word[0],)):
-            raise InadmissibleOrbit(f"cyclic word {self.word} not admissible")
+        # the orbit keeps the matrix it last passed in (no field), so the rays
+        # over a validated orbit set check it no more; not the system, which
+        # an orbit and its reversal, a reference cycle, would keep alive with
+        # its path-count memo
+        if self.__dict__.get("valid_in") is not sft.trans:
+            if not is_admissible(sft, self.word + (self.word[0],)):
+                raise InadmissibleOrbit(f"cyclic word {self.word} not admissible")
+            self.__dict__["valid_in"] = sft.trans
 
 
 def make_orbit(word, sft: Sft | None = None) -> Orbit:
@@ -128,15 +142,15 @@ def make_orbit(word, sft: Sft | None = None) -> Orbit:
     return orb
 
 
-@dataclass(frozen=True)
-class PeriodicOrbitSet:
+class PeriodicOrbitSet(Value):
     """A finite shift-invariant set given as a list of disjoint orbits."""
 
-    orbits: tuple[Orbit, ...]
+    _fields = ("orbits",)
 
-    def __post_init__(self):
-        if len(set(self.orbits)) != len(self.orbits):
+    def __init__(self, orbits: tuple[Orbit, ...]):
+        if len(set(orbits)) != len(orbits):
             raise InadmissibleOrbit("orbit set contains duplicates")
+        self.__dict__.update(orbits=orbits)
 
     def __contains__(self, orbit: Orbit) -> bool:
         return orbit in self.orbits
@@ -155,21 +169,26 @@ def make_orbit_set(words, sft: Sft | None = None) -> PeriodicOrbitSet:
     return PeriodicOrbitSet(tuple(make_orbit(w, sft) for w in words))
 
 
-@dataclass(frozen=True)
-class LeftRay:
+class LeftRay(Value):
     """Coordinates below `end`: orbit-periodic up to `splice`, then `body`."""
 
-    orbit: Orbit
-    phase: int
-    splice: int
-    body: tuple[int, ...]
-    end: int
+    _fields = ("orbit", "phase", "splice", "body", "end")
 
-    def __post_init__(self):
-        if self.splice + len(self.body) != self.end:
+    def __init__(self, orbit: Orbit, phase: int, splice: int, body: tuple[int, ...], end: int):
+        if splice + len(body) != end:
             raise InadmissibleRay("body length does not match [splice, end)")
-        if not 0 <= self.phase < self.orbit.period:
+        if not 0 <= phase < orbit.period:
             raise InadmissibleRay("phase out of range")
+        self.__dict__.update(orbit=orbit, phase=phase, splice=splice, body=body, end=end)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.orbit, self.phase, self.splice, self.body, self.end)
+                    == (other.orbit, other.phase, other.splice, other.body, other.end))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.orbit, self.phase, self.splice, self.body, self.end))
 
     def symbol_at(self, m: int) -> int:
         if m >= self.end:
@@ -204,21 +223,26 @@ class LeftRay:
         return LeftRay(self.orbit, phase, c, (), c)
 
 
-@dataclass(frozen=True)
-class RightRay:
+class RightRay(Value):
     """Coordinates at and above `start`: `body` on [start, splice), then periodic."""
 
-    orbit: Orbit
-    phase: int
-    start: int
-    body: tuple[int, ...]
-    splice: int
+    _fields = ("orbit", "phase", "start", "body", "splice")
 
-    def __post_init__(self):
-        if self.start + len(self.body) != self.splice:
+    def __init__(self, orbit: Orbit, phase: int, start: int, body: tuple[int, ...], splice: int):
+        if start + len(body) != splice:
             raise InadmissibleRay("body length does not match [start, splice)")
-        if not 0 <= self.phase < self.orbit.period:
+        if not 0 <= phase < orbit.period:
             raise InadmissibleRay("phase out of range")
+        self.__dict__.update(orbit=orbit, phase=phase, start=start, body=body, splice=splice)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.orbit, self.phase, self.start, self.body, self.splice)
+                    == (other.orbit, other.phase, other.start, other.body, other.splice))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.orbit, self.phase, self.start, self.body, self.splice))
 
     def symbol_at(self, m: int) -> int:
         if m < self.start:
@@ -336,8 +360,7 @@ def periodic_right_ray(sft: Sft, orbit: Orbit, start: int, phase_at_start: int =
     return make_right_ray(sft, orbit, phase_at_start, start, (), start)
 
 
-@dataclass(frozen=True)
-class HeteroclinicPoint:
+class HeteroclinicPoint(Value):
     """A bi-infinite sequence, backward asymptotic to `left_orbit`, forward to
     `right_orbit`, in canonical form.
 
@@ -347,29 +370,35 @@ class HeteroclinicPoint:
     word[right_phase]).
 
     Points are dict keys throughout the representation, so each one hashes
-    its fields once, when first hashed, to the value the generated hash
-    would give.
+    its field tuple once, when first hashed.
     """
 
-    left_orbit: Orbit
-    left_phase: int
-    n_left: int
-    middle: tuple[int, ...]
-    right_orbit: Orbit
-    right_phase: int
-    m_right: int
+    _fields = ("left_orbit", "left_phase", "n_left", "middle", "right_orbit", "right_phase",
+               "m_right")
 
-    def __post_init__(self):
-        if self.n_left + len(self.middle) != self.m_right:
+    def __init__(self, left_orbit: Orbit, left_phase: int, n_left: int, middle: tuple[int, ...],
+                 right_orbit: Orbit, right_phase: int, m_right: int):
+        if n_left + len(middle) != m_right:
             raise ValueError("middle length does not match window")
+        self.__dict__.update(left_orbit=left_orbit, left_phase=left_phase, n_left=n_left,
+                             middle=middle, right_orbit=right_orbit, right_phase=right_phase,
+                             m_right=m_right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.left_orbit, self.left_phase, self.n_left, self.middle,
+                     self.right_orbit, self.right_phase, self.m_right)
+                    == (other.left_orbit, other.left_phase, other.n_left, other.middle,
+                        other.right_orbit, other.right_phase, other.m_right))
+        return NotImplemented
 
     _hash = None  # not a field: set by the first __hash__
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((
+            self.__dict__["_hash"] = hash((
                 self.left_orbit, self.left_phase, self.n_left, self.middle,
-                self.right_orbit, self.right_phase, self.m_right)))
+                self.right_orbit, self.right_phase, self.m_right))
         return self._hash
 
     @property

@@ -68,15 +68,15 @@ from __future__ import annotations
 import math
 import statistics
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from operator import attrgetter
 
 from .algebra import AlgebraElement, SideMismatch, agreement_bound, apply_alpha, tau_s, tau_u
-from .perron import NonFiniteCoefficient, PerronData, require_finite
+from .perron import PerronData, require_finite
 from .points import PeriodicOrbitSet, _cycle, asymptotic_sequences, rays_agree
 from .sft import count_paths
+from .values import Value
 
 
 class WindowTooSmall(ValueError):
@@ -87,8 +87,7 @@ class WindowTooSmall(ValueError):
 # exact traces
 
 
-@dataclass(frozen=True, slots=True)
-class ExactTrace:
+class ExactTrace(Value):
     """A trace value as a sum of coefficient x big-integer-count pairs.
 
     Counts are nonnegative path counts; coefficients are the complex term
@@ -108,9 +107,16 @@ class ExactTrace:
     sums once per call, and a trace run renders each row once.
     """
 
-    pairs: tuple[tuple[complex, int], ...]
-    # (denominator, {coefficient: (real numerator, imaginary numerator)})
-    dyadic: tuple | None = field(default=None, repr=False)
+    __slots__ = ("pairs", "dyadic")  # a long sweep keeps one trace per row
+    _fields = ("pairs",)  # the repr leaves `dyadic` out
+
+    def __init__(self, pairs: tuple[tuple[complex, int], ...], dyadic: tuple | None = None):
+        # dyadic: (denominator, {coefficient: (real numerator, imaginary numerator)})
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "dyadic", dyadic)
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, past the frozen slots
+        return ExactTrace, (self.pairs, self.dyadic)
 
     @staticmethod
     def from_pairs(pairs) -> "ExactTrace":
@@ -239,15 +245,17 @@ def _dyadic(coefficients) -> tuple[int, dict]:
 # exact traces of conjugated products
 
 
-@dataclass(frozen=True)
-class TraceDiagnostics:
+class TraceDiagnostics(Value):
     """How the trace decomposed: bridge-counting pairs vs pinned-overlap pairs,
     and how many off-diagonal pairs admitted a roundtrip fixed point."""
 
-    bridge_pairs: int = 0
-    overlap_pairs: int = 0
-    offdiag_pairs: int = 0
-    offdiag_fixed_points: int = 0
+    _fields = ("bridge_pairs", "overlap_pairs", "offdiag_pairs", "offdiag_fixed_points")
+
+    def __init__(self, bridge_pairs: int = 0, overlap_pairs: int = 0, offdiag_pairs: int = 0,
+                 offdiag_fixed_points: int = 0):
+        self.__dict__.update(bridge_pairs=bridge_pairs, overlap_pairs=overlap_pairs,
+                             offdiag_pairs=offdiag_pairs,
+                             offdiag_fixed_points=offdiag_fixed_points)
 
 
 class _PairTable:
@@ -508,20 +516,20 @@ def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: i
 # trace reports
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    k: int
-    trace: ExactTrace
-    scaled: complex
-    abs_err: float
+class TraceRow(Value):
+    _fields = ("k", "trace", "scaled", "abs_err")
+
+    def __init__(self, k: int, trace: ExactTrace, scaled: complex, abs_err: float):
+        self.__dict__.update(k=k, trace=trace, scaled=scaled, abs_err=abs_err)
 
 
-@dataclass(frozen=True)
-class TraceReport:
+class TraceReport(Value):
     """Scaled trace values against the product of the two traces."""
 
-    rows: tuple[TraceRow, ...]
-    target: complex
+    _fields = ("rows", "target")
+
+    def __init__(self, rows: tuple[TraceRow, ...], target: complex):
+        self.__dict__.update(rows=rows, target=target)
 
     def write_csv(self, fh) -> list[bool]:
         """Write the header and one line per row to `fh`; return, per row,

@@ -11,8 +11,9 @@ trace computation downstream.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
+
+from .values import Value
 
 # rows of trans^L kept per source symbol: a trace sweep asks, within one k,
 # for lengths that differ by the spread of the term windows, and moves on
@@ -35,8 +36,7 @@ class InvalidMatrix(ValueError):
     or the labels do not name its symbols one to one."""
 
 
-@dataclass(frozen=True)
-class Sft:
+class Sft(Value):
     """Shift of finite type given by an n x n 0/1 transition matrix.
 
     trans[i][j] == 1 means symbol j may follow symbol i.  Immutable;
@@ -45,14 +45,13 @@ class Sft:
     it changes no field, no comparison or hash, and no returned count.
     """
 
-    trans: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None  # None names the symbols "0", ..., "n-1"
+    _fields = ("trans", "labels")
 
-    def __post_init__(self):
-        n = len(self.trans)
+    def __init__(self, trans: tuple[tuple[int, ...], ...], labels: tuple[str, ...] | None = None):
+        n = len(trans)
         if n < 1:
             raise InvalidMatrix("empty transition matrix")
-        for row in self.trans:
+        for row in trans:
             if len(row) != n:
                 raise InvalidMatrix("transition matrix must be square")
             for e in row:
@@ -62,7 +61,7 @@ class Sft:
                         f"entry {e!r} is not the integer 0 or 1; "
                         "recode edge shifts as vertex shifts"
                     )
-        labels = tuple(map(str, range(n))) if self.labels is None else tuple(self.labels)
+        labels = tuple(map(str, range(n))) if labels is None else tuple(labels)
         if len(labels) != n:
             raise InvalidMatrix("label count does not match matrix size")
         for i, lab in enumerate(labels):
@@ -70,7 +69,7 @@ class Sft:
                 raise InvalidMatrix(f"symbol label {lab!r} is not a string")
             if lab in labels[:i]:
                 raise InvalidMatrix(f"duplicate symbol label {lab!r}")
-        object.__setattr__(self, "labels", labels)
+        self.__dict__.update(trans=trans, labels=labels)
 
     @property
     def n(self) -> int:

@@ -104,6 +104,49 @@ def test_config_rays_share_the_orbit_set_orbits(tmp_path):
                     assert ray.orbit is by_word[ray.orbit.word]
 
 
+def test_config_parse_checks_each_orbit_once(tmp_path, monkeypatch):
+    # an orbit keeps the matrix it passed in, so the rays over the orbit sets
+    # check each set orbit once and each P orbit's time reversal once, in the
+    # transpose; a ray used to check its orbit again
+    import sys
+
+    from sfttrace import points
+
+    path = _three_symbol_many_terms_config(tmp_path / "many.json")
+    admissible, checked = points.is_admissible, []
+
+    def counted(sft, word):
+        caller = sys._getframe(1)
+        if caller.f_code is points.Orbit.validate.__code__:
+            checked.append(caller.f_locals["self"])
+        return admissible(sft, word)
+
+    monkeypatch.setattr(points, "is_admissible", counted)
+    config = load_config(path)
+    assert len(config.a.terms) == len(config.b.terms) == 12
+    reversals = [o.reversal[0] for o in config.p_set.orbits]
+    assert sorted(map(id, checked)) == sorted(map(id, (*config.p_set.orbits,
+                                                       *config.q_set.orbits, *reversals)))
+
+
+@pytest.mark.parametrize("side,orbit,phase,message", [
+    ("a", ["0"], 0, "a.terms[0]: ray body breaks admissibility"),
+    ("a", ["0", "1"], 1, "a.terms[0]: ray body breaks admissibility"),
+    ("a", ["0"], 1, "a.terms[0]: phase out of range"),
+    ("b", ["0"], 0, "b.terms[0]: ray body breaks admissibility"),
+    ("b", ["0", "1"], 1, "b.terms[0]: ray body breaks admissibility"),
+    ("b", ["0"], 1, "b.terms[0]: phase out of range"),
+])
+def test_inadmissible_ray_over_a_checked_orbit(side, orbit, phase, message):
+    # the orbit passed with its set; the ray's own body and phase still fail
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    doc["P"] = doc["Q"] = [["0"], ["0", "1"]]
+    doc[side]["terms"][0]["source_ray"].update(orbit=orbit, phase=phase, body=["1", "1"])
+    with pytest.raises(ValidationError) as info:
+        parse_config(doc)
+    assert str(info.value) == message
+
+
 def test_config_ray_over_a_rotation_of_a_set_orbit(tmp_path):
     # P holds the golden mean's period-2 orbit, written from its 1; the rays
     # name it from either symbol and all resolve to the one set orbit
@@ -1026,9 +1069,9 @@ COMMAND_MODULES = [
 
 
 def _loaded_modules(tmp_path, script, *args):
-    """The sfttrace modules that a fresh interpreter running `script` with
-    `args` in `tmp_path` has loaded when it ends; its output goes to the
-    null device."""
+    """The sfttrace modules, and `dataclasses` and `inspect` if loaded, that
+    a fresh interpreter running `script` with `args` in `tmp_path` has
+    loaded when it ends; its output goes to the null device."""
     import os
     import subprocess
     import sys
@@ -1040,7 +1083,8 @@ def _loaded_modules(tmp_path, script, *args):
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     script += ("\nimport json, sys\n"
                "with open('modules.json', 'w') as fh:\n"
-               "    json.dump([m for m in sys.modules if m.partition('.')[0] == 'sfttrace'], fh)\n")
+               "    json.dump([m for m in sys.modules if m.partition('.')[0] == 'sfttrace'\n"
+               "               or m in ('dataclasses', 'inspect')], fh)\n")
     done = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=tmp_path,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
                           timeout=120)
@@ -1056,6 +1100,8 @@ def test_each_command_imports_only_what_it_runs(tmp_path, argv, needs):
     loaded = _loaded_modules(tmp_path, script, *argv, *config)
     assert loaded >= {"sfttrace.cli", "sfttrace.rep"}
     assert loaded & {"sfttrace.operators", "sfttrace.acceptance"} == needs
+    # the value types generate no code, so no command loads these
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_bench_set_up_imports_neither_operators_nor_acceptance(tmp_path):
@@ -1065,4 +1111,4 @@ def test_bench_set_up_imports_neither_operators_nor_acceptance(tmp_path):
               "perron.compute_perron(cli.load_config(sys.argv[1]).sft)")
     loaded = _loaded_modules(tmp_path, script, str(CONFIG_DIR / "golden_mean.json"))
     assert "sfttrace.fixtures" in loaded
-    assert not loaded & {"sfttrace.operators", "sfttrace.acceptance"}
+    assert not loaded & {"sfttrace.operators", "sfttrace.acceptance", "dataclasses", "inspect"}

@@ -556,9 +556,8 @@ def test_scaled_sequence_matches_cold_counts():
     # the sweep carries each system's path-count memo from k to k (lengths
     # up to 2k + 5 pass the memo's row window); every reference trace
     # counts on an equal system built afresh, whose memo starts cold
-    import dataclasses
-
     from sfttrace.fixtures import random_element
+    from sfttrace.perron import PerronData
     from sfttrace.sft import Sft
 
     sys = three_symbol()
@@ -571,7 +570,8 @@ def test_scaled_sequence_matches_cold_counts():
     report = scaled_trace_sequence(a, b, range(0, 41), sys.perron)
     assert report.rows[-1].trace.pairs
     for row in report.rows:
-        cold = dataclasses.replace(sys.perron, sft=Sft(sys.sft.trans, sys.sft.labels))
+        p = sys.perron
+        cold = PerronData(Sft(sys.sft.trans, sys.sft.labels), p.lam, p.v, p.u, p.residual)
         assert trace_product(a, b, row.k, cold).pairs == row.trace.pairs
 
 
@@ -1179,7 +1179,7 @@ def test_diagnostics_where_the_last_overlap_ends(seed, shift):
 
 
 def test_overflowing_coefficient_products():
-    from sfttrace.rep import NonFiniteCoefficient
+    from sfttrace.perron import NonFiniteCoefficient
 
     _, b = canonical_pair(GOLDEN)
     big_b = element("unstable", [(1e200, t) for _, t in b.terms])

@@ -5,7 +5,8 @@ A definition counts as read when another top-level statement of the
 package names it, as a name or an attribute.  Its own body (recursion, a
 method naming its class) does not count, and neither does an import, so a
 re-export by `__init__.py` does not.  Code that only the tests or the
-benchmark read belongs with them, not in the package.
+benchmark read belongs with them, not in the package.  Each module reads
+every name it imports.
 """
 
 import ast
@@ -63,3 +64,20 @@ def test_allowed_names_are_defined_and_unread():
     # an entry that package code reads, or that is gone, is stale
     defined, read = _scan()
     assert {name for name in ALLOWED if name not in defined or name in read} == set()
+
+
+def test_every_import_is_read_in_its_module():
+    # `__init__.py`, where an import may be a re-export, is exempt
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name.partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert not unread, "imported and never read: " + ", ".join(unread)

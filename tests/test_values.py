@@ -1,0 +1,190 @@
+"""The value types keep the contract of the frozen dataclasses they
+replaced: equality over the fields within one class, the hash of the
+field tuple, the `Name(field=value, ...)` repr, no assignment or deletion,
+and cached properties and stashes that change none of these."""
+
+import copy
+import pickle
+import random
+from fractions import Fraction
+
+import pytest
+
+from sfttrace.acceptance import CheckRow
+from sfttrace.algebra import AlgebraElement, StableBisection, UnstableBisection
+from sfttrace.cli import ExperimentConfig, parse_config
+from sfttrace.fixtures import System, canonical_pair, golden_mean, random_element, three_symbol
+from sfttrace.operators import FiniteOperator
+from sfttrace.perron import PerronData
+from sfttrace.points import (
+    HeteroclinicPoint,
+    LeftRay,
+    Orbit,
+    PeriodicOrbitSet,
+    RightRay,
+    enumerate_heteroclinic,
+    make_orbit,
+    make_point,
+)
+from sfttrace.rep import (
+    ExactTrace,
+    TraceDiagnostics,
+    TraceReport,
+    TraceRow,
+    scaled_trace_sequence,
+    trace_product_detail,
+)
+from sfttrace.sft import Sft, count_paths
+
+CLASSES = (AlgebraElement, CheckRow, ExactTrace, ExperimentConfig, FiniteOperator,
+           HeteroclinicPoint, LeftRay, Orbit, PerronData, PeriodicOrbitSet, RightRay,
+           StableBisection, Sft, System, TraceDiagnostics, TraceReport, TraceRow,
+           UnstableBisection)
+# fields that hold dicts, so the field tuple has no hash
+UNHASHABLE = (ExperimentConfig, FiniteOperator)
+
+
+def _instances() -> dict:
+    """One instance of each value class, built afresh from seeded draws: a
+    fixture system, random elements, a many-terms config parsed from its
+    document, a trace sweep, a point, an operator and a check row."""
+    system = three_symbol()
+    rng = random.Random(11)
+    a, b = (random_element(rng, system, side, 12) for side in ("stable", "unstable"))
+    config = parse_config(ExperimentConfig(system.sft, system.p_set, system.q_set, a, b,
+                                           (0, 6), {"final_abs_err": 1.0}, None).doc())
+    trace, diagnostics = trace_product_detail(config.a, config.b, 1, system.perron)
+    report = scaled_trace_sequence(config.a, config.b, range(3), system.perron)
+    point = enumerate_heteroclinic(system.sft, system.p_set, system.q_set, 1)[-1]
+    half = (Fraction(1, 2), Fraction(0))
+    found = [system, system.sft, system.perron, system.p_set, system.p_set.orbits[0],
+             config, config.a, config.a.terms[-1][1], config.a.terms[-1][1].target,
+             config.b.terms[-1][1], config.b.terms[-1][1].source, trace, diagnostics,
+             report, report.rows[-1], point, FiniteOperator({(point, point): half}),
+             CheckRow("AC-0", "a check", True, "1", "0", 0.25)]
+    instances = {type(x): x for x in found}
+    assert set(instances) == set(CLASSES)
+    return instances
+
+
+def _fields(x) -> tuple:
+    return tuple(getattr(x, name) for name in type(x)._fields)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=[c.__name__ for c in CLASSES])
+def test_twins_are_equal_and_hash_their_fields(cls):
+    x, y = _instances()[cls], _instances()[cls]
+    assert x is not y and x == y and not x != y
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(x)
+    elif cls is ExactTrace:
+        # a trace compares and hashes by its exact total
+        assert hash(x) == hash(y) == hash(x.exact_total())
+    else:
+        assert hash(x) == hash(y) == hash(_fields(x))
+
+
+def test_classes_never_cross_equal():
+    values = list(_instances().values())
+    for x in values:
+        for y in values:
+            assert (x == y) == (x is y)
+    # equal field tuples, different classes
+    orbit = make_orbit((0,))
+    left, right = LeftRay(orbit, 0, 0, (), 0), RightRay(orbit, 0, 0, (), 0)
+    assert _fields(left) == _fields(right)
+    assert left != right and left.__eq__(right) is NotImplemented
+    assert TraceDiagnostics() != (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=[c.__name__ for c in CLASSES])
+def test_assignment_and_deletion_raise(cls):
+    x = _instances()[cls]
+    before = repr(x)
+    for name in (*cls._fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert repr(x) == before
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=[c.__name__ for c in CLASSES])
+def test_copies_and_pickles_are_twins(cls):
+    x = _instances()[cls]
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert twin is not x and twin == x and repr(twin) == repr(x)
+
+
+def test_cached_properties_and_stashes_leave_the_value_alone():
+    golden = golden_mean()
+    orbit, twin = make_orbit((2, 1, 0)), make_orbit((1, 0, 2))
+    reversed_orbit, t = orbit.reversal
+    assert reversed_orbit.reversal == (orbit, t) and reversed_orbit.reversal[0] is orbit
+    assert "reversal" in orbit.__dict__
+    assert orbit == twin and hash(orbit) == hash(twin) and repr(orbit) == repr(twin)
+
+    sft, fresh = golden.sft, Sft(golden.sft.trans, golden.sft.labels)
+    assert count_paths(sft, 0, 0, 9) == 55
+    assert sft._path_rows is sft.__dict__["_path_rows"]
+    assert sft == fresh and hash(sft) == hash(fresh) and repr(sft) == repr(fresh)
+
+    # parsed orbits remember the system they passed in
+    system = three_symbol()
+    a, b = (random_element(random.Random(3), system, side, 4) for side in ("stable", "unstable"))
+    config = parse_config(ExperimentConfig(system.sft, system.p_set, system.q_set, a, b,
+                                           (0, 2), {}, None).doc())
+    assert all("valid_in" in o.__dict__ for o in config.p_set.orbits)
+    assert config.p_set == system.p_set and repr(config.p_set) == repr(system.p_set)
+
+    a, b = config.a, config.b
+    trace_product_detail(a, b, 2, system.perron)
+    assert b.__dict__["pair_table"].partner is a
+    twin = AlgebraElement(b.side, b.terms)
+    assert b == twin and hash(b) == hash(twin) and repr(b) == repr(twin)
+    assert "pair_table" not in repr(b)
+
+    z = make_point(make_orbit((0,)), 0, 0, (1,), make_orbit((0,)), 0, 1)
+    first = repr(z)
+    assert hash(z) == hash(_fields(z)) and repr(z) == first
+
+
+def test_positional_keyword_and_default_construction():
+    orbit = make_orbit((0,))
+    assert (LeftRay(orbit=orbit, phase=0, splice=-1, body=(0,), end=0)
+            == LeftRay(orbit, 0, -1, (0,), 0))
+    assert TraceDiagnostics() == TraceDiagnostics(0, 0, 0, 0)
+    assert TraceDiagnostics(overlap_pairs=2) == TraceDiagnostics(0, 2)
+    assert Sft(((1, 1), (1, 0))).labels == ("0", "1")
+    assert ExactTrace(((1 + 0j, 2),)).dyadic is None
+    assert ExactTrace(((1 + 0j, 2),)) == ExactTrace.from_pairs([(1 + 0j, 1), (1 + 0j, 1)])
+    assert isinstance(PeriodicOrbitSet((orbit,)).orbits[0], Orbit)
+
+
+def test_reprs_are_those_of_the_dataclasses():
+    # text printed by the frozen dataclasses these classes replaced
+    golden = golden_mean()
+    assert repr(golden.sft) == "Sft(trans=((1, 1), (1, 0)), labels=('0', '1'))"
+    assert repr(golden.p_set) == "PeriodicOrbitSet(orbits=(Orbit(word=(0,)),))"
+    a, b = canonical_pair(golden)
+    left = "LeftRay(orbit=Orbit(word=(0,)), phase=0, splice=0, body=(), end=0)"
+    right = "RightRay(orbit=Orbit(word=(0,)), phase=0, start=0, body=(), splice=0)"
+    assert repr(a) == (f"AlgebraElement(side='stable', terms=(((1+0j), StableBisection("
+                       f"target={left}, source={left})),))")
+    assert repr(b) == (f"AlgebraElement(side='unstable', terms=(((1+0j), UnstableBisection("
+                       f"target={right}, source={right})),))")
+    trace, diagnostics = trace_product_detail(a, b, 3, golden.perron)
+    assert repr(trace) == "ExactTrace(pairs=(((1+0j), 21),))"
+    assert repr(diagnostics) == ("TraceDiagnostics(bridge_pairs=1, overlap_pairs=0, "
+                                 "offdiag_pairs=0, offdiag_fixed_points=0)")
+    assert repr(ExactTrace(((1 + 0j, 2),), (1, {}))) == "ExactTrace(pairs=(((1+0j), 2),))"
+    orbit = make_orbit((0,))
+    assert repr(make_point(orbit, 0, 0, (1,), orbit, 0, 1)) == (
+        "HeteroclinicPoint(left_orbit=Orbit(word=(0,)), left_phase=0, n_left=0, middle=(1,), "
+        "right_orbit=Orbit(word=(0,)), right_phase=0, m_right=1)")
+    assert repr(PerronData(golden.sft, 2.0, (1.0, 0.5), (0.5, 1.0), 0.0)) == (
+        "PerronData(sft=Sft(trans=((1, 1), (1, 0)), labels=('0', '1')), lam=2.0, "
+        "v=(1.0, 0.5), u=(0.5, 1.0), residual=0.0)")
+    assert repr(make_orbit((2, 1, 0)).reversal) == "(Orbit(word=(0, 1, 2)), 2)"
