@@ -31,7 +31,7 @@ _EXPORTS = {
     **dict.fromkeys((
         "HeteroclinicPoint", "LeftRay", "Orbit", "PeriodicOrbitSet", "RightRay",
         "WindowOverflow", "bracket", "enumerate_heteroclinic", "make_left_ray",
-        "make_orbit", "make_orbit_set", "make_point", "make_right_ray", "shift_point",
+        "make_orbit", "make_orbit_set", "make_right_ray", "shift_point",
     ), "points"),
     **dict.fromkeys((
         "ExactTrace", "TraceReport", "WindowTooSmall", "scaled_trace_sequence",
@@ -42,7 +42,7 @@ _EXPORTS = {
         "operator_norm", "product_operator", "vanishing_product_check",
     ), "operators"),
     **dict.fromkeys((
-        "Sft", "count_paths", "is_admissible", "is_mixing", "make_sft", "validate",
+        "Sft", "count_paths", "is_admissible", "is_mixing", "make_sft",
     ), "sft"),
 }
 # every module, also reachable as an attribute after a bare `import sfttrace`

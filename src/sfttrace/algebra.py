@@ -40,7 +40,6 @@ the reflection it checks, and the benchmark reads both classes by name.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Union
 
 from .perron import PerronData, mu_s_data, mu_u_data, require_finite
 from .points import LeftRay, RightRay, lowest_difference, reflect
@@ -108,7 +107,6 @@ class UnstableBisection(_Bisection, at="start", edge="initial"):
     the window on."""
 
 
-Bisection = Union[StableBisection, UnstableBisection]
 BISECTIONS = {"stable": StableBisection, "unstable": UnstableBisection}
 
 
@@ -122,7 +120,7 @@ class AlgebraElement(Value):
 
     _fields = ("side", "terms")
 
-    def __init__(self, side: str, terms: tuple[tuple[complex, Bisection], ...]):
+    def __init__(self, side: str, terms: tuple[tuple[complex, _Bisection], ...]):
         self.__dict__.update(side=side, terms=terms)
 
     @property
@@ -170,7 +168,7 @@ def diagonal(side: str, ray) -> AlgebraElement:
     return element(side, (((1 + 0j), _bisection_class(side)(ray, ray)),))
 
 
-def refine(sft: Sft, e: Bisection, window: int) -> list:
+def refine(sft: Sft, e: _Bisection, window: int) -> list:
     """Partition a bisection into pieces constrained out to a finer window.
 
     Stable side: extend both rays by every admissible word on [N, window);
@@ -191,7 +189,7 @@ def refine(sft: Sft, e: Bisection, window: int) -> list:
     raise TypeError(f"not a bisection: {e!r}")
 
 
-def agreement_bound(e: Bisection):
+def agreement_bound(e: _Bisection):
     """Where a term's target and source stop agreeing: for a stable term the
     lowest coordinate where they differ, so they agree below any m up to it;
     for an unstable term the highest, so they agree from any m above it.
@@ -205,7 +203,7 @@ def agreement_bound(e: Bisection):
     return -1 - lowest_difference(reflect(e.target), reflect(e.source))
 
 
-def _reflect(e: Bisection, side: str) -> Bisection:
+def _reflect(e: _Bisection, side: str) -> _Bisection:
     """The time-reversed bisection, on the other side, named by `side`."""
     return BISECTIONS[side](reflect(e.target), reflect(e.source))
 

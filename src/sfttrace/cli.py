@@ -67,8 +67,6 @@ from .perron import (
     require_finite,
 )
 from .points import (
-    InadmissibleOrbit,
-    InadmissibleRay,
     PeriodicOrbitSet,
     WindowOverflow,
     enumerate_heteroclinic,
@@ -78,7 +76,7 @@ from .points import (
     make_right_ray,
 )
 from .rep import format_complex, scaled_trace_sequence
-from .sft import InvalidMatrix, Sft, ZeroRowOrColumn, make_sft
+from .sft import Sft, make_sft
 from .values import Value
 
 EXIT_OK = 0
@@ -209,7 +207,8 @@ def _parse_orbit_set(sft, words, field) -> PeriodicOrbitSet:
         return make_orbit_set(
             [[sft.symbol_of(lab) for lab in w] for w in words], sft
         )
-    except (InadmissibleOrbit, ValueError) as exc:
+    except ValueError as exc:
+        # unknown labels and empty, imprimitive or inadmissible orbits
         raise ValidationError(f"{field}: {exc}") from exc
 
 
@@ -254,8 +253,6 @@ def _parse_element(sft, doc, side, orbit_set, field) -> AlgebraElement:
             terms.append((coeff, BISECTIONS[side](*rays)))
         except ValidationError:
             raise
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ValidationError(f"{where}: malformed term ({exc})") from exc
         except ValueError as exc:
             # unknown labels, inadmissible orbits or rays, mismatched bisections
             raise ValidationError(f"{where}: {exc}") from exc
@@ -505,8 +502,7 @@ def _run(args) -> int:
     """The subcommand's exit code, with each documented error as one line."""
     try:
         return args.handler(args)
-    except (ParseError, ValidationError, NotPrimitive, InadmissibleOrbit, InadmissibleRay,
-            ZeroRowOrColumn, InvalidMatrix) as exc:
+    except (ParseError, ValidationError, NotPrimitive) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NoConvergence, NonFiniteCoefficient) as exc:

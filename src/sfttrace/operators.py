@@ -40,7 +40,6 @@ from .points import (
     HeteroclinicPoint,
     PeriodicOrbitSet,
     WindowOverflow,
-    make_point,
     matches_future,
     matches_past,
     splice_point,
@@ -67,9 +66,9 @@ def _apply_stable(e: StableBisection, w: HeteroclinicPoint):
     if not matches_past(w, e.source, n):
         return None
     alpha, upper = e.target, max(n, w.m_right)
-    return make_point(alpha.orbit, alpha.phase, alpha.splice,
-                      alpha.body + w.segment(n, upper), w.right_orbit,
-                      (w.right_phase + upper - w.m_right) % w.right_orbit.period, upper)
+    return HeteroclinicPoint(alpha.orbit, alpha.phase, alpha.splice,
+                             alpha.body + w.segment(n, upper), w.right_orbit,
+                             (w.right_phase + upper - w.m_right) % w.right_orbit.period, upper)
 
 
 def _apply_unstable(f: UnstableBisection, w: HeteroclinicPoint):
@@ -77,9 +76,10 @@ def _apply_unstable(f: UnstableBisection, w: HeteroclinicPoint):
     if not matches_future(w, f.source, m):
         return None
     gamma, lower = f.target, min(m, w.n_left)
-    return make_point(w.left_orbit, (w.left_phase + lower - w.n_left) % w.left_orbit.period,
-                      lower, w.segment(lower, m) + gamma.body,
-                      gamma.orbit, gamma.phase, gamma.splice)
+    return HeteroclinicPoint(w.left_orbit,
+                             (w.left_phase + lower - w.n_left) % w.left_orbit.period,
+                             lower, w.segment(lower, m) + gamma.body,
+                             gamma.orbit, gamma.phase, gamma.splice)
 
 
 def _moves(side: str, terms, w: HeteroclinicPoint):

@@ -10,11 +10,18 @@ asymptotic to Q and forward asymptotic to P.
 Every object is kept in a canonical form so that equality of the
 underlying sequences is plain tuple equality:
 
+  * an orbit holds the minimal rotation of its word;
   * rays absorb any body prefix/suffix that merely continues the
     periodic pattern (maximal splice for left rays, minimal for right);
   * points absorb redundant middle symbols into the periodic sides, and
     an empty middle's junction is slid right as far as it goes; a fully
     periodic point is anchored at junction 0.
+
+`Orbit` and `HeteroclinicPoint` take any form and store the canonical
+one, so no orbit or point holds another.  The ray constructors only
+check lengths and phases, and `make_left_ray`/`make_right_ray` build
+canonical rays: a right ray is canonicalized through the time reversal
+below, which itself builds rays, so its constructor cannot do it.
 
 Phases are anchored at the splice: a left ray's symbol at splice-1 is
 orbit.word[phase]; a right ray's symbol at its splice is orbit.word[phase].
@@ -73,10 +80,6 @@ class IncompatibleAtZero(ValueError):
     """Bracket of two points whose symbols at index 0 differ."""
 
 
-def _min_rotation(word):
-    return min(tuple(word[i:] + word[:i]) for i in range(len(word)))
-
-
 def _cycle(word, phase, length):
     """`length` symbols of the periodic word, starting at word[phase] (mod
     its length)."""
@@ -85,20 +88,24 @@ def _cycle(word, phase, length):
 
 
 class Orbit(Value):
-    """A primitive admissible cyclic word, stored as its minimal rotation."""
+    """A primitive cyclic word, given in any rotation and stored as its
+    minimal one; admissibility in a system is checked by `validate`."""
 
     _fields = ("word",)
 
     def __init__(self, word: tuple[int, ...]):
         if not word:
             raise InadmissibleOrbit("empty cyclic word")
-        if word != _min_rotation(word):
-            raise InadmissibleOrbit(f"{word} is not the minimal rotation")
-        p = len(word)
-        for d in range(1, p):
-            if p % d == 0 and word == word[d:] + word[:d]:
-                raise InadmissibleOrbit(f"{word} is not primitive")
-        self.__dict__.update(word=word)
+        # one rotation at a time, so a long word never holds all of them
+        least, repeats = word, False
+        for i in range(1, len(word)):
+            rotation = word[i:] + word[:i]
+            repeats = repeats or rotation == word
+            least = min(least, rotation)
+        # a word is primitive exactly when no other rotation equals it
+        if repeats:
+            raise InadmissibleOrbit(f"{least} is not primitive")
+        self.__dict__.update(word=least)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -117,18 +124,14 @@ class Orbit(Value):
         """The time-reversed orbit and the rotation t that reaches it:
         reversed.word[i] == word[(p - 1 - i - t) % p]."""
         rev = self.word[::-1]
-        t = min(range(len(rev)), key=lambda i: rev[i:] + rev[:i])
-        orbit = Orbit(rev[t:] + rev[:t])
-        # reversing twice returns this very object, so repeated reflections
-        # of one ray reuse both cached reversals
-        orbit.__dict__["reversal"] = (self, t)
+        orbit = Orbit(rev)
+        t = next(i for i in range(len(rev)) if rev[i:] + rev[:i] == orbit.word)
         return orbit, t
 
     def validate(self, sft: Sft) -> None:
         # the orbit keeps the matrix it last passed in (no field), so the rays
         # over a validated orbit set check it no more; not the system, which
-        # an orbit and its reversal, a reference cycle, would keep alive with
-        # its path-count memo
+        # it would keep alive with its path-count memo
         if self.__dict__.get("valid_in") is not sft.trans:
             if not is_admissible(sft, self.word + (self.word[0],)):
                 raise InadmissibleOrbit(f"cyclic word {self.word} not admissible")
@@ -136,7 +139,7 @@ class Orbit(Value):
 
 
 def make_orbit(word, sft: Sft | None = None) -> Orbit:
-    orb = Orbit(_min_rotation(tuple(word)))
+    orb = Orbit(tuple(word))
     if sft is not None:
         orb.validate(sft)
     return orb
@@ -344,10 +347,12 @@ def make_left_ray(sft: Sft, orbit: Orbit, phase: int, splice: int, body, end: in
 
 
 def make_right_ray(sft: Sft, orbit: Orbit, phase: int, start: int, body, splice: int) -> RightRay:
-    """Validated, canonical right ray: the reflected left ray over the transpose."""
+    """Validated, canonical right ray: the reflected left ray over the
+    transpose, over `orbit` itself, so rays over one orbit set share its orbits."""
     mirror = reflect(RightRay(orbit, phase, start, tuple(body), splice))
-    return reflect(make_left_ray(sft.transpose, mirror.orbit, mirror.phase,
-                                 mirror.splice, mirror.body, mirror.end))
+    ray = reflect(make_left_ray(sft.transpose, mirror.orbit, mirror.phase,
+                                mirror.splice, mirror.body, mirror.end))
+    return RightRay(orbit, ray.phase, ray.start, ray.body, ray.splice)
 
 
 def periodic_left_ray(sft: Sft, orbit: Orbit, end: int, phase_at_end: int = 0) -> LeftRay:
@@ -367,7 +372,9 @@ class HeteroclinicPoint(Value):
     Coordinates < n_left follow the left orbit (symbol at n_left-1 is
     word[left_phase]);  [n_left, m_right) is the explicit middle;
     coordinates >= m_right follow the right orbit (symbol at m_right is
-    word[right_phase]).
+    word[right_phase]).  The constructor takes arbitrary gluing data of
+    that form and stores its canonical form; it does not check the
+    transitions against a system.
 
     Points are dict keys throughout the representation, so each one hashes
     its field tuple once, when first hashed.
@@ -376,10 +383,39 @@ class HeteroclinicPoint(Value):
     _fields = ("left_orbit", "left_phase", "n_left", "middle", "right_orbit", "right_phase",
                "m_right")
 
-    def __init__(self, left_orbit: Orbit, left_phase: int, n_left: int, middle: tuple[int, ...],
+    def __init__(self, left_orbit: Orbit, left_phase: int, n_left: int, middle,
                  right_orbit: Orbit, right_phase: int, m_right: int):
+        middle = tuple(middle)
         if n_left + len(middle) != m_right:
             raise ValueError("middle length does not match window")
+        pl, pr = left_orbit.period, right_orbit.period
+        # absorb middle into the periodic sides
+        while middle and middle[0] == left_orbit.word[(left_phase + 1) % pl]:
+            left_phase = (left_phase + 1) % pl
+            n_left += 1
+            middle = middle[1:]
+        while middle and middle[-1] == right_orbit.word[(right_phase - 1) % pr]:
+            right_phase = (right_phase - 1) % pr
+            m_right -= 1
+            middle = middle[:-1]
+        if not middle:
+            if left_orbit == right_orbit and (left_phase + 1) % pl == right_phase:
+                # fully periodic: anchor the junction at 0
+                right_phase = (right_phase - n_left) % pr
+                left_phase = (right_phase - 1) % pr
+                n_left = m_right = 0
+            else:
+                # slide the junction right as far as it goes; distinct primitive
+                # patterns must disagree within pl + pr steps
+                for _ in range(pl + pr + 1):
+                    if right_orbit.word[right_phase] != left_orbit.word[(left_phase + 1) % pl]:
+                        break
+                    left_phase = (left_phase + 1) % pl
+                    right_phase = (right_phase + 1) % pr
+                    n_left += 1
+                    m_right += 1
+                else:
+                    raise AssertionError("junction slide did not terminate")
         self.__dict__.update(left_orbit=left_orbit, left_phase=left_phase, n_left=n_left,
                              middle=middle, right_orbit=right_orbit, right_phase=right_phase,
                              m_right=m_right)
@@ -436,60 +472,21 @@ class HeteroclinicPoint(Value):
         return f"({lw})^inf [{self.n_left}|{mid}|{self.m_right}) ({rw})^inf"
 
 
-def make_point(left_orbit, left_phase, n_left, middle, right_orbit, right_phase,
-               m_right) -> HeteroclinicPoint:
-    """Canonicalize arbitrary gluing data into a HeteroclinicPoint."""
-    middle = tuple(middle)
-    if n_left + len(middle) != m_right:
-        raise ValueError("middle length does not match window")
-    pl, pr = left_orbit.period, right_orbit.period
-    # absorb middle into the periodic sides
-    while middle and middle[0] == left_orbit.word[(left_phase + 1) % pl]:
-        left_phase = (left_phase + 1) % pl
-        n_left += 1
-        middle = middle[1:]
-    while middle and middle[-1] == right_orbit.word[(right_phase - 1) % pr]:
-        right_phase = (right_phase - 1) % pr
-        m_right -= 1
-        middle = middle[:-1]
-    if not middle:
-        assert n_left == m_right
-        if left_orbit == right_orbit and (left_phase + 1) % pl == right_phase:
-            # fully periodic: anchor the junction at 0
-            right_phase = (right_phase - n_left) % pr
-            left_phase = (right_phase - 1) % pr
-            n_left = m_right = 0
-        else:
-            # slide the junction right as far as it goes; distinct primitive
-            # patterns must disagree within pl + pr steps
-            for _ in range(pl + pr + 1):
-                if right_orbit.word[right_phase] != left_orbit.word[(left_phase + 1) % pl]:
-                    break
-                left_phase = (left_phase + 1) % pl
-                right_phase = (right_phase + 1) % pr
-                n_left += 1
-                m_right += 1
-            else:
-                raise AssertionError("junction slide did not terminate")
-    return HeteroclinicPoint(left_orbit, left_phase, n_left, middle,
-                             right_orbit, right_phase, m_right)
-
-
 def splice_point(past: LeftRay, middle, future: RightRay) -> HeteroclinicPoint:
     """Point whose coordinates < past.end come from `past`, then `middle`,
     then `future` from future.start onward.  Requires contiguity."""
     middle = tuple(middle)
     if past.end + len(middle) != future.start:
         raise ValueError("rays and middle do not tile the line")
-    return make_point(past.orbit, past.phase, past.splice,
-                      past.body + middle + future.body,
-                      future.orbit, future.phase, future.splice)
+    return HeteroclinicPoint(past.orbit, past.phase, past.splice,
+                             past.body + middle + future.body,
+                             future.orbit, future.phase, future.splice)
 
 
 def shift_point(z: HeteroclinicPoint, n: int) -> HeteroclinicPoint:
     """Canonical form of the n-th shift image: (shift^n z)_m = z_{m+n}."""
-    return make_point(z.left_orbit, z.left_phase, z.n_left - n, z.middle,
-                      z.right_orbit, z.right_phase, z.m_right - n)
+    return HeteroclinicPoint(z.left_orbit, z.left_phase, z.n_left - n, z.middle,
+                             z.right_orbit, z.right_phase, z.m_right - n)
 
 
 def bracket(x: HeteroclinicPoint, y: HeteroclinicPoint) -> HeteroclinicPoint:
@@ -503,10 +500,10 @@ def bracket(x: HeteroclinicPoint, y: HeteroclinicPoint) -> HeteroclinicPoint:
         )
     lo = min(y.n_left, 0)
     hi = max(x.m_right, 0)
-    return make_point(y.left_orbit, (y.left_phase + lo - y.n_left) % y.left_orbit.period,
-                      lo, y.segment(lo, 0) + x.segment(0, hi),
-                      x.right_orbit, (x.right_phase + hi - x.m_right) % x.right_orbit.period,
-                      hi)
+    return HeteroclinicPoint(y.left_orbit, (y.left_phase + lo - y.n_left) % y.left_orbit.period,
+                             lo, y.segment(lo, 0) + x.segment(0, hi),
+                             x.right_orbit, (x.right_phase + hi - x.m_right) % x.right_orbit.period,
+                             hi)
 
 
 def matches_past(z: HeteroclinicPoint, ray: LeftRay, upto: int) -> bool:
@@ -584,8 +581,9 @@ def enumerate_heteroclinic(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrb
                            window: int) -> list[HeteroclinicPoint]:
     """All heteroclinic points whose canonical window lies within
     [-window, window], in a fixed lexicographic order: the
-    `asymptotic_sequences` at this window, canonicalized by `make_point`
-    (which never moves n_left below -window), whose m_right fits.
+    `asymptotic_sequences` at this window, canonicalized by the
+    `HeteroclinicPoint` constructor (which never moves n_left below
+    -window), whose m_right fits.
 
     Raises WindowOverflow, before building any point, when the sequences
     times 2 * window + 1 exceed ENUMERATION_CAP, which bounds the symbols
@@ -599,7 +597,7 @@ def enumerate_heteroclinic(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrb
         if count * (2 * w + 1) > ENUMERATION_CAP:
             raise WindowOverflow(f"window {window} needs more than {ENUMERATION_CAP} "
                                  f"symbols ({count} sequences x {2 * w + 1} at window {w})")
-    points = (make_point(left, lph, -window, middle, right, rph, window)
+    points = (HeteroclinicPoint(left, lph, -window, middle, right, rph, window)
               for left, lph, right, rph, middles in asymptotic_sequences(sft, p_set, q_set, window)
               for middle in middles)
     return sorted((z for z in points if z.m_right <= window), key=point_key)

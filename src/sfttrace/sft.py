@@ -39,7 +39,9 @@ class InvalidMatrix(ValueError):
 class Sft(Value):
     """Shift of finite type given by an n x n 0/1 transition matrix.
 
-    trans[i][j] == 1 means symbol j may follow symbol i.  Immutable;
+    trans[i][j] == 1 means symbol j may follow symbol i.  Every symbol has
+    a successor and a predecessor: the constructor raises ZeroRowOrColumn
+    for the first zero row, then for the first zero column.  Immutable;
     all operations on it are pure functions.  `count_paths` keeps a memo
     of rows of trans^L on the instance; the memo is observationally pure:
     it changes no field, no comparison or hash, and no returned count.
@@ -69,6 +71,12 @@ class Sft(Value):
                 raise InvalidMatrix(f"symbol label {lab!r} is not a string")
             if lab in labels[:i]:
                 raise InvalidMatrix(f"duplicate symbol label {lab!r}")
+        for i, row in enumerate(trans):
+            if not any(row):
+                raise ZeroRowOrColumn(i, "row")
+        for j, column in enumerate(zip(*trans)):
+            if not any(column):
+                raise ZeroRowOrColumn(j, "column")
         self.__dict__.update(trans=trans, labels=labels)
 
     @property
@@ -141,20 +149,8 @@ class _PathRows:
 
 
 def make_sft(matrix, labels=None) -> Sft:
-    """Build and validate an Sft from nested sequences."""
-    sft = Sft(tuple(tuple(row) for row in matrix), labels)
-    validate(sft)
-    return sft
-
-
-def validate(sft: Sft) -> None:
-    """Raise ZeroRowOrColumn unless every symbol has a successor and a predecessor."""
-    for i, row in enumerate(sft.trans):
-        if not any(row):
-            raise ZeroRowOrColumn(i, "row")
-    for j in range(sft.n):
-        if not any(sft.trans[i][j] for i in range(sft.n)):
-            raise ZeroRowOrColumn(j, "column")
+    """An Sft from nested sequences."""
+    return Sft(tuple(tuple(row) for row in matrix), labels)
 
 
 def is_mixing(sft: Sft) -> bool:

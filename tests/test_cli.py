@@ -85,12 +85,29 @@ def test_config_orbit_not_in_set(tmp_path):
     (["1"], "a.terms[0]: cyclic word (1,) not admissible"),
     (["0", "0"], "a.terms[0]: (0, 0) is not primitive"),
     (["1", "0"], "a.terms[0].source_ray: orbit ['1', '0'] not in the Q orbit set"),
-], ids=["not-in-set", "inadmissible", "not-primitive", "rotation-not-in-set"])
+    ([], "a.terms[0]: empty cyclic word"),
+], ids=["not-in-set", "inadmissible", "not-primitive", "rotation-not-in-set", "empty"])
 def test_config_ray_orbit_errors_exit_2(tmp_path, capsys, word, message):
     doc = json.loads(json.dumps(GOLDEN_DOC))
     doc["a"]["terms"][0]["source_ray"]["orbit"] = word
     assert main(["inspect", "--config", write_doc(tmp_path, doc)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_empty_orbit_word_exits_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    doc["P"] = [[]]
+    assert main(["inspect", "--config", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == "error: P: empty cyclic word\n"
+
+
+def test_trace_run_on_an_element_without_terms_exits_2(tmp_path, capsys):
+    doc = json.loads(json.dumps(GOLDEN_DOC))
+    doc["b"]["terms"] = []
+    config = load_config(write_doc(tmp_path, doc))
+    assert config.b.is_zero
+    assert main(["trace-run", "--config", write_doc(tmp_path, doc), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == "error: trace runs need nonzero elements a and b\n"
 
 
 def test_config_rays_share_the_orbit_set_orbits(tmp_path):
@@ -219,6 +236,8 @@ def test_config_bad_k_range(tmp_path, k_range):
     (("a", "terms", 0, "target_ray", "orbit"), "0"),
     (("a", "terms", 0, "source_ray", "body"), "10"),
     (("sft", "symbols"), [0, 1]),
+    (("sft", "matrix"), [1, 1]),
+    (("P",), []),
 ], ids=["stable-label", "unstable-label", "tolerance-list", "tolerance-string",
         "sft-list", "matrix-entry", "a-list", "terms-number", "P-number", "Q-orbit-null",
         "output-number", "matrix-float", "matrix-bool", "symbols-duplicate",
@@ -228,7 +247,7 @@ def test_config_bad_k_range(tmp_path, k_range):
         "term-typo", "ray-typo", "element-typo", "sft-typo",
         "unlabelled-plus-zero", "unlabelled-space-zero", "unlabelled-double-zero",
         "unlabelled-number-zero", "unlabelled-orbit-of-lists", "ray-orbit-string",
-        "ray-body-string", "symbols-numbers"])
+        "ray-body-string", "symbols-numbers", "matrix-not-rows", "P-empty"])
 def test_config_bad_field_exits_2(tmp_path, capsys, keys, value):
     doc = json.loads(json.dumps(GOLDEN_DOC))
     if keys[0] == NO_SYMBOLS:
@@ -1069,9 +1088,10 @@ COMMAND_MODULES = [
 
 
 def _loaded_modules(tmp_path, script, *args):
-    """The sfttrace modules, and `dataclasses` and `inspect` if loaded, that
-    a fresh interpreter running `script` with `args` in `tmp_path` has
-    loaded when it ends; its output goes to the null device."""
+    """The sfttrace modules, and `dataclasses`, `inspect` and `typing` if
+    loaded, that a fresh interpreter running `script` with `args` in
+    `tmp_path` has loaded when it ends; its output goes to the null device.
+    The interpreter runs without `site` (-S), which may load `typing` first."""
     import os
     import subprocess
     import sys
@@ -1084,8 +1104,8 @@ def _loaded_modules(tmp_path, script, *args):
     script += ("\nimport json, sys\n"
                "with open('modules.json', 'w') as fh:\n"
                "    json.dump([m for m in sys.modules if m.partition('.')[0] == 'sfttrace'\n"
-               "               or m in ('dataclasses', 'inspect')], fh)\n")
-    done = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=tmp_path,
+               "               or m in ('dataclasses', 'inspect', 'typing')], fh)\n")
+    done = subprocess.run([sys.executable, "-S", "-c", script, *args], env=env, cwd=tmp_path,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
@@ -1100,8 +1120,9 @@ def test_each_command_imports_only_what_it_runs(tmp_path, argv, needs):
     loaded = _loaded_modules(tmp_path, script, *argv, *config)
     assert loaded >= {"sfttrace.cli", "sfttrace.rep"}
     assert loaded & {"sfttrace.operators", "sfttrace.acceptance"} == needs
-    # the value types generate no code, so no command loads these
-    assert not loaded & {"dataclasses", "inspect"}
+    # the value types generate no code and no annotation is evaluated, so
+    # no command loads these
+    assert not loaded & {"dataclasses", "inspect", "typing"}
 
 
 def test_bench_set_up_imports_neither_operators_nor_acceptance(tmp_path):
@@ -1111,4 +1132,5 @@ def test_bench_set_up_imports_neither_operators_nor_acceptance(tmp_path):
               "perron.compute_perron(cli.load_config(sys.argv[1]).sft)")
     loaded = _loaded_modules(tmp_path, script, str(CONFIG_DIR / "golden_mean.json"))
     assert "sfttrace.fixtures" in loaded
-    assert not loaded & {"sfttrace.operators", "sfttrace.acceptance", "dataclasses", "inspect"}
+    assert not loaded & {"sfttrace.operators", "sfttrace.acceptance", "dataclasses", "inspect",
+                         "typing"}

@@ -29,7 +29,7 @@ EXPORTS = {
     **dict.fromkeys([
         "HeteroclinicPoint", "LeftRay", "Orbit", "PeriodicOrbitSet", "RightRay",
         "WindowOverflow", "bracket", "enumerate_heteroclinic", "make_left_ray",
-        "make_orbit", "make_orbit_set", "make_point", "make_right_ray", "shift_point",
+        "make_orbit", "make_orbit_set", "make_right_ray", "shift_point",
     ], "points"),
     **dict.fromkeys([
         "ExactTrace", "TraceReport", "WindowTooSmall", "scaled_trace_sequence",
@@ -40,7 +40,7 @@ EXPORTS = {
         "operator_norm", "product_operator", "vanishing_product_check",
     ], "operators"),
     **dict.fromkeys([
-        "Sft", "count_paths", "is_admissible", "is_mixing", "make_sft", "validate",
+        "Sft", "count_paths", "is_admissible", "is_mixing", "make_sft",
     ], "sft"),
 }
 
@@ -57,7 +57,7 @@ def _run(script: str, cwd) -> str:
 
 
 def test_every_public_name_is_its_modules_object():
-    assert len(EXPORTS) == 53
+    assert len(EXPORTS) == 51
     for name, module in EXPORTS.items():
         namespace: dict = {}
         exec(f"from sfttrace import {name}", namespace)

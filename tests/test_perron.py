@@ -156,7 +156,11 @@ def mixing_matrices(draw):
     n = draw(st.integers(2, 6))
     cells = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
     trans = tuple(tuple(cells[r * n:(r + 1) * n]) for r in range(n))
-    assume(all(any(row) for row in trans) and all(any(col) for col in zip(*trans)))
+    if not (all(map(any, trans)) and all(map(any, zip(*trans)))):
+        # the constructor refuses exactly the draws with a zero row or column
+        with pytest.raises(ZeroRowOrColumn):
+            Sft(trans)
+        assume(False)
     sft = Sft(trans)
     assume(is_mixing(sft))
     return sft

@@ -16,7 +16,6 @@ from sfttrace.points import (
     make_left_ray,
     make_orbit,
     make_orbit_set,
-    make_point,
     make_right_ray,
     periodic_left_ray,
     periodic_right_ray,
@@ -24,7 +23,7 @@ from sfttrace.points import (
     splice_point,
 )
 from sfttrace.fixtures import all_systems
-from sfttrace.sft import Sft, is_admissible, is_mixing, make_sft, word_levels
+from sfttrace.sft import Sft, ZeroRowOrColumn, is_admissible, is_mixing, make_sft, word_levels
 
 FULL = make_sft([[1, 1], [1, 1]], ["0", "1"])
 GOLDEN = make_sft([[1, 1], [1, 0]], ["0", "1"])
@@ -36,7 +35,7 @@ ORB01 = make_orbit((0, 1))
 
 def fixed_point(orbit):
     # aligned phases: symbol at -1 is word[p-1], symbol at 0 is word[0]
-    return make_point(orbit, orbit.period - 1, 0, (), orbit, 0, 0)
+    return HeteroclinicPoint(orbit, orbit.period - 1, 0, (), orbit, 0, 0)
 
 
 def point_is_admissible(sft, z):
@@ -51,7 +50,7 @@ def point_is_admissible(sft, z):
 
 def split_point(sft, left_orbit, right_orbit):
     # all left-orbit pattern below 0, right-orbit pattern from 0 on
-    return make_point(left_orbit, left_orbit.period - 1, 0, (), right_orbit, 0, 0)
+    return HeteroclinicPoint(left_orbit, left_orbit.period - 1, 0, (), right_orbit, 0, 0)
 
 
 def test_orbit_minimal_rotation():
@@ -115,32 +114,32 @@ def test_ray_extend_then_truncate_roundtrip():
 def test_point_canonicalization_absorbs_middle():
     # middle symbols repeating the periodic sides get absorbed:
     # the sequence is 1s through -2 and 0s from -1 on
-    z = make_point(ORB1, 0, -2, (1, 0, 0), ORB0, 0, 1)
+    z = HeteroclinicPoint(ORB1, 0, -2, (1, 0, 0), ORB0, 0, 1)
     assert z.window == (-1, -1)
     assert z.middle == ()
     assert z.segment(-3, 1) == (1, 1, 0, 0)
     # fully periodic data collapses to the anchored orbit point
-    w = make_point(ORB0, 0, -5, (0, 0, 0), ORB0, 0, -2)
+    w = HeteroclinicPoint(ORB0, 0, -5, (0, 0, 0), ORB0, 0, -2)
     assert w == fixed_point(ORB0)
 
 
 def test_point_canonical_idempotent():
-    z = make_point(ORB1, 0, -1, (0, 1), ORB0, 0, 1)
-    again = make_point(z.left_orbit, z.left_phase, z.n_left, z.middle,
-                       z.right_orbit, z.right_phase, z.m_right)
+    z = HeteroclinicPoint(ORB1, 0, -1, (0, 1), ORB0, 0, 1)
+    again = HeteroclinicPoint(z.left_orbit, z.left_phase, z.n_left, z.middle,
+                              z.right_orbit, z.right_phase, z.m_right)
     assert again == z
 
 
 def test_junction_slides_right():
     # all-zeros past glued at -2 to the (01) pattern anchored 0 at -2:
     # the 0 at -2 continues the past, so the junction slides to -1
-    z = make_point(ORB0, 0, -2, (), ORB01, 0, -2)
+    z = HeteroclinicPoint(ORB0, 0, -2, (), ORB01, 0, -2)
     assert z == HeteroclinicPoint(ORB0, 0, -1, (), ORB01, 1, -1)
     assert z.segment(-3, 2) == (0, 0, 1, 0, 1)
 
 
 def test_symbol_at_and_segment():
-    z = make_point(ORB1, 0, 0, (), ORB0, 0, 0)
+    z = HeteroclinicPoint(ORB1, 0, 0, (), ORB0, 0, 0)
     assert z.segment(-3, 3) == (1, 1, 1, 0, 0, 0)
 
 
@@ -196,8 +195,8 @@ def test_equal_points_hash_equal():
         left, right = rng.choice(orbits), rng.choice(orbits)
         n = rng.randrange(-4, 5)
         middle = tuple(rng.randrange(2) for _ in range(rng.randrange(4)))
-        z = make_point(left, rng.randrange(left.period), n, middle,
-                       right, rng.randrange(right.period), n + len(middle))
+        z = HeteroclinicPoint(left, rng.randrange(left.period), n, middle,
+                              right, rng.randrange(right.period), n + len(middle))
         shift = rng.randrange(-6, 7)
         w = shift_point(shift_point(z, shift), -shift)
         assert w == z and w is not z
@@ -222,14 +221,14 @@ def test_bracket_examples():
     assert bracket(x, y) == y  # past of y, future of x: all zeros
     assert bracket(y, x) == x
     gx = fixed_point(ORB0)
-    gy = make_point(ORB0, 0, 0, (1,), ORB0, 0, 1)  # symbol 1 at index 0
+    gy = HeteroclinicPoint(ORB0, 0, 0, (1,), ORB0, 0, 1)  # symbol 1 at index 0
     with pytest.raises(IncompatibleAtZero):
         bracket(gx, gy)
 
 
 def test_bracket_mixes_past_and_future():
-    x = make_point(ORB1, 0, 0, (0, 1), ORB0, 0, 2)  # ...111|01|000...
-    y = make_point(ORB1, 0, -1, (), ORB0, 0, -1)    # ...11|000... switching at -1
+    x = HeteroclinicPoint(ORB1, 0, 0, (0, 1), ORB0, 0, 2)  # ...111|01|000...
+    y = HeteroclinicPoint(ORB1, 0, -1, (), ORB0, 0, -1)    # ...11|000... switching at -1
     z = bracket(x, y)
     assert z.segment(-3, 3) == (1, 1, 0, 0, 1, 0)
     assert z.window == (-1, 2)
@@ -294,8 +293,8 @@ def direct_count(sft, q_orbit, p_orbit, w):
         syms = (q_orbit.word[-1],) + assignment + (p_orbit.word[0],)
         if all(sft.allowed(a, b) for a, b in zip(syms, syms[1:])):
             seen.add(
-                make_point(q_orbit, q_orbit.period - 1, -w, assignment,
-                           p_orbit, 0, w)
+                HeteroclinicPoint(q_orbit, q_orbit.period - 1, -w, assignment,
+                                  p_orbit, 0, w)
             )
     return seen
 
@@ -325,7 +324,7 @@ def test_enumerate_deterministic_order():
 
 def test_bracket_period_two_orbits():
     # x: (01) pattern with a 00 defect on [0, 2); its shift moves the defect
-    x = make_point(ORB01, 1, 0, (0, 0), ORB01, 0, 2)
+    x = HeteroclinicPoint(ORB01, 1, 0, (0, 0), ORB01, 0, 2)
     assert x.segment(-2, 4) == (0, 1, 0, 0, 0, 1)
     y = fixed_point(ORB01)
     # pasts agree, so the bracket returns the argument supplying the future
@@ -349,8 +348,8 @@ def direct_count_phases(sft, q_orbit, p_orbit, w):
                 right = p_orbit.word[rph]
                 syms = (left,) + assignment + (right,)
                 if all(sft.allowed(a, b) for a, b in zip(syms, syms[1:])):
-                    z = make_point(q_orbit, lph, -wide, assignment,
-                                   p_orbit, rph, wide)
+                    z = HeteroclinicPoint(q_orbit, lph, -wide, assignment,
+                                          p_orbit, rph, wide)
                     n, m = z.window
                     if -w <= n and m <= w:
                         seen.add(z)
@@ -390,7 +389,7 @@ def test_asymptotic_sequences_once_each(sft, q_word, p_word):
         points = []
         for left, lphase, right, rphase, middles in asymptotic_sequences(sft, p, q, w):
             for middle in middles:
-                z = make_point(left, lphase, -w, middle, right, rphase, w)
+                z = HeteroclinicPoint(left, lphase, -w, middle, right, rphase, w)
                 assert z.segment(-w - 1, w + 1) == (left.word[lphase],) + middle + (
                     right.word[rphase],)
                 assert point_is_admissible(sft, z)
@@ -492,7 +491,13 @@ def test_asymptotic_sequences_equal_the_filtered_form_on_random_systems():
     systems = 0
     while systems < 12:
         n = rng.randint(2, 4)
-        sft = Sft(tuple(tuple(int(rng.random() < 0.6) for _ in range(n)) for _ in range(n)))
+        trans = tuple(tuple(int(rng.random() < 0.6) for _ in range(n)) for _ in range(n))
+        if not (all(map(any, trans)) and all(map(any, zip(*trans)))):
+            # the constructor refuses exactly the draws with a zero row or column
+            with pytest.raises(ZeroRowOrColumn):
+                Sft(trans)
+            continue
+        sft = Sft(trans)
         if not is_mixing(sft):
             continue
         systems += 1
@@ -518,7 +523,7 @@ def test_enumerate_cap_raises_before_building_points(monkeypatch):
     def no_points(*args):
         raise AssertionError("a point was built past the cap")
 
-    monkeypatch.setattr(points, "make_point", no_points)
+    monkeypatch.setattr(points, "HeteroclinicPoint", no_points)
     with pytest.raises(WindowOverflow, match="window 3 needs more than 447 symbols"):
         enumerate_heteroclinic(FULL, p, q, 3)
     # a huge window stops counting at the first window past the cap
@@ -542,14 +547,14 @@ def test_enumerate_cap_counts_symbols_on_a_long_cycle(monkeypatch):
     def no_points(*args):
         raise AssertionError("a point was built past the cap")
 
-    monkeypatch.setattr(points, "make_point", no_points)
+    monkeypatch.setattr(points, "HeteroclinicPoint", no_points)
     with pytest.raises(WindowOverflow, match=r"\(27041 sequences x 169 at window 84\)"):
         enumerate_heteroclinic(cycle, orbits, orbits, 84)
 
 
 def test_point_admissibility_negative():
-    # make_point does not validate transitions; the checker must catch 11
-    z = make_point(ORB0, 0, 0, (1, 1), ORB0, 0, 2)
+    # a point does not check its transitions; the checker must catch 11
+    z = HeteroclinicPoint(ORB0, 0, 0, (1, 1), ORB0, 0, 2)
     assert not point_is_admissible(GOLDEN, z)
     assert point_is_admissible(FULL, z)
 

@@ -31,13 +31,13 @@ from sfttrace.fixtures import (
 )
 from sfttrace.perron import NonFiniteCoefficient, compute_perron
 from sfttrace.points import (
+    HeteroclinicPoint,
     InadmissibleOrbit,
     PeriodicOrbitSet,
     asymptotic_sequences,
     enumerate_heteroclinic,
     make_left_ray,
     make_orbit,
-    make_point,
     make_right_ray,
     periodic_left_ray,
     periodic_right_ray,
@@ -63,7 +63,7 @@ from sfttrace.rep import (
     trace_product_detail,
     trace_product_oracle,
 )
-from sfttrace.sft import Sft, count_paths, is_mixing, word_levels
+from sfttrace.sft import Sft, ZeroRowOrColumn, count_paths, is_mixing, word_levels
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -117,7 +117,7 @@ def split_point_full():
     # ...111|000...
     orb1 = FULL.q_set.orbits[0]
     orb0 = FULL.p_set.orbits[0]
-    return make_point(orb1, 0, 0, (), orb0, 0, 0)
+    return HeteroclinicPoint(orb1, 0, 0, (), orb0, 0, 0)
 
 
 def test_apply_diagonal_projection():
@@ -140,7 +140,7 @@ def test_apply_replaces_past():
         pieces.append((1, StableBisection(target, source)))
     e = element("stable", pieces)
     orb0 = FULL.p_set.orbits[0]
-    w = make_point(orb1, 0, -1, (0,), orb0, 0, 0)  # ...110|000...
+    w = HeteroclinicPoint(orb1, 0, -1, (0,), orb0, 0, 0)  # ...110|000...
     out = apply_element(e, w)
     assert out == {split_point_full(): 1 + 0j}
 
@@ -652,7 +652,13 @@ def oracle_cases(draw):
     else:
         n = draw(st.integers(2, 3))
         cells = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
-        sft = Sft(tuple(tuple(cells[r * n:(r + 1) * n]) for r in range(n)))
+        trans = tuple(tuple(cells[r * n:(r + 1) * n]) for r in range(n))
+        if not (all(map(any, trans)) and all(map(any, zip(*trans)))):
+            # the constructor refuses exactly the draws with a zero row or column
+            with pytest.raises(ZeroRowOrColumn):
+                Sft(trans)
+            assume(False)
+        sft = Sft(trans)
         assume(is_mixing(sft))
         orbits = _orbits_up_to(sft, 3)
         sets = st.lists(st.sampled_from(orbits), min_size=1, max_size=2, unique=True)
@@ -677,7 +683,7 @@ def test_oracle_equals_vector_by_vector_application(case):
     sys, a, b, k = case
     req = required_window(a, b, k)
     a_k, b_k = apply_alpha(a, k), apply_alpha(b, -k)
-    basis = [make_point(left, left_phase, -req, middle, right, right_phase, req)
+    basis = [HeteroclinicPoint(left, left_phase, -req, middle, right, right_phase, req)
              for left, left_phase, right, right_phase, middles
              in asymptotic_sequences(sys.sft, sys.p_set, sys.q_set, req)
              for middle in middles]
@@ -731,7 +737,7 @@ def test_oracle_calls_no_symbolic_or_point_building_code(monkeypatch):
              for sys in (FULL, GOLDEN, THREE)
              for name, a, b in fixture_pairs(sys) for k in range(5)]
     banned = [points.reflect, sft_mod.count_paths, points.splice_point,
-              points.make_point, points.matches_past, points.matches_future,
+              points.HeteroclinicPoint, points.matches_past, points.matches_future,
               points.enumerate_heteroclinic, points.lowest_difference, points.rays_agree,
               algebra.agreement_bound]
 
@@ -1270,8 +1276,13 @@ def test_scaled_is_bit_identical_to_the_per_pair_formula():
     rng = random.Random(20261019)
     while True:
         size = rng.randrange(3, 7)
-        sft = Sft(tuple(tuple(int(rng.random() < 0.6) for _ in range(size))
-                        for _ in range(size)))
+        trans = tuple(tuple(int(rng.random() < 0.6) for _ in range(size)) for _ in range(size))
+        if not (all(map(any, trans)) and all(map(any, zip(*trans)))):
+            # the constructor refuses exactly the draws with a zero row or column
+            with pytest.raises(ZeroRowOrColumn):
+                Sft(trans)
+            continue
+        sft = Sft(trans)
         if is_mixing(sft):
             break
     perron_lam = compute_perron(sft).lam

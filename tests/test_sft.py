@@ -15,7 +15,6 @@ from sfttrace.sft import (
     is_admissible,
     is_mixing,
     make_sft,
-    validate,
 )
 
 FULL = make_sft([[1, 1], [1, 1]], ["0", "1"])
@@ -45,22 +44,23 @@ def fib(n):
 
 
 def test_validate_full_and_golden():
-    validate(FULL)
-    validate(GOLDEN)
+    assert Sft(FULL.trans) == FULL and Sft(GOLDEN.trans) == GOLDEN
 
 
 def test_validate_zero_row():
-    bad = Sft(((1, 1), (0, 0)))
     with pytest.raises(ZeroRowOrColumn) as exc:
-        validate(bad)
-    assert exc.value.symbol == 1
+        Sft(((1, 1), (0, 0)))
+    assert (exc.value.symbol, exc.value.axis) == (1, "row")
 
 
 def test_validate_zero_column():
-    bad = Sft(((1, 0), (1, 0)))
     with pytest.raises(ZeroRowOrColumn) as exc:
-        validate(bad)
-    assert exc.value.symbol == 1
+        Sft(((1, 0), (1, 0)))
+    assert (exc.value.symbol, exc.value.axis) == (1, "column")
+
+
+def has_zero_row_or_column(trans) -> bool:
+    return not (all(map(any, trans)) and all(map(any, zip(*trans))))
 
 
 def test_entries_above_one_rejected():
@@ -133,7 +133,13 @@ def _power(trans, e):
 def small_matrices(draw):
     n = draw(st.integers(2, 6))
     cells = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
-    return Sft(tuple(tuple(cells[r * n:(r + 1) * n]) for r in range(n)))
+    trans = tuple(tuple(cells[r * n:(r + 1) * n]) for r in range(n))
+    if has_zero_row_or_column(trans):
+        # the constructor refuses exactly these draws
+        with pytest.raises(ZeroRowOrColumn):
+            Sft(trans)
+        assume(False)
+    return Sft(trans)
 
 
 @seed(20261018)
@@ -211,7 +217,12 @@ def test_count_paths_matches_brute_force():
 def small_mixing_sfts(draw):
     n = draw(st.integers(2, 5))
     cells = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
-    sft = Sft(tuple(tuple(cells[r * n:(r + 1) * n]) for r in range(n)))
+    trans = tuple(tuple(cells[r * n:(r + 1) * n]) for r in range(n))
+    if has_zero_row_or_column(trans):
+        with pytest.raises(ZeroRowOrColumn):
+            Sft(trans)
+        assume(False)
+    sft = Sft(trans)
     assume(is_mixing(sft))
     return sft
 

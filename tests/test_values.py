@@ -1,11 +1,16 @@
 """The value types keep the contract of the frozen dataclasses they
 replaced: equality over the fields within one class, the hash of the
 field tuple, the `Name(field=value, ...)` repr, no assignment or deletion,
-and cached properties and stashes that change none of these."""
+and cached properties and stashes that change none of these.  `Sft`,
+`Orbit` and `HeteroclinicPoint` are valid by construction: each checks
+and canonicalizes in its constructor."""
 
 import copy
+import gc
+import hashlib
 import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -18,13 +23,13 @@ from sfttrace.operators import FiniteOperator
 from sfttrace.perron import PerronData
 from sfttrace.points import (
     HeteroclinicPoint,
+    InadmissibleOrbit,
     LeftRay,
     Orbit,
     PeriodicOrbitSet,
     RightRay,
     enumerate_heteroclinic,
     make_orbit,
-    make_point,
 )
 from sfttrace.rep import (
     ExactTrace,
@@ -34,7 +39,7 @@ from sfttrace.rep import (
     scaled_trace_sequence,
     trace_product_detail,
 )
-from sfttrace.sft import Sft, count_paths
+from sfttrace.sft import Sft, ZeroRowOrColumn, count_paths
 
 CLASSES = (AlgebraElement, CheckRow, ExactTrace, ExperimentConfig, FiniteOperator,
            HeteroclinicPoint, LeftRay, Orbit, PerronData, PeriodicOrbitSet, RightRay,
@@ -122,7 +127,7 @@ def test_cached_properties_and_stashes_leave_the_value_alone():
     golden = golden_mean()
     orbit, twin = make_orbit((2, 1, 0)), make_orbit((1, 0, 2))
     reversed_orbit, t = orbit.reversal
-    assert reversed_orbit.reversal == (orbit, t) and reversed_orbit.reversal[0] is orbit
+    assert reversed_orbit.reversal == (orbit, t) and reversed_orbit.reversal[0] == orbit
     assert "reversal" in orbit.__dict__
     assert orbit == twin and hash(orbit) == hash(twin) and repr(orbit) == repr(twin)
 
@@ -146,7 +151,7 @@ def test_cached_properties_and_stashes_leave_the_value_alone():
     assert b == twin and hash(b) == hash(twin) and repr(b) == repr(twin)
     assert "pair_table" not in repr(b)
 
-    z = make_point(make_orbit((0,)), 0, 0, (1,), make_orbit((0,)), 0, 1)
+    z = HeteroclinicPoint(make_orbit((0,)), 0, 0, (1,), make_orbit((0,)), 0, 1)
     first = repr(z)
     assert hash(z) == hash(_fields(z)) and repr(z) == first
 
@@ -181,10 +186,125 @@ def test_reprs_are_those_of_the_dataclasses():
                                  "offdiag_pairs=0, offdiag_fixed_points=0)")
     assert repr(ExactTrace(((1 + 0j, 2),), (1, {}))) == "ExactTrace(pairs=(((1+0j), 2),))"
     orbit = make_orbit((0,))
-    assert repr(make_point(orbit, 0, 0, (1,), orbit, 0, 1)) == (
+    assert repr(HeteroclinicPoint(orbit, 0, 0, (1,), orbit, 0, 1)) == (
         "HeteroclinicPoint(left_orbit=Orbit(word=(0,)), left_phase=0, n_left=0, middle=(1,), "
         "right_orbit=Orbit(word=(0,)), right_phase=0, m_right=1)")
     assert repr(PerronData(golden.sft, 2.0, (1.0, 0.5), (0.5, 1.0), 0.0)) == (
         "PerronData(sft=Sft(trans=((1, 1), (1, 0)), labels=('0', '1')), lam=2.0, "
         "v=(1.0, 0.5), u=(0.5, 1.0), residual=0.0)")
     assert repr(make_orbit((2, 1, 0)).reversal) == "(Orbit(word=(0, 1, 2)), 2)"
+
+
+def test_an_orbit_and_its_reversal_keep_each_other_alive_no_longer():
+    # no reference cycle: both die with their last reference, with no
+    # collection by the cyclic garbage collector
+    gc.disable()
+    try:
+        orbit = make_orbit((0, 1, 1))
+        refs = [weakref.ref(orbit), weakref.ref(orbit.reversal[0])]
+        del orbit
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_every_rotation_builds_one_orbit():
+    rng = random.Random(20261020)
+    primitive = 0
+    for _ in range(300):
+        word = tuple(rng.randrange(3) for _ in range(rng.randint(1, 6)))
+        rotations = [word[i:] + word[:i] for i in range(len(word))]
+        if len(set(rotations)) < len(word):
+            for rotation in rotations:
+                with pytest.raises(InadmissibleOrbit) as exc:
+                    Orbit(rotation)
+                assert str(exc.value) == f"{min(rotations)} is not primitive"
+            continue
+        primitive += 1
+        orbits = {Orbit(rotation) for rotation in rotations}
+        assert orbits == {make_orbit(word)} and orbits.pop().word == min(rotations)
+    assert 200 < primitive < 300
+    with pytest.raises(InadmissibleOrbit, match="^empty cyclic word$"):
+        Orbit(())
+
+
+WORDS = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 0, 1), (0, 1, 1), (0, 1, 2), (0, 2, 1),
+         (0, 0, 1, 2), (0, 1, 0, 2)]
+
+
+def _gluing_data(rng):
+    """Arbitrary gluing data: random orbits and phases, and a middle that is
+    random or made of runs continuing the periodic sides."""
+    left, right = (make_orbit(rng.choice(WORDS)) for _ in "lr")
+    if rng.random() < 0.3:
+        right = left
+    lph, rph = rng.randrange(left.period), rng.randrange(right.period)
+    n_left = rng.randint(-4, 4)
+    mode = rng.randrange(3)
+    if mode == 0:
+        middle = tuple(rng.randrange(3) for _ in range(rng.randint(0, 5)))
+    else:
+        head = tuple(left.word[(lph + 1 + i) % left.period] for i in range(rng.randint(0, 4)))
+        tail = tuple(right.word[(rph - 1 - i) % right.period]
+                     for i in range(rng.randint(0, 4)))[::-1]
+        core = tuple(rng.randrange(3) for _ in range(rng.randint(0, 1) if mode == 1 else 0))
+        middle = head + core + tail
+    return left, lph, n_left, middle, right, rph, n_left + len(middle)
+
+
+# sha256 of the reprs, one a line, of the points that make_point built from
+# _gluing_data(Random(20261020)) 500 times before the constructor took its work
+GLUING_SHA256 = "235f26bdd46c4b3836f175a272c6dff8df2af876195b7733da97d1b791e126ae"
+
+
+def test_points_from_random_gluing_data_are_those_make_point_built():
+    rng = random.Random(20261020)
+    reprs = []
+    for _ in range(500):
+        data = _gluing_data(rng)
+        z = HeteroclinicPoint(*data)
+        left, lph, n_left, middle, right, rph, m_right = data
+        glued = HeteroclinicPoint.__new__(HeteroclinicPoint)
+        glued.__dict__.update(zip(HeteroclinicPoint._fields, data))
+        # the same sequence, in the canonical form, which is a fixed point
+        lo, hi = min(n_left, z.n_left) - 8, max(m_right, z.m_right) + 8
+        assert z.segment(lo, hi) == glued.segment(lo, hi)
+        assert HeteroclinicPoint(*_fields(z)) == z
+        reprs.append(repr(z))
+    assert reprs[:3] == [
+        "HeteroclinicPoint(left_orbit=Orbit(word=(0, 1, 1)), left_phase=0, n_left=5, "
+        "middle=(0, 0, 1), right_orbit=Orbit(word=(0, 1, 0, 2)), right_phase=1, m_right=8)",
+        "HeteroclinicPoint(left_orbit=Orbit(word=(0, 1, 2)), left_phase=2, n_left=5, "
+        "middle=(2, 0, 0, 0), right_orbit=Orbit(word=(0, 1, 2)), right_phase=0, m_right=9)",
+        "HeteroclinicPoint(left_orbit=Orbit(word=(0,)), left_phase=0, n_left=5, middle=(), "
+        "right_orbit=Orbit(word=(2,)), right_phase=0, m_right=5)",
+    ]
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == GLUING_SHA256
+
+
+# what `sft.validate` reported for 200 seeded random matrices of 1-4 symbols
+# before the constructor took its checks: "-" for none, else the axis
+# ("r"ow or "c"olumn) and the symbol
+VALIDATE_REPORTS = (
+    "c1 r0 - r0 - - r0 r0 r0 - - - c1 - - c1 r0 r0 r0 r1 c0 c0 c0 - - - - r1 - - - - - - - r0 "
+    "r0 - r1 r1 r0 r0 - r0 r1 - - r0 r0 r0 c1 r1 - c0 r0 - - - - - r1 r0 r0 c0 r1 r2 r0 r0 - "
+    "r2 - - - r1 r0 r0 - - - c1 - - r2 - - r0 - r0 c1 - r0 - - - r0 - - r0 - r0 r0 r0 r0 r3 "
+    "r1 - r2 - r3 - - r0 c2 c0 r2 - - - - - - - r0 - r0 - r0 r0 - - - r1 r0 - - r0 - c0 - - "
+    "r0 - - - - - - r0 - r0 r3 r1 c2 - - r1 - c2 - - r0 r0 r0 - - - - c1 r0 r0 - r0 - - r0 r0 "
+    "r0 - r3 r0 r0 - r0 c2 - - r0 - r0 - - r0 - - r0 c1 - - r0 -"
+)
+
+
+def test_sft_refuses_a_zero_row_or_column_as_validate_did():
+    rng = random.Random(20261020)
+    reports = []
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        trans = tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n))
+        try:
+            Sft(trans)
+            reports.append("-")
+        except ZeroRowOrColumn as exc:
+            reports.append(f"{exc.axis[0]}{exc.symbol}")
+    assert " ".join(reports) == VALIDATE_REPORTS
+    assert {"-", "r0", "r3", "c0", "c2"} <= set(reports)
