@@ -216,10 +216,12 @@ def _parse_ray(sft, doc, side, orbit_set, window, field):
     _known_fields(doc, "ray", f"{field}.")
     labels = _field(doc, "orbit", "list", where=f"{field}.")
     word = tuple(sft.symbol_of(lab) for lab in labels)
-    # a rotation of a set orbit is that orbit, so every ray over it shares
-    # one object and its cached reversal; any other word is refused, with
-    # the reason `make_orbit` gives when it is no orbit at all
-    orbit = orbit_set.rotations.get(word)
+    # the set's words are minimal rotations, as `write_config` writes them;
+    # another rotation of a set orbit is that orbit, so every ray over it
+    # shares one object; any other word is refused, with the reason
+    # `make_orbit` gives when it is no orbit at all
+    orbits = {o.word: o for o in orbit_set.orbits}
+    orbit = orbits.get(word) or orbits.get(make_orbit(word).word)
     if orbit is None:
         make_orbit(word, sft)
         raise ValidationError(

@@ -17,16 +17,14 @@ underlying sequences is plain tuple equality:
     an empty middle's junction is slid right as far as it goes; a fully
     periodic point is anchored at junction 0.
 
-`Orbit` and `HeteroclinicPoint` take any form and store the canonical
-one, so no orbit or point holds another.  The ray constructors only
-check lengths and phases, and `make_left_ray`/`make_right_ray` build
-canonical rays: a right ray is canonicalized through the time reversal
-below, which itself builds rays, so its constructor cannot do it.
+`Orbit`, `LeftRay`, `RightRay` and `HeteroclinicPoint` take any form and
+store the canonical one, so no value holds another; `make_left_ray` and
+`make_right_ray` only check a ray against its system.
 
 Phases are anchored at the splice: a left ray's symbol at splice-1 is
 orbit.word[phase]; a right ray's symbol at its splice is orbit.word[phase].
 
-Right rays are built and edited through time reversal, x_m -> x_{-1-m},
+Right rays are extended and truncated through time reversal, x_m -> x_{-1-m},
 which maps the shift of A onto the shift of its transpose and a future
 onto a past (`reflect`).  An orbit of period p reverses to the minimal
 rotation of its reversed word, reached by rotating t places
@@ -37,11 +35,12 @@ rotation of its reversed word, reached by rotating t places
                 reversed body, -start)
 
 over the transpose; the map is its own inverse and keeps canonical forms
-canonical.  Reading symbols, shifting, and everything on points works on
-right rays directly, so the brute-force oracle, which reads its rays
-through `symbol_at`, never goes through it.  For that reason the ray
-classes with their `symbol_at` and `shift` stay written out for each
-side, while `algebra` shares one bisection body between the sides.
+canonical.  Building, checking, reading symbols, shifting, and everything
+on points works on right rays directly, so the brute-force oracle, which
+reads its rays through `symbol_at` and `shift`, never goes through it.
+For that reason the ray classes with their constructors, `symbol_at` and
+`shift` stay written out for each side, while `algebra` shares one
+bisection body between the sides.
 `matches_past`/`matches_future` stay written out for each side too:
 `operators.product_operator` applies its terms through them, and the
 benchmark's tracer wraps both by name.
@@ -158,12 +157,6 @@ class PeriodicOrbitSet(Value):
     def __contains__(self, orbit: Orbit) -> bool:
         return orbit in self.orbits
 
-    @cached_property
-    def rotations(self) -> dict:
-        """Every rotation of each orbit's word -> that orbit, so a cyclic word
-        finds its orbit here, already validated, without building one."""
-        return {o.word[i:] + o.word[:i]: o for o in self.orbits for i in range(o.period)}
-
     def isdisjoint(self, other: "PeriodicOrbitSet") -> bool:
         return not set(self.orbits) & set(other.orbits)
 
@@ -173,15 +166,25 @@ def make_orbit_set(words, sft: Sft | None = None) -> PeriodicOrbitSet:
 
 
 class LeftRay(Value):
-    """Coordinates below `end`: orbit-periodic up to `splice`, then `body`."""
+    """Coordinates below `end`: orbit-periodic up to `splice`, then `body`.
+
+    The constructor stores the canonical form: body symbols at the front
+    that continue the periodic pattern move into it, so the splice is as
+    high as it goes.  It does not check the body against a system.
+    """
 
     _fields = ("orbit", "phase", "splice", "body", "end")
 
     def __init__(self, orbit: Orbit, phase: int, splice: int, body: tuple[int, ...], end: int):
         if splice + len(body) != end:
             raise InadmissibleRay("body length does not match [splice, end)")
-        if not 0 <= phase < orbit.period:
+        p = orbit.period
+        if not 0 <= phase < p:
             raise InadmissibleRay("phase out of range")
+        while body and body[0] == orbit.word[(phase + 1) % p]:
+            phase = (phase + 1) % p
+            splice += 1
+            body = body[1:]
         self.__dict__.update(orbit=orbit, phase=phase, splice=splice, body=body, end=end)
 
     def __eq__(self, other):
@@ -211,31 +214,40 @@ class LeftRay(Value):
 
     def extend(self, symbols) -> "LeftRay":
         """Append symbols on [end, end + len)."""
-        return _canonical_left(self.orbit, self.phase, self.splice,
-                               self.body + tuple(symbols), self.end + len(symbols))
+        return LeftRay(self.orbit, self.phase, self.splice,
+                       self.body + tuple(symbols), self.end + len(symbols))
 
     def truncate(self, c: int) -> "LeftRay":
         """Restriction to coordinates < c (c <= end)."""
         if c > self.end:
             raise IndexError("cannot truncate beyond defined coordinates")
         if c >= self.splice:
-            return _canonical_left(self.orbit, self.phase, self.splice,
-                                   self.body[: c - self.splice], c)
+            return LeftRay(self.orbit, self.phase, self.splice, self.body[: c - self.splice], c)
         p = self.orbit.period
         phase = (self.phase + (c - self.splice)) % p
         return LeftRay(self.orbit, phase, c, (), c)
 
 
 class RightRay(Value):
-    """Coordinates at and above `start`: `body` on [start, splice), then periodic."""
+    """Coordinates at and above `start`: `body` on [start, splice), then periodic.
+
+    The constructor stores the canonical form: body symbols at the back
+    that continue the periodic pattern move into it, so the splice is as
+    low as it goes.  It does not check the body against a system.
+    """
 
     _fields = ("orbit", "phase", "start", "body", "splice")
 
     def __init__(self, orbit: Orbit, phase: int, start: int, body: tuple[int, ...], splice: int):
         if start + len(body) != splice:
             raise InadmissibleRay("body length does not match [start, splice)")
-        if not 0 <= phase < orbit.period:
+        p = orbit.period
+        if not 0 <= phase < p:
             raise InadmissibleRay("phase out of range")
+        while body and body[-1] == orbit.word[(phase - 1) % p]:
+            phase = (phase - 1) % p
+            splice -= 1
+            body = body[:-1]
         self.__dict__.update(orbit=orbit, phase=phase, start=start, body=body, splice=splice)
 
     def __eq__(self, other):
@@ -326,33 +338,24 @@ def rays_agree(past: LeftRay, future: RightRay, shift: int) -> bool:
     return all(past.symbol_at(x + shift) == future.symbol_at(x) for x in compared)
 
 
-def _canonical_left(orbit, phase, splice, body, end):
-    p = orbit.period
-    body = tuple(body)
-    while body and body[0] == orbit.word[(phase + 1) % p]:
-        phase = (phase + 1) % p
-        splice += 1
-        body = body[1:]
-    return LeftRay(orbit, phase, splice, body, end)
-
-
 def make_left_ray(sft: Sft, orbit: Orbit, phase: int, splice: int, body, end: int) -> LeftRay:
-    """Validated, canonical left ray."""
-    body = tuple(body)
-    LeftRay(orbit, phase, splice, body, end)  # raises on a bad length or phase
+    """The left ray, checked in `sft`: its orbit, and its body after the
+    orbit symbol next to it."""
+    ray = LeftRay(orbit, phase, splice, tuple(body), end)
     orbit.validate(sft)
-    if body and not is_admissible(sft, (orbit.word[phase],) + body):
+    if ray.body and not is_admissible(sft, (orbit.word[ray.phase],) + ray.body):
         raise InadmissibleRay("ray body breaks admissibility")
-    return _canonical_left(orbit, phase, splice, body, end)
+    return ray
 
 
 def make_right_ray(sft: Sft, orbit: Orbit, phase: int, start: int, body, splice: int) -> RightRay:
-    """Validated, canonical right ray: the reflected left ray over the
-    transpose, over `orbit` itself, so rays over one orbit set share its orbits."""
-    mirror = reflect(RightRay(orbit, phase, start, tuple(body), splice))
-    ray = reflect(make_left_ray(sft.transpose, mirror.orbit, mirror.phase,
-                                mirror.splice, mirror.body, mirror.end))
-    return RightRay(orbit, ray.phase, ray.start, ray.body, ray.splice)
+    """The right ray, checked in `sft`: its orbit, and its body before the
+    orbit symbol next to it."""
+    ray = RightRay(orbit, phase, start, tuple(body), splice)
+    orbit.validate(sft)
+    if ray.body and not is_admissible(sft, ray.body + (orbit.word[ray.phase],)):
+        raise InadmissibleRay("ray body breaks admissibility")
+    return ray
 
 
 def periodic_left_ray(sft: Sft, orbit: Orbit, end: int, phase_at_end: int = 0) -> LeftRay:

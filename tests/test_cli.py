@@ -123,8 +123,8 @@ def test_config_rays_share_the_orbit_set_orbits(tmp_path):
 
 def test_config_parse_checks_each_orbit_once(tmp_path, monkeypatch):
     # an orbit keeps the matrix it passed in, so the rays over the orbit sets
-    # check each set orbit once and each P orbit's time reversal once, in the
-    # transpose; a ray used to check its orbit again
+    # check each set orbit once; a right ray checks its own orbit, so no P
+    # orbit's time reversal is built or checked in the transpose
     import sys
 
     from sfttrace import points
@@ -141,9 +141,9 @@ def test_config_parse_checks_each_orbit_once(tmp_path, monkeypatch):
     monkeypatch.setattr(points, "is_admissible", counted)
     config = load_config(path)
     assert len(config.a.terms) == len(config.b.terms) == 12
-    reversals = [o.reversal[0] for o in config.p_set.orbits]
+    assert not any("reversal" in o.__dict__ for o in config.p_set.orbits)
     assert sorted(map(id, checked)) == sorted(map(id, (*config.p_set.orbits,
-                                                       *config.q_set.orbits, *reversals)))
+                                                       *config.q_set.orbits)))
 
 
 @pytest.mark.parametrize("side,orbit,phase,message", [
@@ -178,6 +178,63 @@ def test_config_ray_over_a_rotation_of_a_set_orbit(tmp_path):
     assert term.target.orbit is orbit and term.source.orbit is orbit
     doc["b"]["terms"][0]["source_ray"]["orbit"] = ["0", "1"]
     assert load_config(write_doc(tmp_path, doc, "minimal.json")).b == config.b
+    # a period-3 orbit, written in the set and named by a ray from other
+    # symbols than its least rotation
+    doc["P"] = [["0", "1", "0"]]
+    doc["b"]["terms"][0]["source_ray"]["orbit"] = ["1", "0", "0"]
+    doc["b"]["terms"][0]["target_ray"]["orbit"] = ["0", "0", "1"]
+    config = load_config(write_doc(tmp_path, doc, "period-3.json"))
+    (orbit,) = config.p_set.orbits
+    ((_, term),) = config.b.terms
+    assert orbit.word == (0, 0, 1) and term.source.orbit is orbit
+
+
+def _long_orbit_doc(words):
+    """The full 2-shift whose Q is one seeded 3000-symbol orbit, with a
+    diagonal stable term per word in `words`: two rays naming that word."""
+    import random
+
+    from sfttrace.points import make_orbit
+
+    rng = random.Random(3000)
+    least = make_orbit([rng.randrange(2) for _ in range(3000)]).word
+    terms = [{"coeff": [1.0, 0.0], "window": 0,
+              **{key: {"orbit": [str(s) for s in word(least)], "phase": i, "body": []}
+                 for key in ("target_ray", "source_ray")}}
+             for i, word in enumerate(words)]
+    return {"sft": {"matrix": [[1, 1], [1, 1]]}, "P": [["0"]], "Q": [[str(s) for s in least]],
+            "a": {"side": "stable", "terms": terms}}
+
+
+def test_rays_over_a_long_orbit_hold_no_rotations(tmp_path):
+    # the rays take the set's orbit by its word, or canonicalize a rotation
+    # one rotation at a time, so 24 rays peak within 2 MB of no ray; a
+    # table of every rotation held 3000 ** 2 symbols, about 70 MB.  A child's
+    # peak counts the memory of the process it was spawned from, so each
+    # run is spawned from a fresh parent, which reports the child's peak
+    import os
+    import subprocess
+    import sys
+
+    import sfttrace
+
+    src = str(Path(sfttrace.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = ("import resource, subprocess, sys\n"
+              "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    least = [lambda word: word] * 12
+    rotated = [lambda word, k=k: word[k:] + word[:k] for k in range(1, 3000, 250)]
+    peak = {}
+    for name, words in (("none", []), ("least", least), ("rotated", rotated)):
+        path = write_doc(tmp_path, _long_orbit_doc(words), f"{name}.json")
+        done = subprocess.run([sys.executable, "-c", script, sys.executable, "-m",
+                               "sfttrace.cli", "inspect", "--config", path], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        peak[name] = int(done.stdout.split()[-1])  # kilobytes on Linux
+    assert peak["least"] - peak["none"] < 2048 and peak["rotated"] - peak["none"] < 2048, peak
 
 
 def test_config_empty_rejected():

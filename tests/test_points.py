@@ -5,9 +5,12 @@ import pytest
 
 from sfttrace.points import (
     HeteroclinicPoint,
-    PeriodicOrbitSet,
     InadmissibleOrbit,
+    InadmissibleRay,
     IncompatibleAtZero,
+    LeftRay,
+    PeriodicOrbitSet,
+    RightRay,
     WindowOverflow,
     asymptotic_sequences,
     bracket,
@@ -19,10 +22,11 @@ from sfttrace.points import (
     make_right_ray,
     periodic_left_ray,
     periodic_right_ray,
+    reflect,
     shift_point,
     splice_point,
 )
-from sfttrace.fixtures import all_systems
+from sfttrace.fixtures import all_systems, three_symbol
 from sfttrace.sft import Sft, ZeroRowOrColumn, is_admissible, is_mixing, make_sft, word_levels
 
 FULL = make_sft([[1, 1], [1, 1]], ["0", "1"])
@@ -87,6 +91,99 @@ def test_right_ray_canonicalization():
     assert ray.splice == 1
     assert ray.body == (1,)
     assert ray.initial == 1
+
+
+def _reference_canonical_left(orbit, phase, splice, body, end):
+    # the loop `make_left_ray` ran on a checked ray before `LeftRay` did
+    p = orbit.period
+    while body and body[0] == orbit.word[(phase + 1) % p]:
+        phase = (phase + 1) % p
+        splice += 1
+        body = body[1:]
+    return orbit, phase, splice, body, end
+
+
+def _reference_make_left_ray(sft, orbit, phase, splice, body, end):
+    LeftRay(orbit, phase, splice, body, end)  # raises on a bad length or phase
+    orbit.validate(sft)
+    if body and not is_admissible(sft, (orbit.word[phase],) + body):
+        raise InadmissibleRay("ray body breaks admissibility")
+    return LeftRay(*_reference_canonical_left(orbit, phase, splice, body, end))
+
+
+def _reference_make_right_ray(sft, orbit, phase, start, body, splice):
+    # through time reversal: the left ray over the transpose, and back
+    mirror = reflect(RightRay(orbit, phase, start, body, splice))
+    ray = reflect(_reference_make_left_ray(sft.transpose, mirror.orbit, mirror.phase,
+                                           mirror.splice, mirror.body, mirror.end))
+    return RightRay(orbit, ray.phase, ray.start, ray.body, ray.splice)
+
+
+def _outcome(make, *args):
+    try:
+        return make(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _fields(ray):
+    return tuple(getattr(ray, name) for name in ray._fields)
+
+
+def test_rays_are_canonical_by_construction():
+    # every orbit of period <= 3 over each fixture system, admissible or
+    # not, with seeded phases, bodies and lengths, some of them out of range
+    rng = random.Random(20261020)
+    seen = set()
+    for system in all_systems():
+        sft = system.sft
+        words = [w for p in (1, 2, 3) for w in itertools.product(range(sft.n), repeat=p)
+                 if len({w[i:] + w[:i] for i in range(p)}) == p]
+        for orbit in {make_orbit(w) for w in words}:
+            p = orbit.period
+            admissible = is_admissible(sft, orbit.word + orbit.word[:1])
+            for _ in range(60):
+                phase = rng.randrange(-1, p + 1)
+                body = tuple(rng.randrange(sft.n) for _ in range(rng.randrange(5)))
+                lo = rng.randrange(-3, 4)
+                hi = lo + len(body) + (rng.random() < 0.1)
+                if hi == lo + len(body) and 0 <= phase < p:
+                    left = LeftRay(orbit, phase, lo, body, hi)
+                    assert _fields(left) == _reference_canonical_left(orbit, phase, lo, body, hi)
+                    assert not left.body or left.body[0] != orbit.word[(left.phase + 1) % p]
+                    right = RightRay(orbit, phase, lo, body, hi)
+                    rev, t = orbit.reversal
+                    assert right == reflect(LeftRay(rev, (p - 1 - phase - t) % p, -hi,
+                                                    body[::-1], -lo))
+                    assert not right.body or right.body[-1] != orbit.word[(right.phase - 1) % p]
+                    seen.add(("absorbed", left.body != body, right.body != body))
+                got = _outcome(make_left_ray, sft, orbit, phase, lo, body, hi)
+                assert got == _outcome(_reference_make_left_ray, sft, orbit, phase, lo, body, hi)
+                seen.add(got[1] if isinstance(got, tuple) else "ray")
+                got = _outcome(make_right_ray, sft, orbit, phase, lo, body, hi)
+                expected = _outcome(_reference_make_right_ray, sft, orbit, phase, lo, body, hi)
+                if not admissible and got == (InadmissibleOrbit,
+                                              f"cyclic word {orbit.word} not admissible"):
+                    # the time reversal named the reversed orbit
+                    assert expected == (InadmissibleOrbit,
+                                        f"cyclic word {rev.word} not admissible")
+                else:
+                    assert got == expected
+                seen.add(got[1] if isinstance(got, tuple) else "ray")
+    assert {"ray", "ray body breaks admissibility", "phase out of range",
+            "body length does not match [splice, end)",
+            "body length does not match [start, splice)"} <= seen
+    assert {("absorbed", True, False), ("absorbed", False, True), ("absorbed", True, True)} <= seen
+    assert any(str(message).startswith("cyclic word") for message in seen)
+
+
+def test_rays_over_an_inadmissible_orbit_name_that_orbit():
+    # its reversal (0, 1, 2) is admissible on the three-symbol system
+    sft = three_symbol().sft
+    for make in (make_left_ray, make_right_ray):
+        with pytest.raises(InadmissibleOrbit) as info:
+            make(sft, make_orbit((0, 2, 1)), 0, 0, (), 0)
+        assert str(info.value) == "cyclic word (0, 2, 1) not admissible"
 
 
 def test_ray_symbols_and_truncate():
@@ -333,6 +430,21 @@ def test_bracket_period_two_orbits():
     x2 = shift_point(x, 2)
     z = bracket(x, x2)  # past of x2 (defect left of 0), future of x
     assert z.segment(-4, 4) == (0, 1, 0, 0, 0, 0, 0, 1)
+
+
+def test_bracket_period_three_orbits():
+    # junctions off 0 whose offsets are no multiple of half the period, so
+    # the phases of the bracket's tails depend on their signs
+    orb012 = make_orbit((0, 1, 2))
+    y = HeteroclinicPoint(orb012, 1, -2, (0, 0), ORB0, 0, 0)  # ...1201|000...
+    x = HeteroclinicPoint(ORB0, 0, 0, (0, 2), orb012, 0, 2)   # ...000|2012...
+    assert (y.n_left, x.m_right) == (-2, 1)
+    z = bracket(x, y)
+    for m in range(-9, 9):
+        assert z.symbol_at(m) == (y if m < 0 else x).symbol_at(m)
+    w = bracket(y, x)
+    for m in range(-9, 9):
+        assert w.symbol_at(m) == (x if m < 0 else y).symbol_at(m)
 
 
 def direct_count_phases(sft, q_orbit, p_orbit, w):

@@ -533,12 +533,14 @@ def test_scaled_sequence_golden_closed_form():
 
 
 def test_fitted_decay_rate_is_the_exact_least_squares_slope():
+    # two rows of nonzero error are the fewest that are fitted
     for sys, (a, b), kmax in ((GOLDEN, canonical_pair(GOLDEN), 15),
-                              (THREE, mixed_pair(THREE), 20)):
+                              (THREE, mixed_pair(THREE), 20),
+                              (GOLDEN, canonical_pair(GOLDEN), 1)):
         report = scaled_trace_sequence(a, b, range(0, kmax + 1), sys.perron)
         pts = [(Fraction(r.k), Fraction(math.log(r.abs_err))) for r in report.rows
                if r.abs_err > 0]
-        assert len(pts) > 2
+        assert len(pts) == kmax + 1
         kbar = sum(k for k, _ in pts) / len(pts)
         ybar = sum(y for _, y in pts) / len(pts)
         slope = (sum((k - kbar) * (y - ybar) for k, y in pts)

@@ -191,6 +191,13 @@ def test_count_paths_identity():
         assert count_paths(sft, 0, 1, 0) == 0
 
 
+@pytest.mark.parametrize("i,j,length", [(2, 0, 1), (0, 2, 1), (-1, 0, 1), (0, 0, -1)],
+                         ids=["i=n", "j=n", "i=-1", "negative-length"])
+def test_count_paths_rejects_symbols_and_lengths_out_of_range(i, j, length):
+    with pytest.raises(ValueError):
+        count_paths(GOLDEN, i, j, length)
+
+
 def test_count_paths_recurrence():
     # count(i,j,L+1) = sum_m trans[i][m] * count(m,j,L), exact
     for sft in (FULL, GOLDEN, make_sft([[1, 1, 0], [1, 0, 1], [1, 1, 1]])):
