@@ -86,6 +86,27 @@ def _cycle(word, phase, length):
     return (word * ((phase + length) // len(word) + 1))[phase:phase + length]
 
 
+def _least_rotation(word) -> int:
+    """The first i at which word[i:] + word[:i] is the least rotation of the
+    nonempty word, in one linear scan: two candidate starts i < j and the
+    length k of their common prefix.  Where they first differ, the one with
+    the greater symbol is out, and so are the k starts after it: the
+    rotation m <= k places after it is greater than the one m places after
+    the other.  When k reaches the length, the word is a proper power."""
+    n = len(word)
+    twice = word + word
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = twice[i + k], twice[j + k]
+        if a == b:
+            k += 1
+        elif a > b:
+            i, j, k = j, max(j, i + k) + 1, 0
+        else:
+            j, k = j + k + 1, 0
+    return i
+
+
 class Orbit(Value):
     """A primitive cyclic word, given in any rotation and stored as its
     minimal one; admissibility in a system is checked by `validate`."""
@@ -95,15 +116,14 @@ class Orbit(Value):
     def __init__(self, word: tuple[int, ...]):
         if not word:
             raise InadmissibleOrbit("empty cyclic word")
-        # one rotation at a time, so a long word never holds all of them
-        least, repeats = word, False
-        for i in range(1, len(word)):
-            rotation = word[i:] + word[:i]
-            repeats = repeats or rotation == word
-            least = min(least, rotation)
-        # a word is primitive exactly when no other rotation equals it
-        if repeats:
-            raise InadmissibleOrbit(f"{least} is not primitive")
+        i = _least_rotation(word)
+        least = word[i:] + word[:i]
+        # a word is primitive exactly when no rotation by a proper divisor
+        # of its length equals it
+        p = len(word)
+        for d in range(1, p // 2 + 1):
+            if p % d == 0 and word[d:] == word[:p - d]:
+                raise InadmissibleOrbit(f"{least} is not primitive")
         self.__dict__.update(word=least)
 
     def __eq__(self, other):
@@ -123,9 +143,8 @@ class Orbit(Value):
         """The time-reversed orbit and the rotation t that reaches it:
         reversed.word[i] == word[(p - 1 - i - t) % p]."""
         rev = self.word[::-1]
-        orbit = Orbit(rev)
-        t = next(i for i in range(len(rev)) if rev[i:] + rev[:i] == orbit.word)
-        return orbit, t
+        t = _least_rotation(rev)
+        return Orbit(rev[t:] + rev[:t]), t
 
     def validate(self, sft: Sft) -> None:
         # the orbit keeps the matrix it last passed in (no field), so the rays

@@ -53,13 +53,15 @@ An independent brute-force route (`trace_product_oracle`) enumerates
 every basis point that is periodic outside a window wide enough for all
 contributing points (`points.asymptotic_sequences`) and applies the
 operators to each one; it must agree with the symbolic route exactly.
-It holds each point as a fixed-range word, (left orbit, symbols on the
-window padded by the longest orbit period, right orbit), so applying a
-term is a compare and replace of a tuple prefix or suffix and the
-roundtrip test is tuple equality.  The points come in groups that share
-their two tails, so each group builds its padding once and keeps only
-the terms whose rays stay on its orbits, the only ones a roundtrip can
-use; every point of the group then meets every kept term.  It never
+It reads each term's source and target as fixed-range words, on the
+window padded by the longest orbit period, so applying a term is a
+compare and replace of a tuple prefix or suffix and the roundtrip test
+is tuple equality.  The points come in groups that share their two
+tails, so each group builds its padding once, compares it once with each
+term's words, and keeps only the terms whose rays stay on its orbits and
+its padding, the only ones a roundtrip can use.  The kept words lose the
+padding, so a point is its middle, the symbols on the window, and each
+kept unstable term meets only the middles that end in its source.  It never
 counts paths, reflects rays, or builds, canonicalizes or sorts points.
 """
 
@@ -454,22 +456,26 @@ def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: i
     roundtrip back to w counts its coefficient product once; the exact sum
     must equal `trace_product`.
 
-    Points are words: (left orbit, symbols on [lo, hi), right orbit) with
-    lo, hi = -window - pad, window + pad, pad the longest orbit period of
-    P, Q and the conjugated terms' rays.  Every sequence involved is
-    periodic outside [-window, window) and pad symbols fix each phase, so
-    the word determines the sequence.  A term's source and target become
-    words once per call: an unstable term at window m is a compare and
-    replace of the suffix from m - lo, a stable term at window n of the
-    prefix up to n - lo.
+    Every sequence involved is periodic outside [-window, window), so
+    (left orbit, symbols on [lo, hi), right orbit) determines it, with
+    lo, hi = -window - pad, window + pad and pad the longest orbit period
+    of P, Q and the conjugated terms' rays: pad symbols fix each phase.  A
+    term's source and target become words on [lo, hi) once per call: an
+    unstable term at window m is a compare and replace of the suffix from
+    m, a stable term at window n of the prefix up to n.
 
-    The sequences come in groups with one pair of tails, so the padding
-    is built once per group, and so are the orbit tests: a roundtrip
-    keeps both orbits, so a group keeps only the unstable terms whose
-    source and target follow its right orbit and the stable terms whose
-    source and target follow its left orbit.  Two orbits can agree on the
-    whole padded range, so these tests are needed as well as the word
-    compares.  Each point of the group meets every kept term.
+    The sequences come in groups with one pair of tails: one head, the pad
+    symbols below -window, and one tail, the pad symbols from window on.
+    So the padding is built and compared once per group, and so are the
+    orbit tests: a roundtrip keeps both tails, so a group keeps only the
+    unstable terms whose source and target follow its right orbit and its
+    tail, and the stable terms whose source and target follow its left
+    orbit and its head.  Two orbits can agree on the whole padded range,
+    so the orbit tests are needed as well as the word compares.  The kept
+    terms' words lose their padding, and a point of the group is its
+    middle, the symbols on [-window, window): for each kept unstable term,
+    only the middles that end in its source are replaced, and each image
+    meets every kept stable term.
     """
     req = required_window(a, b, k)
     if window < req:
@@ -480,34 +486,34 @@ def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: i
     pad = max((o.period for o in (*p_set.orbits, *q_set.orbits, *(r.orbit for r in rays))),
               default=0)
     lo, hi = -window - pad, window + pad
-    futures = [(cb, f.window - lo, f.source.orbit,
+    # (coefficient, index in a middle, source orbit, source word, target
+    # orbit, target word)
+    futures = [(cb, f.window + window, f.source.orbit,
                 tuple(map(f.source.symbol_at, range(f.window, hi))), f.target.orbit,
                 tuple(map(f.target.symbol_at, range(f.window, hi))))
                for cb, f in b_k.terms]
-    pasts = [(ca, e.window - lo, e.source.orbit,
+    pasts = [(ca, e.window + window, e.source.orbit,
               tuple(map(e.source.symbol_at, range(lo, e.window))), e.target.orbit,
               tuple(map(e.target.symbol_at, range(lo, e.window))))
              for ca, e in a_k.terms]
     pairs = []
     for left, lph, right, rph, middles in asymptotic_sequences(p.sft, p_set, q_set, window):
-        # a roundtrip keeps both orbits, so only terms that do can count here
-        group_futures = [(cb, i, f_source, g_target)
-                         for cb, i, f_orbit, f_source, g_orbit, g_target in futures
-                         if f_orbit == right == g_orbit]
-        group_pasts = [(ca, j, e_source, e_target)
-                       for ca, j, e_orbit, e_source, t_orbit, e_target in pasts
-                       if e_orbit == left == t_orbit]
-        if not (group_futures and group_pasts):
-            continue
         head, tail = _cycle(left.word, lph + 1 - pad, pad), _cycle(right.word, rph, pad)
-        for middle in middles:
-            word = head + middle + tail
-            for cb, i, f_source, g_target in group_futures:
-                if word[i:] != f_source:
-                    continue
-                y = word[:i] + g_target
+        # a roundtrip keeps both tails, so only terms that do can count here
+        group_futures = [(cb, i, f_source[:-pad], g_target[:-pad])
+                         for cb, i, f_orbit, f_source, g_orbit, g_target in futures
+                         if f_orbit == right == g_orbit
+                         and f_source[-pad:] == tail == g_target[-pad:]]
+        group_pasts = [(ca, j, e_source[pad:], e_target[pad:])
+                       for ca, j, e_orbit, e_source, t_orbit, e_target in pasts
+                       if e_orbit == left == t_orbit and e_source[:pad] == head == e_target[:pad]]
+        if not group_pasts:
+            continue
+        for cb, i, f_source, g_target in group_futures:
+            for middle in [w for w in middles if w[i:] == f_source]:
+                y = middle[:i] + g_target
                 for ca, j, e_source, e_target in group_pasts:
-                    if y[:j] == e_source and e_target + y[j:] == word:
+                    if y[:j] == e_source and e_target + y[j:] == middle:
                         pairs.append((ca * cb, 1))
     return ExactTrace.from_pairs(pairs)
 

@@ -208,7 +208,7 @@ def _long_orbit_doc(words):
 
 def test_rays_over_a_long_orbit_hold_no_rotations(tmp_path):
     # the rays take the set's orbit by its word, or canonicalize a rotation
-    # one rotation at a time, so 24 rays peak within 2 MB of no ray; a
+    # in one linear scan, so 24 rays peak within 2 MB of no ray; a
     # table of every rotation held 3000 ** 2 symbols, about 70 MB.  A child's
     # peak counts the memory of the process it was spawned from, so each
     # run is spawned from a fresh parent, which reports the child's peak

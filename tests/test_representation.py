@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -503,11 +504,37 @@ def test_oracle_window_guard():
 def test_oracle_equivalence(sys):
     # the symbolic route and the basis-enumeration route agree exactly
     for name, a, b in fixture_pairs(sys):
-        for k in range(0, 4):
+        for k in range(0, 5):
             sym = trace_product(a, b, k, sys.perron)
             brute = trace_product_oracle(a, b, k, required_window(a, b, k), sys.perron,
                                          sys.p_set, sys.q_set)
             assert sym == brute, (sys.name, name, k)
+
+
+def test_oracle_pairs_digest():
+    # the pairs the oracle returns, each coefficient with the signs of its
+    # zeros, pinned by the sha256 of their reprs: every fixture pair at
+    # k <= 4 at its required window, and 30 seeded random pairs of 1 to 3
+    # terms per system at k <= 3, wherever the required window is at most
+    # 6, at that window and at one wider
+    cases = []
+    for sys in (FULL, GOLDEN, THREE):
+        cases += [(sys, a, b, k, required_window(a, b, k))
+                  for _, a, b in fixture_pairs(sys) for k in range(5)]
+        rng = random.Random(27)
+        for _ in range(30):
+            a = random_element(rng, sys, "stable", rng.randint(1, 3))
+            b = random_element(rng, sys, "unstable", rng.randint(1, 3))
+            for k in range(4):
+                req = required_window(a, b, k)
+                cases += [(sys, a, b, k, w) for w in (req, req + 1) if req <= 6]
+    digest = hashlib.sha256()
+    for sys, a, b, k, w in cases:
+        pairs = trace_product_oracle(a, b, k, w, sys.perron, sys.p_set, sys.q_set).pairs
+        digest.update(repr(pairs).encode() + b"\n")
+    assert len(cases) == 651
+    assert digest.hexdigest() == (
+        "b331b3ea501a9fc993cd369d21d52a137a7ab9e614e349c5bb4989fda9c16063")
 
 
 def test_scaled_sequence_full_shift_exact():
@@ -731,9 +758,10 @@ def test_oracle_counts_points_whose_junction_slides_past_the_window(sys, q_word,
 
 
 def test_oracle_calls_no_symbolic_or_point_building_code(monkeypatch):
-    # the oracle is an independent route: it must not reach time reversal or
-    # path counts, nor build points through splicing or canonicalization
-    from sfttrace import algebra, points, sft as sft_mod
+    # the oracle is an independent route: it must not reach time reversal,
+    # path counts or the symbolic trace's term-pair table, nor build points
+    # through splicing or canonicalization
+    from sfttrace import algebra, points, rep, sft as sft_mod
 
     cases = [(sys, name, a, b, k, trace_product(a, b, k, sys.perron))
              for sys in (FULL, GOLDEN, THREE)
@@ -741,7 +769,8 @@ def test_oracle_calls_no_symbolic_or_point_building_code(monkeypatch):
     banned = [points.reflect, sft_mod.count_paths, points.splice_point,
               points.HeteroclinicPoint, points.matches_past, points.matches_future,
               points.enumerate_heteroclinic, points.lowest_difference, points.rays_agree,
-              algebra.agreement_bound]
+              algebra.agreement_bound, rep._pair_table, rep._PairTable,
+              rep.trace_product_detail]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called a banned function")
