@@ -8,7 +8,9 @@ every continuation, so the map is total on its cylinder.  Unstable
 bisections replace futures, mirrored.  Algebra elements are finite
 complex combinations of such bisections; convolution is the bilinear
 extension of graph composition, and the adjoint swaps target and source
-while conjugating coefficients.
+while conjugating coefficients.  `AlgebraElement` reduces whatever terms
+it is given, merged and sorted into window order, and `element` is the
+class itself.
 
 Composition never needs a common-window refinement: when windows differ,
 the wider constraint simply extends one ray of the result, and the
@@ -110,18 +112,35 @@ class UnstableBisection(_Bisection, at="start", edge="initial"):
 BISECTIONS = {"stable": StableBisection, "unstable": UnstableBisection}
 
 
+def _bisection_class(side: str) -> type:
+    if side not in BISECTIONS:
+        raise ValueError(f"unknown side {side!r}")
+    return BISECTIONS[side]
+
+
 class AlgebraElement(Value):
     """Reduced finite combination of same-side bisections.
 
-    Terms are merged by bisection, exact-zero coefficients dropped, and the
-    term order is fixed (by `sort_key`, window first), so equal reduced
-    elements compare equal.  The zero element has no terms.
+    The constructor takes (coefficient, bisection) pairs in any order and
+    stores the reduced form: equal bisections merge, a term is dropped
+    only when its coefficient is exactly zero, and the terms are sorted by
+    `sort_key`, window first.  So equal combinations compare equal, and
+    every element's terms are in window order.  `element` is this class.
+    The zero element has no terms.
     """
 
     _fields = ("side", "terms")
 
-    def __init__(self, side: str, terms: tuple[tuple[complex, _Bisection], ...]):
-        self.__dict__.update(side=side, terms=terms)
+    def __init__(self, side: str, terms):
+        want = _bisection_class(side)
+        merged: dict = {}
+        for c, b in terms:
+            if not isinstance(b, want):
+                raise SideMismatch(f"{type(b).__name__} in a {side} element")
+            merged[b] = merged.get(b, 0j) + complex(c)
+        kept = [(c, b) for b, c in merged.items() if c != 0]
+        kept.sort(key=lambda cb: cb[1].sort_key())
+        self.__dict__.update(side=side, terms=tuple(kept))
 
     @property
     def is_zero(self) -> bool:
@@ -133,34 +152,16 @@ class AlgebraElement(Value):
         return element(self.side, self.terms + other.terms)
 
     def __neg__(self) -> "AlgebraElement":
-        return element(self.side, tuple((-c, b) for c, b in self.terms))
+        return element(self.side, ((-c, b) for c, b in self.terms))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __rmul__(self, scalar) -> "AlgebraElement":
-        return element(self.side, tuple((scalar * c, b) for c, b in self.terms))
+        return element(self.side, ((scalar * c, b) for c, b in self.terms))
 
 
-def _bisection_class(side: str) -> type:
-    if side not in BISECTIONS:
-        raise ValueError(f"unknown side {side!r}")
-    return BISECTIONS[side]
-
-
-def element(side: str, terms) -> AlgebraElement:
-    """Build a reduced element from (coefficient, bisection) pairs: equal
-    bisections merge, and a term is dropped only when its coefficient is
-    exactly zero."""
-    want = _bisection_class(side)
-    merged: dict = {}
-    for c, b in terms:
-        if not isinstance(b, want):
-            raise SideMismatch(f"{type(b).__name__} in a {side} element")
-        merged[b] = merged.get(b, 0j) + complex(c)
-    kept = [(c, b) for b, c in merged.items() if c != 0]
-    kept.sort(key=lambda cb: cb[1].sort_key())
-    return AlgebraElement(side, tuple(kept))
+element = AlgebraElement
 
 
 def diagonal(side: str, ray) -> AlgebraElement:
@@ -245,14 +246,14 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def involute(a: AlgebraElement) -> AlgebraElement:
     """The *-operation: conjugate coefficients, swap target and source."""
-    return element(a.side, tuple((c.conjugate(), b.adjoint()) for c, b in a.terms))
+    return element(a.side, ((c.conjugate(), b.adjoint()) for c, b in a.terms))
 
 
 def apply_alpha(a: AlgebraElement, n: int) -> AlgebraElement:
     """The shift automorphism to the n-th power: windows move by -n."""
     if n == 0:
         return a
-    return element(a.side, tuple((c, b.shift(n)) for c, b in a.terms))
+    return element(a.side, ((c, b.shift(n)) for c, b in a.terms))
 
 
 def tau(a: AlgebraElement, p: PerronData) -> complex:

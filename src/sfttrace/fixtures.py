@@ -165,9 +165,7 @@ def random_left_ray(rng, sft, orbit, end):
             if not body or sft.allowed(orbit.word[ph], body[0])
         ]
         if phases:
-            return make_left_ray(
-                sft, orbit, rng.choice(phases), end - len(body), tuple(body), end
-            )
+            return make_left_ray(sft, orbit, rng.choice(phases), end - len(body), body, end)
 
 
 def random_right_ray(rng, sft, orbit, start):

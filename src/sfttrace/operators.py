@@ -63,7 +63,7 @@ class OrbitsNotDisjoint(ValueError):
 def _apply_stable(e: StableBisection, w: HeteroclinicPoint):
     """Past replacement, or None when w misses the source cylinder."""
     n = e.window
-    if not matches_past(w, e.source, n):
+    if not matches_past(w, e.source):
         return None
     alpha, upper = e.target, max(n, w.m_right)
     return HeteroclinicPoint(alpha.orbit, alpha.phase, alpha.splice,
@@ -73,7 +73,7 @@ def _apply_stable(e: StableBisection, w: HeteroclinicPoint):
 
 def _apply_unstable(f: UnstableBisection, w: HeteroclinicPoint):
     m = f.window
-    if not matches_future(w, f.source, m):
+    if not matches_future(w, f.source):
         return None
     gamma, lower = f.target, min(m, w.n_left)
     return HeteroclinicPoint(w.left_orbit,

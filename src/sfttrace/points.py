@@ -17,9 +17,10 @@ underlying sequences is plain tuple equality:
     an empty middle's junction is slid right as far as it goes; a fully
     periodic point is anchored at junction 0.
 
-`Orbit`, `LeftRay`, `RightRay` and `HeteroclinicPoint` take any form and
-store the canonical one, so no value holds another; `make_left_ray` and
-`make_right_ray` only check a ray against its system.
+`Orbit`, `LeftRay`, `RightRay` and `HeteroclinicPoint` take any form, with
+any sequence for a word, body or middle, and store the canonical one with
+tuples, so no value holds another; `make_left_ray` and `make_right_ray`
+only check a ray against its system.
 
 Phases are anchored at the splice: a left ray's symbol at splice-1 is
 orbit.word[phase]; a right ray's symbol at its splice is orbit.word[phase].
@@ -113,7 +114,8 @@ class Orbit(Value):
 
     _fields = ("word",)
 
-    def __init__(self, word: tuple[int, ...]):
+    def __init__(self, word):
+        word = tuple(word)
         if not word:
             raise InadmissibleOrbit("empty cyclic word")
         i = _least_rotation(word)
@@ -157,7 +159,7 @@ class Orbit(Value):
 
 
 def make_orbit(word, sft: Sft | None = None) -> Orbit:
-    orb = Orbit(tuple(word))
+    orb = Orbit(word)
     if sft is not None:
         orb.validate(sft)
     return orb
@@ -168,20 +170,18 @@ class PeriodicOrbitSet(Value):
 
     _fields = ("orbits",)
 
-    def __init__(self, orbits: tuple[Orbit, ...]):
+    def __init__(self, orbits):
+        orbits = tuple(orbits)
         if len(set(orbits)) != len(orbits):
             raise InadmissibleOrbit("orbit set contains duplicates")
         self.__dict__.update(orbits=orbits)
-
-    def __contains__(self, orbit: Orbit) -> bool:
-        return orbit in self.orbits
 
     def isdisjoint(self, other: "PeriodicOrbitSet") -> bool:
         return not set(self.orbits) & set(other.orbits)
 
 
 def make_orbit_set(words, sft: Sft | None = None) -> PeriodicOrbitSet:
-    return PeriodicOrbitSet(tuple(make_orbit(w, sft) for w in words))
+    return PeriodicOrbitSet(make_orbit(w, sft) for w in words)
 
 
 class LeftRay(Value):
@@ -194,7 +194,8 @@ class LeftRay(Value):
 
     _fields = ("orbit", "phase", "splice", "body", "end")
 
-    def __init__(self, orbit: Orbit, phase: int, splice: int, body: tuple[int, ...], end: int):
+    def __init__(self, orbit: Orbit, phase: int, splice: int, body, end: int):
+        body = tuple(body)
         if splice + len(body) != end:
             raise InadmissibleRay("body length does not match [splice, end)")
         p = orbit.period
@@ -257,7 +258,8 @@ class RightRay(Value):
 
     _fields = ("orbit", "phase", "start", "body", "splice")
 
-    def __init__(self, orbit: Orbit, phase: int, start: int, body: tuple[int, ...], splice: int):
+    def __init__(self, orbit: Orbit, phase: int, start: int, body, splice: int):
+        body = tuple(body)
         if start + len(body) != splice:
             raise InadmissibleRay("body length does not match [start, splice)")
         p = orbit.period
@@ -360,7 +362,7 @@ def rays_agree(past: LeftRay, future: RightRay, shift: int) -> bool:
 def make_left_ray(sft: Sft, orbit: Orbit, phase: int, splice: int, body, end: int) -> LeftRay:
     """The left ray, checked in `sft`: its orbit, and its body after the
     orbit symbol next to it."""
-    ray = LeftRay(orbit, phase, splice, tuple(body), end)
+    ray = LeftRay(orbit, phase, splice, body, end)
     orbit.validate(sft)
     if ray.body and not is_admissible(sft, (orbit.word[ray.phase],) + ray.body):
         raise InadmissibleRay("ray body breaks admissibility")
@@ -370,7 +372,7 @@ def make_left_ray(sft: Sft, orbit: Orbit, phase: int, splice: int, body, end: in
 def make_right_ray(sft: Sft, orbit: Orbit, phase: int, start: int, body, splice: int) -> RightRay:
     """The right ray, checked in `sft`: its orbit, and its body before the
     orbit symbol next to it."""
-    ray = RightRay(orbit, phase, start, tuple(body), splice)
+    ray = RightRay(orbit, phase, start, body, splice)
     orbit.validate(sft)
     if ray.body and not is_admissible(sft, ray.body + (orbit.word[ray.phase],)):
         raise InadmissibleRay("ray body breaks admissibility")
@@ -528,8 +530,8 @@ def bracket(x: HeteroclinicPoint, y: HeteroclinicPoint) -> HeteroclinicPoint:
                              hi)
 
 
-def matches_past(z: HeteroclinicPoint, ray: LeftRay, upto: int) -> bool:
-    """True iff z's coordinates below `upto` equal the ray's (upto <= ray.end).
+def matches_past(z: HeteroclinicPoint, ray: LeftRay) -> bool:
+    """True iff z's coordinates below the ray's end equal the ray's.
 
     Cheap: one orbit/phase alignment check plus an explicit scan of the
     finitely many coordinates where either side is non-periodic.
@@ -540,18 +542,18 @@ def matches_past(z: HeteroclinicPoint, ray: LeftRay, upto: int) -> bool:
     p = ray.orbit.period
     if (z.left_phase + (lo - z.n_left)) % p != (ray.phase + (lo - ray.splice)) % p:
         return False
-    return all(z.symbol_at(i) == ray.symbol_at(i) for i in range(lo, upto))
+    return all(z.symbol_at(i) == ray.symbol_at(i) for i in range(lo, ray.end))
 
 
-def matches_future(z: HeteroclinicPoint, ray: RightRay, start: int) -> bool:
-    """True iff z's coordinates from `start` on equal the ray's (start >= ray.start)."""
+def matches_future(z: HeteroclinicPoint, ray: RightRay) -> bool:
+    """True iff z's coordinates from the ray's start on equal the ray's."""
     if z.right_orbit != ray.orbit:
         return False
     hi = max(z.m_right, ray.splice)
     p = ray.orbit.period
     if (z.right_phase + (hi - z.m_right)) % p != (ray.phase + (hi - ray.splice)) % p:
         return False
-    return all(z.symbol_at(i) == ray.symbol_at(i) for i in range(start, hi))
+    return all(z.symbol_at(i) == ray.symbol_at(i) for i in range(ray.start, hi))
 
 
 def point_key(z: HeteroclinicPoint):

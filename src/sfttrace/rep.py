@@ -350,14 +350,15 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
     A stable term at window N and an unstable one at window M form a bridge
     pair when their gap N - M is at most 2k, else an overlap pair.  Only
     the diagonal bridge pairs count paths and only the overlap pairs check
-    rays, so the pairs are not visited one by one: a reduced element's
-    terms are in window order (`algebra.element`), and one bisect per
-    stable term splits the unstable terms into its overlap pairs, before
-    the cut, and its bridge pairs.  An overlap pair reads whether each
-    term's rays agree where the other term pins them off the two agreement
-    bounds, and checks each target against the other source with one
-    `points.rays_agree`, which reads the rays' bodies and periodic tails:
-    no ray is shifted or truncated, and no cost grows with the gap.
+    rays, so the pairs are not visited one by one: window order is an
+    invariant of the element type (`AlgebraElement` sorts its terms when
+    it is built), and one bisect per stable term splits the unstable terms
+    into its overlap pairs, before the cut, and its bridge pairs.  An
+    overlap pair reads whether each term's rays agree where the other term
+    pins them off the two agreement bounds, and checks each target against
+    the other source with one `points.rays_agree`, which reads the rays'
+    bodies and periodic tails: no ray is shifted or truncated, and no cost
+    grows with the gap.
 
     What does not depend on k comes from the term-pair table of (a, b)
     (`_PairTable`), built once and kept on b while a is its partner: the

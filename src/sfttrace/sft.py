@@ -37,7 +37,8 @@ class InvalidMatrix(ValueError):
 
 
 class Sft(Value):
-    """Shift of finite type given by an n x n 0/1 transition matrix.
+    """Shift of finite type given by an n x n 0/1 transition matrix, as
+    any nested sequences, stored as tuples; `make_sft` is this class.
 
     trans[i][j] == 1 means symbol j may follow symbol i.  Every symbol has
     a successor and a predecessor: the constructor raises ZeroRowOrColumn
@@ -49,7 +50,8 @@ class Sft(Value):
 
     _fields = ("trans", "labels")
 
-    def __init__(self, trans: tuple[tuple[int, ...], ...], labels: tuple[str, ...] | None = None):
+    def __init__(self, trans, labels=None):
+        trans = tuple(map(tuple, trans))
         n = len(trans)
         if n < 1:
             raise InvalidMatrix("empty transition matrix")
@@ -148,9 +150,7 @@ class _PathRows:
         return rows[length - first]
 
 
-def make_sft(matrix, labels=None) -> Sft:
-    """An Sft from nested sequences."""
-    return Sft(tuple(tuple(row) for row in matrix), labels)
+make_sft = Sft
 
 
 def is_mixing(sft: Sft) -> bool:

@@ -7,6 +7,13 @@ equals a right ray), the hash of the field tuple, the repr
 `Name(field=value, ...)` and AttributeError on assignment and deletion; a
 `cached_property` or a stash writes into `__dict__` and changes none of
 these.  It generates no code, so it imports neither `dataclasses` nor `inspect`.
+
+Each type with a canonical form (`Sft`, `Orbit`, `PeriodicOrbitSet`, the
+rays, `HeteroclinicPoint`, `AlgebraElement`) builds that form in its
+constructor from any sequences it is given, and stores tuples.  Of the
+types with a canonical form, `rep.ExactTrace` alone has a constructor
+that trusts its input: its plain one, which the trace rows take;
+`ExactTrace.from_pairs` is its checked constructor.
 """
 
 from operator import attrgetter

@@ -912,6 +912,15 @@ def test_cli_verify(capsys):
     assert out.count("pass") >= 8
 
 
+def test_cli_verify_with_a_failing_criterion_exits_3(capsys, monkeypatch):
+    from sfttrace import acceptance
+
+    row = acceptance.CheckRow("AC-0", "a check that fails", False, "1", "0", 0.25)
+    monkeypatch.setattr(acceptance, "CRITERIA", [lambda: row])
+    assert main(["verify"]) == 3
+    assert capsys.readouterr().out == f"{row.line()}\nFAILURES\n"
+
+
 def test_shipped_configs_load():
     for name in ("golden_mean.json", "full_shift.json"):
         config = load_config(str(CONFIG_DIR / name))

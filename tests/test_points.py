@@ -411,8 +411,8 @@ def test_enumerate_monotone_and_membership():
         for z in pts:
             n, m = z.window
             assert -w <= n <= m <= w
-            assert z.left_orbit in q
-            assert z.right_orbit in p
+            assert z.left_orbit in q.orbits
+            assert z.right_orbit in p.orbits
             assert point_is_admissible(FULL, z)
             assert shift_point(z, 2).left_orbit in q.orbits
 

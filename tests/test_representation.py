@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from sfttrace.algebra import (
+    AlgebraElement,
     BisectionError,
     StableBisection,
     UnstableBisection,
@@ -656,6 +657,39 @@ def test_oracle_equivalence_random_elements():
             assert trace_product(a, b, k, GOLDEN.perron) == trace_product_oracle(
                 a, b, k, required_window(a, b, k), GOLDEN.perron, GOLDEN.p_set, GOLDEN.q_set
             )
+
+
+def _rebuilt_terms(x):
+    """The terms of x given three other ways: in reverse order, with the
+    first coefficient split into two halves, and with an extra term whose
+    coefficient is zero."""
+    (c, t), *rest = x.terms
+    return [x.terms[::-1], [(c / 2, t), *rest, (c / 2, t)], [(0.0, t.shift(10)), *x.terms]]
+
+
+@pytest.mark.parametrize("sys, cases", [(FULL, 126), (GOLDEN, 137), (THREE, 122)],
+                         ids=["full-2-shift", "golden-mean", "three-symbol"])
+def test_elements_rebuilt_from_their_terms_are_equal_and_trace_as_the_oracle(sys, cases):
+    # the constructor reduces any term list: a rebuilt element equals its
+    # original, and its symbolic trace, which bisects on the terms' window
+    # order, equals the oracle's
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(60):
+        a = random_element(rng, sys, "stable", 3)
+        b = random_element(rng, sys, "unstable", 3)
+        rebuilt = [(AlgebraElement("stable", ta), AlgebraElement("unstable", tb))
+                   for ta, tb in zip(_rebuilt_terms(a), _rebuilt_terms(b))]
+        for ra, rb in rebuilt:
+            assert ra == a and hash(ra) == hash(a) and rb == b and hash(rb) == hash(b)
+        for k in range(3):
+            req = required_window(a, b, k)
+            if req <= 5:
+                checked += 1
+                oracle = trace_product_oracle(a, b, k, req, sys.perron, sys.p_set, sys.q_set)
+                for ra, rb in rebuilt:
+                    assert trace_product(ra, rb, k, sys.perron) == oracle
+    assert checked == cases
 
 
 def _orbits_up_to(sft, max_period):

@@ -1,9 +1,9 @@
 """The value types keep the contract of the frozen dataclasses they
 replaced: equality over the fields within one class, the hash of the
 field tuple, the `Name(field=value, ...)` repr, no assignment or deletion,
-and cached properties and stashes that change none of these.  `Sft`,
-`Orbit` and `HeteroclinicPoint` are valid by construction: each checks
-and canonicalizes in its constructor."""
+and cached properties and stashes that change none of these.  Every
+value type but `ExactTrace` is valid by construction: its constructor
+checks and canonicalizes, and stores tuples built from any sequence."""
 
 import copy
 import gc
@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from sfttrace.acceptance import CheckRow
-from sfttrace.algebra import AlgebraElement, StableBisection, UnstableBisection
+from sfttrace.algebra import AlgebraElement, StableBisection, UnstableBisection, element
 from sfttrace.cli import ExperimentConfig, parse_config
 from sfttrace.fixtures import System, canonical_pair, golden_mean, random_element, three_symbol
 from sfttrace.operators import FiniteOperator
@@ -39,7 +39,7 @@ from sfttrace.rep import (
     scaled_trace_sequence,
     trace_product_detail,
 )
-from sfttrace.sft import Sft, ZeroRowOrColumn, count_paths
+from sfttrace.sft import Sft, ZeroRowOrColumn, count_paths, make_sft
 
 CLASSES = (AlgebraElement, CheckRow, ExactTrace, ExperimentConfig, FiniteOperator,
            HeteroclinicPoint, LeftRay, Orbit, PerronData, PeriodicOrbitSet, RightRay,
@@ -166,6 +166,27 @@ def test_positional_keyword_and_default_construction():
     assert ExactTrace(((1 + 0j, 2),)).dyadic is None
     assert ExactTrace(((1 + 0j, 2),)) == ExactTrace.from_pairs([(1 + 0j, 1), (1 + 0j, 1)])
     assert isinstance(PeriodicOrbitSet((orbit,)).orbits[0], Orbit)
+    # the builders that reduced or converted their input are the classes
+    assert element is AlgebraElement and make_sft is Sft
+
+
+# class -> a build of one of its values from sequences that `seq` makes
+FROM_SEQUENCES = {
+    Sft: lambda seq: Sft(seq([seq([1, 1]), seq([1, 0])]), seq(["a", "b"])),
+    Orbit: lambda seq: Orbit(seq([1, 0, 0])),
+    PeriodicOrbitSet: lambda seq: PeriodicOrbitSet(seq([make_orbit((0,)), make_orbit((0, 1))])),
+    LeftRay: lambda seq: LeftRay(make_orbit((0, 1)), 0, -2, seq([1, 1]), 0),
+    RightRay: lambda seq: RightRay(make_orbit((0, 1)), 0, 0, seq([0, 0]), 2),
+    HeteroclinicPoint: lambda seq: HeteroclinicPoint(make_orbit((0,)), 0, 0, seq([1, 1]),
+                                                     make_orbit((0,)), 0, 2),
+}
+
+
+@pytest.mark.parametrize("seq", [list, lambda xs: (x for x in xs)], ids=["list", "generator"])
+@pytest.mark.parametrize("cls", FROM_SEQUENCES, ids=lambda c: c.__name__)
+def test_values_built_from_any_sequence_are_their_tuple_twins(cls, seq):
+    x, twin = FROM_SEQUENCES[cls](seq), FROM_SEQUENCES[cls](tuple)
+    assert x == twin and hash(x) == hash(twin) and repr(x) == repr(twin)
 
 
 def test_reprs_are_those_of_the_dataclasses():
