@@ -11,9 +11,10 @@ past and future follow its two sources outside a bridge window, so
 `product_operator` enumerates those points and takes each one's image
 under both elements, with no image formula of its own.  Its entries are
 exact sums of coefficient products, so the rank is exact (elimination
-over Q(i)); the operator norm is a power-iteration estimate on the
-nearest floats that never exceeds it.  The vanishing-product and
-commutator checks are norms of such products along the shift.
+over Q(i)) and the operator norm is the float nearest the exact norm
+(bisection with fraction-free positive-definiteness tests on each
+block's Gram matrix).  The vanishing-product and commutator checks are
+norms of such products along the shift.
 
 Only `theorem13` and the acceptance battery use this module, so a trace
 run does not import it.  It reads from `rep` the exact decomposition of
@@ -24,7 +25,6 @@ brute-force oracle, reads nothing from here.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 from .algebra import (
@@ -103,12 +103,6 @@ def apply_element(x: AlgebraElement, w: HeteroclinicPoint) -> dict:
 # finite-rank products
 
 
-# operator_norm stops when its estimate grows by less than this, relatively,
-# or after this many power-iteration steps
-NORM_RTOL = 1e-15
-NORM_ITERATIONS = 500
-
-
 class FiniteOperator(Value):
     """A finitely supported operator: (row point, column point) -> coefficient.
 
@@ -179,100 +173,117 @@ class FiniteOperator(Value):
         return len(pivots)
 
 
-def _norm(vec) -> float:
-    return math.hypot(*map(abs, vec))
-
-
 def operator_norm(t: FiniteOperator) -> float:
-    """A lower estimate of the largest singular value ‖T‖; exactly 0.0 for
-    the zero operator, exactly |c| for a one-entry one.
+    """The largest singular value ‖T‖, correctly rounded to a float, from the
+    exact entries; exactly 0.0 for the zero operator.
 
     T is the direct sum of the blocks that its entries link (rows and
-    columns that share an entry), so ‖T‖ is the largest block norm.  The
-    blocks go in decreasing order of the bound √(‖B‖₁‖B‖∞), and those whose
-    bound does not exceed the best estimate so far are skipped.  No dense
-    matrix is built.
+    columns that share an entry), so ‖T‖ is the largest block norm.  Over
+    the common denominator of the entries every block is a matrix of
+    Gaussian integers.  The blocks go in decreasing order of their exact
+    Frobenius norm, which bounds the block norm, and the scan stops at the
+    first block whose bound cannot round above the best norm so far.  No
+    dense matrix of T is built.  Raises NonFiniteCoefficient when ‖T‖ is beyond
+    the float range.
     """
-    if t.is_zero:
-        return 0.0
+    den = math.lcm(*(x.denominator for z in t.exact.values() for x in z))
     rows: dict = {}
     cols: dict = {}
-    edges = []
-    for (r, c), z in t.entries.items():
-        edges.append((rows.setdefault(r, len(rows)), cols.setdefault(c, len(cols)), z))
-    parent = list(range(len(rows) + len(cols)))
+    parent: dict = {}  # rows are 0, 1, ..., columns -1, -2, ...
 
     def find(i):
-        while parent[i] != i:
+        while parent.setdefault(i, i) != i:
             parent[i] = i = parent[parent[i]]
         return i
 
-    offset = len(rows)
-    for i, j, _ in edges:
-        parent[find(i)] = find(offset + j)
+    for r, c in t.exact:
+        parent[find(rows.setdefault(r, len(rows)))] = find(~cols.setdefault(c, len(cols)))
     blocks: dict = {}
-    for edge in edges:
-        blocks.setdefault(find(edge[0]), []).append(edge)
-    bounded = sorted(((_block_bound(block), block) for block in blocks.values()),
-                     key=lambda pair: -pair[0])
-    rng = random.Random(0)
+    for (r, c), (re, im) in t.exact.items():
+        blocks.setdefault(find(rows[r]), []).append(
+            (r, c, re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)))
+    bounded = sorted(((sum(re * re + im * im for *_, re, im in block), block)
+                      for block in blocks.values()), key=lambda pair: -pair[0])
     best = 0.0
-    for bound, block in bounded:
-        if bound <= best:
+    for frobenius, block in bounded:
+        # a bound below the midpoint above best rounds to best at most
+        if frobenius < ((Fraction(best) + Fraction(math.ulp(best)) / 2) * den) ** 2:
             break
-        best = max(best, _block_norm(block, rng))
+        best = max(best, _block_norm(block, den))
     return best
 
 
-def _block_bound(block) -> float:
-    row_sums: dict = {}
-    col_sums: dict = {}
-    for i, j, z in block:
-        row_sums[i] = row_sums.get(i, 0.0) + abs(z)
-        col_sums[j] = col_sums.get(j, 0.0) + abs(z)
-    return math.sqrt(max(row_sums.values())) * math.sqrt(max(col_sums.values()))
+def _block_norm(block, den: int) -> float:
+    """‖B‖ correctly rounded, for a block of Gaussian-integer entries
+    (row, column, real, imaginary) over den.
 
-
-def _top_to_one(vec: dict) -> dict:
-    """vec scaled so that its entry of largest modulus is exactly 1."""
-    top = max(vec, key=lambda key: abs(vec[key]))
-    scale = vec[top]
-    out = {key: z / scale for key, z in vec.items()}
-    out[top] = 1.0
-    return out
-
-
-def _block_norm(block, rng) -> float:
-    """Power iteration on B*B over B's sparse rows and columns.
-
-    Each step's Rayleigh estimate ‖Bx‖/‖x‖ is at most ‖B‖, and in exact
-    arithmetic it does not decrease from step to step; the iteration stops
-    once it grows by less than NORM_RTOL relatively, or after
-    NORM_ITERATIONS steps.  The start gives every column a seeded generic
-    weight, and x and Bx are scaled so that their largest entry is exactly
-    1, which keeps every step in float range.
+    ‖B‖² is the largest eigenvalue λ of the m × m Gram matrix G of the
+    block's smaller side (the transpose has the same norm), whose entries
+    are Gaussian integers.  Let y = √λ·2^k/den, k chosen so that y >= 2^54:
+    scaled by 2^k, the points where floats near ‖B‖ = y/2^k round apart
+    are integers, so ‖B‖ rounds as (2⌊y⌋ + sticky)/2^(k+1) does, sticky
+    being 1 when y is not an integer, and one exact division rounds it.  ⌊y⌋ is bisected
+    between the square roots of the largest diagonal entry and of the trace
+    of G, both bounds on λ: s > y exactly when (s·den)²I − 4^k G is positive
+    definite, and s = y when it is singular and semidefinite.  A one-row or
+    one-column block has m = 1, where both bounds are ⌊y⌋.
     """
-    rows: dict = {}
-    cols: dict = {}
-    for i, j, z in block:
-        rows.setdefault(i, []).append((j, z))
-        cols.setdefault(j, []).append((i, z))
-    best = 0.0
-    x = {j: complex(rng.uniform(1, 2), rng.uniform(-1, 1)) for j in cols}
-    previous = 0.0
-    for _ in range(NORM_ITERATIONS):
-        x = _top_to_one(x)
-        y = {i: sum(z * x[j] for j, z in row) for i, row in rows.items()}
-        estimate = _norm(y.values()) / _norm(x.values())
-        best = max(best, estimate)
-        if estimate <= previous * (1 + NORM_RTOL):
-            break
-        previous = estimate
-        y = _top_to_one(y)
-        x = {j: sum(z.conjugate() * y[i] for i, z in col) for j, col in cols.items()}
-        if not any(x.values()):
-            break
-    return best
+    if len({r for r, *_ in block}) > len({c for _, c, *_ in block}):
+        block = [(c, r, re, im) for r, c, re, im in block]
+    index, lines = {}, {}
+    for r, c, re, im in block:
+        lines.setdefault(c, []).append((index.setdefault(r, len(index)), re, im))
+    gram = [[(0, 0)] * len(index) for _ in index]
+    for line in lines.values():
+        for i, xr, xi in line:
+            for j, yr, yi in line:
+                r, s = gram[i][j]
+                gram[i][j] = (r + xr * yr + xi * yi, s + xi * yr - xr * yi)
+    diagonal = [row[i][0] for i, row in enumerate(gram)]
+    k = 54 + den.bit_length() - (max(diagonal).bit_length() - 1) // 2
+    e = (den & -den).bit_length() - 1
+    a, b = 4 ** max(k - e, 0), (den >> e) ** 2 * 4 ** max(e - k, 0)
+
+    def compare(s):
+        """The definiteness of (s·s·b)I − a·G: 1 when s > y, 0 when s = y."""
+        return _definiteness([[(s * s * b * (i == j) - a * x, -a * z)
+                               for j, (x, z) in enumerate(row)] for i, row in enumerate(gram)])
+
+    lo, hi = (math.isqrt(x * a // b) for x in (max(diagonal), sum(diagonal)))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (lo, mid - 1) if compare(mid) > 0 else (mid, hi)
+    norm = (2 * lo + (compare(lo) != 0)) / 2 ** (k + 1)
+    if norm == math.inf:
+        raise NonFiniteCoefficient("an operator norm exceeds the float range")
+    return norm
+
+
+def _definiteness(m: list) -> int:
+    """1 if the Hermitian matrix m of Gaussian integers is positive definite,
+    0 if it is positive semidefinite and singular, -1 otherwise.
+
+    Fraction-free (Bareiss) symmetric elimination, in place: each stage
+    pivots on the largest remaining diagonal entry and divides exactly by
+    the previous pivot, so every entry stays a Gaussian integer, a minor of
+    m.  The matrix is positive definite exactly when every pivot is positive
+    (Sylvester); a stage whose diagonal has no positive entry is
+    semidefinite only if all its entries are zero.
+    """
+    live, q = list(range(len(m))), 1  # q: the previous pivot
+    while live:
+        diagonal = [m[i][i][0] for i in live]
+        p = max(diagonal)
+        if p <= 0 or min(diagonal) < 0:
+            return -1 if any(any(m[i][j]) for i in live for j in live) else 0
+        k = live.pop(diagonal.index(p))
+        for i in live:
+            (xr, xi), row = m[i][k], m[i]
+            for j in live:
+                (yr, yi), (r, s) = m[k][j], row[j]
+                row[j] = ((p * r - xr * yr + xi * yi) // q, (p * s - xr * yi - xi * yr) // q)
+        q = p
+    return 1
 
 
 def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,

@@ -397,8 +397,8 @@ class HeteroclinicPoint(Value):
     word[left_phase]);  [n_left, m_right) is the explicit middle;
     coordinates >= m_right follow the right orbit (symbol at m_right is
     word[right_phase]).  The constructor takes arbitrary gluing data of
-    that form and stores its canonical form; it does not check the
-    transitions against a system.
+    that form, each phase in [0, period) (ValueError otherwise), and stores
+    its canonical form; it does not check the transitions against a system.
 
     Points are dict keys throughout the representation, so each one hashes
     its field tuple once, when first hashed.
@@ -413,6 +413,8 @@ class HeteroclinicPoint(Value):
         if n_left + len(middle) != m_right:
             raise ValueError("middle length does not match window")
         pl, pr = left_orbit.period, right_orbit.period
+        if not (0 <= left_phase < pl and 0 <= right_phase < pr):
+            raise ValueError("phase out of range")
         # absorb middle into the periodic sides
         while middle and middle[0] == left_orbit.word[(left_phase + 1) % pl]:
             left_phase = (left_phase + 1) % pl

@@ -857,6 +857,9 @@ def test_cli_theorem13_on_a_large_product_has_no_traceback(tmp_path, capsys):
     else:
         assert code == 0 and captured.err == ""
         assert captured.out.startswith("rank(a.b) = 23427, rank(b.a) = 23427 (finite rank)\n")
+        # the float nearest each product's norm
+        assert ("  n=0   |a_n.b| = 0.755836663902989  |b.a_n| = 0.755836663902989\n"
+                in captured.out)
 
 
 def test_cli_theorem13_product_beyond_float_range_exits_3(tmp_path, capsys):
@@ -873,6 +876,25 @@ def test_cli_theorem13_product_beyond_float_range_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err == "numerical failure: an operator entry exceeds the float range\n"
+
+
+def test_cli_theorem13_norm_beyond_float_range_exits_3(tmp_path, capsys):
+    # the three-symbol mixed pair at alpha^4, scaled by 2^1000 * 2.6e7: each
+    # entry is at most 1.6e308, a float, but the rows' norms are 2.1e308
+    from sfttrace.algebra import apply_alpha, element
+    from sfttrace.cli import ExperimentConfig
+    from sfttrace.fixtures import mixed_pair, three_symbol
+
+    sys = three_symbol()
+    a, b = mixed_pair(sys)
+    a = element("stable", [(c * 2.0 ** 1000, t) for c, t in apply_alpha(a, 4).terms])
+    b = element("unstable", [(c * 2.6e7, t) for c, t in b.terms])
+    path = str(tmp_path / "wide.json")
+    write_config(ExperimentConfig(sys.sft, sys.p_set, sys.q_set, a, b, (0, 4), {}, None), path)
+    code = main(["theorem13", "--config", path, "--nmax", "0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "numerical failure: an operator norm exceeds the float range\n"
 
 
 def test_cli_theorem13_negative_nmax_exits_2(tmp_path, capsys):

@@ -65,6 +65,12 @@ GUARDS = {
     "middle longer than the window": (
         lambda: HeteroclinicPoint(ORBIT, 0, 0, (1,), ORBIT, 0, 2),
         ValueError, "middle length does not match window"),
+    "left phase past the period": (
+        lambda: HeteroclinicPoint(ORBIT, 5, 0, (1,), ORBIT, 0, 1),
+        ValueError, "phase out of range"),
+    "negative right phase": (
+        lambda: HeteroclinicPoint(ORBIT, 0, 0, (1,), ORBIT, -1, 1),
+        ValueError, "phase out of range"),
     "rays and middle with a gap": (
         lambda: splice_point(LEFT, (1,), RIGHT), ValueError, "rays and middle do not tile the line"),
     "empty matrix": (lambda: Sft([]), InvalidMatrix, "empty transition matrix"),

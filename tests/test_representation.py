@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from sys import modules as sys_modules
 
@@ -435,7 +436,121 @@ def test_operator_norm_sees_every_block():
     # a block whose top singular vector is orthogonal to all-ones, beside a
     # smaller one: the norm is the first block's sqrt(2)
     t = float_operator({(0, 0): 1 + 0j, (0, 1): -1 + 0j, (1, 2): 1.25 + 0j})
-    assert operator_norm(t) == pytest.approx(math.sqrt(2), rel=1e-15)
+    assert operator_norm(t) == math.sqrt(2)
+
+
+def linked_blocks(t: FiniteOperator) -> list:
+    """The entries of t, split into the blocks that they link: (rows,
+    columns, entries) for each, found by merging sets."""
+    groups: list = []
+    for (r, c), z in t.exact.items():
+        block = ({r}, {c}, {(r, c): z})
+        for g in [g for g in groups if r in g[0] or c in g[1]]:
+            block[0].update(g[0])
+            block[1].update(g[1])
+            block[2].update(g[2])
+            groups.remove(g)
+        groups.append(block)
+    return groups
+
+
+def real_gram(rows, cols, entries) -> tuple:
+    """The Gram matrix G = BB* of the block over `rows`, embedded as the
+    real symmetric [[Re G, -Im G], [Im G, Re G]], whose eigenvalues are G's,
+    each twice: (integer matrix, its denominator)."""
+    zero = (Fraction(0), Fraction(0))
+    re = [[sum(entries.get((i, c), zero)[0] * entries.get((j, c), zero)[0]
+               + entries.get((i, c), zero)[1] * entries.get((j, c), zero)[1] for c in cols)
+           for j in rows] for i in rows]
+    im = [[sum(entries.get((i, c), zero)[1] * entries.get((j, c), zero)[0]
+               - entries.get((i, c), zero)[0] * entries.get((j, c), zero)[1] for c in cols)
+           for j in rows] for i in rows]
+    real = [x + [-y for y in v] for x, v in zip(re, im)] + [v + x for x, v in zip(re, im)]
+    den = math.lcm(*(x.denominator for row in real for x in row))
+    return [[int(x * den) for x in row] for row in real], den
+
+
+def characteristic_polynomial(a) -> list:
+    """det(xI - a) of an integer matrix, highest power first, by
+    Faddeev-LeVerrier; every division is exact."""
+    n = len(a)
+    coeffs, m = [1], [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][l] * m[l][j] for l in range(n)) + (coeffs[-1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        total = -sum(a[i][l] * m[l][i] for i in range(n) for l in range(n))
+        assert total % k == 0
+        coeffs.append(total // k)
+    return coeffs
+
+
+def reference_norm(t: FiniteOperator) -> float:
+    """‖T‖ by a route of its own: per block, the largest root of the
+    characteristic polynomial of the real Gram matrix, by Newton's method in
+    60-digit Decimal.
+
+    Every root is real and doubled, so the step 2p/p' from above the
+    largest root (half the trace is above it) goes down to it without
+    passing it.  The float of its square root is the block's norm.
+    """
+    best = 0.0
+    for rows, cols, entries in linked_blocks(t):
+        if len(rows) > len(cols):  # the transpose has the same norm
+            rows, cols, entries = cols, rows, {(c, r): z for (r, c), z in entries.items()}
+        gram, den = real_gram(list(rows), cols, entries)
+        poly = characteristic_polynomial(gram)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = Decimal(sum(row[i] for i, row in enumerate(gram))) / 2
+            for _ in range(400):
+                value = slope = Decimal(0)
+                for c in poly:
+                    value, slope = value * x + c, slope * x + value
+                if value <= 0 or x - 2 * value / slope >= x:
+                    break
+                x -= 2 * value / slope
+            best = max(best, float((x / den).sqrt()))
+    return best
+
+
+def test_operator_norms_of_fixture_products_are_correctly_rounded():
+    # both products of each fixture system's canonical and mixed pairs and
+    # of six seeded random three-term pairs, with the stable element at
+    # alpha^-n for n = 0..5, as `vanishing_product_check` builds them: each
+    # norm is the float nearest ‖T‖ of the reference route
+    checked = 0
+    for sys in (FULL, GOLDEN, THREE):
+        rng = random.Random(7)
+        pairs = [canonical_pair(sys), mixed_pair(sys)]
+        pairs += [(random_element(rng, sys, "stable", 3), random_element(rng, sys, "unstable", 3))
+                  for _ in range(6)]
+        for a, b in pairs:
+            for n in range(6):
+                for order in ("ab", "ba"):
+                    t = product_operator(apply_alpha(a, -n), b, sys.perron, order)
+                    assert operator_norm(t) == reference_norm(t), (sys.name, n, order)
+                    checked += not t.is_zero
+    assert checked == 198
+
+
+def test_operator_norm_rounds_a_tie_to_even_and_raises_past_the_float_range():
+    # [[1, h], [h, 1]] with h = 2^-53 has norm 1 + h, halfway between 1.0 and
+    # the next float up, whose last bit is odd; with 1 + 2h on the diagonal
+    # the norm 1 + 3h is halfway between two floats, the even one above
+    h = 2.0 ** -53
+    assert operator_norm(float_operator({(0, 0): 1, (0, 1): h, (1, 0): h, (1, 1): 1})) == 1.0
+    up = float_operator({(0, 0): 1 + 2 * h, (0, 1): h, (1, 0): h, (1, 1): 1 + 2 * h})
+    assert operator_norm(up) == 1 + 4 * h
+    # sqrt(2) times the least subnormal rounds down to it
+    assert operator_norm(float_operator({(0, 0): 5e-324, (0, 1): 5e-324j})) == 5e-324
+    # every entry is a float, but the norm 2.1e308 of the row and of the
+    # block is not
+    row = float_operator({(0, 0): 1.5e308, (0, 1): 1.5e308j})
+    with pytest.raises(NonFiniteCoefficient, match="an operator norm exceeds the float range"):
+        operator_norm(row)
+    with pytest.raises(NonFiniteCoefficient, match="an operator norm exceeds the float range"):
+        operator_norm(float_operator({(0, 0): 1.5e308, (0, 1): 1.5e308,
+                                      (1, 0): 1.5e308, (1, 1): -1.5e308}))
 
 
 def test_trace_product_full_shift():
