@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .sft import Sft, bridge_words, count_paths, is_admissible
+from .sft import Sft, bridge_table, count_paths, is_admissible
 from .values import Value
 
 # most middle symbols `enumerate_heteroclinic` holds: sequences x (2 * window + 1);
@@ -565,40 +565,39 @@ def point_key(z: HeteroclinicPoint):
 
 
 def asymptotic_sequences(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrbitSet,
-                         window: int):
+                         length: int):
     """Every sequence from an orbit of Q to an orbit of P that is periodic
-    outside [-window, window), once each, grouped by its tails: one group
-    (left orbit, phase at -window-1, right orbit, phase at window, middles)
-    per pair of tails, whose middles are the symbols on [-window, window)
-    of its sequences, every admissible word of length 2 * window that joins
-    the left symbol to the right one, in lexicographic order.  Orbits are
-    primitive, so the phases fix the periodic tails.
+    outside a run of `length` symbols, once each, grouped by its tails: one
+    group (left orbit, phase of the symbol before the run, right orbit,
+    phase of the symbol after it, middles) per pair of tails, whose middles
+    are the runs of its sequences, every admissible word of `length`
+    symbols that joins the left symbol to the right one, in lexicographic
+    order.  Orbits are primitive, so the phases fix the periodic tails,
+    wherever the run sits.
 
-    The middles depend only on the two joined symbols, so each (left
-    symbol, right symbol) pair takes its words from `bridge_words` once
-    per call, and groups with the same symbols share that tuple.
+    The middles depend only on the two joined symbols, so one
+    `bridge_table` per call builds each left symbol's heads and each right
+    symbol's tails once and joins them once per (left, right) pair, whose
+    groups share that tuple.
     """
-    if window < 0:
-        raise ValueError("window must be >= 0")
     for orbit in (*q_set.orbits, *p_set.orbits):
         orbit.validate(sft)
     rights = [(orbit, phase, orbit.word[phase])
               for orbit in p_set.orbits for phase in range(orbit.period)]
-    joins: dict = {}  # (left symbol, right symbol) -> middles joining them
+    joins = bridge_table(sft, {s for o in q_set.orbits for s in o.word},
+                         {s for *_, s in rights}, length)
     for left_orbit in q_set.orbits:
         for left_phase, left in enumerate(left_orbit.word):
             for right_orbit, right_phase, right in rights:
-                if (left, right) not in joins:
-                    joins[left, right] = bridge_words(sft, left, right, 2 * window)
                 yield left_orbit, left_phase, right_orbit, right_phase, joins[left, right]
 
 
 def count_asymptotic_sequences(sft: Sft, p_set: PeriodicOrbitSet,
-                               q_set: PeriodicOrbitSet, window: int) -> int:
-    """How many sequences `asymptotic_sequences` yields at this window: the
-    paths of 2 * window + 1 steps from each left symbol at -window-1 to each
-    right symbol at window."""
-    return sum(count_paths(sft, left, right, 2 * window + 1)
+                               q_set: PeriodicOrbitSet, length: int) -> int:
+    """How many sequences `asymptotic_sequences` yields for runs of this
+    length: the paths of length + 1 steps from each left symbol before the
+    run to each right symbol after it."""
+    return sum(count_paths(sft, left, right, length + 1)
                for q in q_set.orbits for left in q.word
                for p in p_set.orbits for right in p.word)
 
@@ -607,7 +606,7 @@ def enumerate_heteroclinic(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrb
                            window: int) -> list[HeteroclinicPoint]:
     """All heteroclinic points whose canonical window lies within
     [-window, window], in a fixed lexicographic order: the
-    `asymptotic_sequences` at this window, canonicalized by the
+    `asymptotic_sequences` of the run [-window, window), canonicalized by the
     `HeteroclinicPoint` constructor (which never moves n_left below
     -window), whose m_right fits.
 
@@ -619,11 +618,12 @@ def enumerate_heteroclinic(sft: Sft, p_set: PeriodicOrbitSet, q_set: PeriodicOrb
     exceeds the cap: a huge window costs no huge path counts.
     """
     for w in range(window + 1):
-        count = count_asymptotic_sequences(sft, p_set, q_set, w)
+        count = count_asymptotic_sequences(sft, p_set, q_set, 2 * w)
         if count * (2 * w + 1) > ENUMERATION_CAP:
             raise WindowOverflow(f"window {window} needs more than {ENUMERATION_CAP} "
                                  f"symbols ({count} sequences x {2 * w + 1} at window {w})")
     points = (HeteroclinicPoint(left, lph, -window, middle, right, rph, window)
-              for left, lph, right, rph, middles in asymptotic_sequences(sft, p_set, q_set, window)
+              for left, lph, right, rph, middles
+              in asymptotic_sequences(sft, p_set, q_set, 2 * window)
               for middle in middles)
     return sorted((z for z in points if z.m_right <= window), key=point_key)

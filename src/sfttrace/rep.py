@@ -50,17 +50,18 @@ Totals print in full however many digits they have, past the
 interpreter's limit on int-to-string conversions too.
 
 An independent brute-force route (`trace_product_oracle`) enumerates
-every basis point that is periodic outside a window wide enough for all
-contributing points (`points.asymptotic_sequences`) and applies the
-operators to each one; it must agree with the symbolic route exactly.
+every basis point periodic outside the span its conjugated terms pin,
+which holds every contributing point (`points.asymptotic_sequences`), and
+applies the operators to each one; it must agree with the symbolic route
+exactly.
 It reads each term's source and target as fixed-range words, on the
-window padded by the longest orbit period, so applying a term is a
+span padded by the longest orbit period, so applying a term is a
 compare and replace of a tuple prefix or suffix and the roundtrip test
 is tuple equality.  The points come in groups that share their two
 tails, so each group builds its padding once, compares it once with each
 term's words, and keeps only the terms whose rays stay on its orbits and
 its padding, the only ones a roundtrip can use.  The kept words lose the
-padding, so a point is its middle, the symbols on the window, and each
+padding, so a point is its middle, the symbols on the span, and each
 kept unstable term meets only the middles that end in its source.  It never
 counts paths, reflects rays, or builds, canonicalizes or sorts points.
 """
@@ -431,17 +432,20 @@ def decoupling_step(a: AlgebraElement, b: AlgebraElement) -> int:
     return max([0, *((e.window - f.window + 1) // 2 for _, e in a.terms for _, f in b.terms)])
 
 
+def _span(a: AlgebraElement, b: AlgebraElement, k: int) -> tuple[int, int]:
+    """(lo, hi), the least and the greatest of the k-th conjugated terms'
+    windows and rays' splices ((0, 0) without terms): every point that can
+    contribute to the trace is periodic outside [lo, hi)."""
+    ends = [x + shift for y, shift in ((a, -k), (b, k)) for _, t in y.terms
+            for x in (t.window, t.target.splice, t.source.splice)]
+    return min(ends, default=0), max(ends, default=0)
+
+
 def required_window(a: AlgebraElement, b: AlgebraElement, k: int) -> int:
-    """A window req such that every basis point that can contribute to the
-    k-th conjugated trace is periodic outside [-req, req) (its canonical
-    window may still end past req), and every conjugated ray's splice,
-    start and end lies in [-req, req]."""
-    req = 0
-    for x, shift in ((a, -k), (b, k)):
-        for _, e in x.terms:
-            req = max(req, abs(e.window + shift),
-                      abs(e.target.splice + shift), abs(e.source.splice + shift))
-    return req
+    """The least req >= 0 with the span [lo, hi] (`_span`) inside
+    [-req, req]: max(-lo, hi)."""
+    lo, hi = _span(a, b, k)
+    return max(-lo, hi)
 
 
 def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: int,
@@ -449,56 +453,58 @@ def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: i
                          q_set: PeriodicOrbitSet) -> ExactTrace:
     """Brute-force trace: enumerate basis points and apply the operators.
 
-    Enumerates every basis point periodic outside [-window, window)
-    (`asymptotic_sequences`); `window` must be at least
-    `required_window(a, b, k)`, else WindowTooSmall, so that this covers
-    every contributing point.  Every point w meets every conjugated
-    unstable term, every image every conjugated stable term, and a
-    roundtrip back to w counts its coefficient product once; the exact sum
-    must equal `trace_product`.
+    `window` must be at least req = `required_window(a, b, k)`, else
+    WindowTooSmall.  The span [lo, hi) (`_span`) widens by the caller's
+    slack window - req on both sides to the run [start, end), inside
+    [-window, window), and every sequence periodic outside the run is
+    enumerated (`asymptotic_sequences`).  Every point w meets every
+    conjugated unstable term, every image every conjugated stable term,
+    and a roundtrip back to w counts its coefficient product once; the
+    exact sum must equal `trace_product`.
 
-    Every sequence involved is periodic outside [-window, window), so
-    (left orbit, symbols on [lo, hi), right orbit) determines it, with
-    lo, hi = -window - pad, window + pad and pad the longest orbit period
-    of P, Q and the conjugated terms' rays: pad symbols fix each phase.  A
-    term's source and target become words on [lo, hi) once per call: an
-    unstable term at window m is a compare and replace of the suffix from
-    m, a stable term at window n of the prefix up to n.
+    Every sequence involved is periodic outside [start, end), so (left
+    orbit, symbols on [start - pad, end + pad), right orbit) determines it,
+    with pad the longest orbit period of P, Q and the conjugated terms'
+    rays: pad symbols fix each phase.  A term's source and target become
+    words on that range once per call: an unstable term at window m is a
+    compare and replace of the suffix from m, a stable term at window n of
+    the prefix up to n.
 
     The sequences come in groups with one pair of tails: one head, the pad
-    symbols below -window, and one tail, the pad symbols from window on.
-    So the padding is built and compared once per group, and so are the
+    symbols below start, and one tail, the pad symbols from end on.  So
+    the padding is built and compared once per group, and so are the
     orbit tests: a roundtrip keeps both tails, so a group keeps only the
     unstable terms whose source and target follow its right orbit and its
     tail, and the stable terms whose source and target follow its left
     orbit and its head.  Two orbits can agree on the whole padded range,
     so the orbit tests are needed as well as the word compares.  The kept
     terms' words lose their padding, and a point of the group is its
-    middle, the symbols on [-window, window): for each kept unstable term,
-    only the middles that end in its source are replaced, and each image
-    meets every kept stable term.
+    middle, the symbols on [start, end): for each kept unstable term, only
+    the middles that end in its source are replaced, and each image meets
+    every kept stable term.
     """
     req = required_window(a, b, k)
     if window < req:
         raise WindowTooSmall(f"need window >= {req}, got {window}")
+    lo, hi = _span(a, b, k)
+    start, end = lo - (window - req), hi + (window - req)
     a_k = apply_alpha(a, k)
     b_k = apply_alpha(b, -k)
     rays = [ray for x in (a_k, b_k) for _, t in x.terms for ray in (t.target, t.source)]
     pad = max((o.period for o in (*p_set.orbits, *q_set.orbits, *(r.orbit for r in rays))),
               default=0)
-    lo, hi = -window - pad, window + pad
     # (coefficient, index in a middle, source orbit, source word, target
     # orbit, target word)
-    futures = [(cb, f.window + window, f.source.orbit,
-                tuple(map(f.source.symbol_at, range(f.window, hi))), f.target.orbit,
-                tuple(map(f.target.symbol_at, range(f.window, hi))))
+    futures = [(cb, f.window - start, f.source.orbit,
+                tuple(map(f.source.symbol_at, range(f.window, end + pad))), f.target.orbit,
+                tuple(map(f.target.symbol_at, range(f.window, end + pad))))
                for cb, f in b_k.terms]
-    pasts = [(ca, e.window + window, e.source.orbit,
-              tuple(map(e.source.symbol_at, range(lo, e.window))), e.target.orbit,
-              tuple(map(e.target.symbol_at, range(lo, e.window))))
+    pasts = [(ca, e.window - start, e.source.orbit,
+              tuple(map(e.source.symbol_at, range(start - pad, e.window))), e.target.orbit,
+              tuple(map(e.target.symbol_at, range(start - pad, e.window))))
              for ca, e in a_k.terms]
     pairs = []
-    for left, lph, right, rph, middles in asymptotic_sequences(p.sft, p_set, q_set, window):
+    for left, lph, right, rph, middles in asymptotic_sequences(p.sft, p_set, q_set, end - start):
         head, tail = _cycle(left.word, lph + 1 - pad, pad), _cycle(right.word, rph, pad)
         # a roundtrip keeps both tails, so only terms that do can count here
         group_futures = [(cb, i, f_source[:-pad], g_target[:-pad])

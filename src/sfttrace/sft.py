@@ -219,33 +219,39 @@ def word_levels(sft: Sft, first, depth: int):
 
 def bridge_words(sft: Sft, left: int, right: int, length: int) -> tuple:
     """Every admissible word of `length` symbols that may follow `left` and
-    precede `right`, in lexicographic order.
+    precede `right`, in lexicographic order (`bridge_table`)."""
+    return bridge_table(sft, (left,), (right,), length)[left, right]
 
-    The words meet in the middle: heads of length // 2 symbols run
-    forward from the successors of `left`, tails of the remaining symbols
-    run backward from the predecessors of `right` (over the transpose),
-    and each head is joined to every tail whose first symbol may follow
-    its last (`left`, for the empty head of a one-symbol word).  Only
-    words up to half the length are built level by level, and every word
-    joined is returned, with no filter pass.  Length 0 gives the empty
-    word alone when `right` may follow `left`.
-    """
+
+def bridge_table(sft: Sft, lefts, rights, length: int) -> dict:
+    """{(left, right): `bridge_words(sft, left, right, length)`} for every
+    left in `lefts` and right in `rights`.  The words meet in the middle:
+    heads of length // 2 symbols run forward from the successors of each
+    left, tails of the other symbols backward from the predecessors of each
+    right (over the transpose), each built once per call, and each head is
+    joined to every tail whose first symbol may follow its last (the left,
+    for the empty head of a one-symbol word).  Only words up to half the
+    length are built level by level, with no filter pass.  Length 0 gives
+    the empty word alone when the right may follow the left."""
     if length < 0:
         raise ValueError("word length must be >= 0")
-    if length == 0:
-        return ((),) if sft.allowed(left, right) else ()
     half = length // 2
-    for heads in word_levels(sft, sft.successors(left), half):
-        pass
+    heads: dict = {}  # left symbol -> its heads, in order
+    for left in lefts:
+        for heads[left] in word_levels(sft, sft.successors(left), half):
+            pass
     back = sft.transpose
-    for reversed_tails in word_levels(back, back.successors(right), length - half):
-        pass
-    starting: dict = {}  # first symbol -> its tails, in order
-    for tail in sorted(w[::-1] for w in reversed_tails):
-        starting.setdefault(tail[0], []).append(tail)
-    joins = [[t for s in succ for t in starting.get(s, ())]
-             for succ in sft.successor_table]
-    return tuple([h + t for h in heads for t in joins[h[-1] if h else left]])
+    follow: dict = {}  # right symbol -> per symbol, the tails that may follow it
+    for right in rights:
+        for reversed_tails in word_levels(back, back.successors(right), length - half):
+            pass
+        starting: dict = {}  # first symbol (`right` for the empty tail) -> its tails, in order
+        for tail in sorted(w[::-1] for w in reversed_tails):
+            starting.setdefault(tail[0] if tail else right, []).append(tail)
+        follow[right] = [[t for s in succ for t in starting.get(s, ())]
+                         for succ in sft.successor_table]
+    return {(left, right): tuple([h + t for h in words for t in tails[h[-1] if h else left]])
+            for left, words in heads.items() for right, tails in follow.items()}
 
 
 def count_paths(sft: Sft, i: int, j: int, length: int) -> int:

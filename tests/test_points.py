@@ -533,7 +533,7 @@ def test_asymptotic_sequences_once_each(sft, q_word, p_word):
     slide = q_orbit.period + p_orbit.period
     for w in range(4):
         points = []
-        for left, lphase, right, rphase, middles in asymptotic_sequences(sft, p, q, w):
+        for left, lphase, right, rphase, middles in asymptotic_sequences(sft, p, q, 2 * w):
             for middle in middles:
                 z = HeteroclinicPoint(left, lphase, -w, middle, right, rphase, w)
                 assert z.segment(-w - 1, w + 1) == (left.word[lphase],) + middle + (
@@ -545,7 +545,7 @@ def test_asymptotic_sequences_once_each(sft, q_word, p_word):
         # canonical window fits is among them
         assert len(set(points)) == len(points)
         assert set(enumerate_heteroclinic(sft, p, q, w)) <= set(points)
-        assert len(points) == count_asymptotic_sequences(sft, p, q, w)
+        assert len(points) == count_asymptotic_sequences(sft, p, q, 2 * w)
 
 
 @pytest.mark.parametrize("sft, p_words, q_words", [
@@ -555,8 +555,8 @@ def test_asymptotic_sequences_once_each(sft, q_word, p_word):
 def test_count_asymptotic_sequences_matches_enumeration(sft, p_words, q_words):
     p, q = make_orbit_set(p_words, sft), make_orbit_set(q_words, sft)
     for w in range(7):
-        assert count_asymptotic_sequences(sft, p, q, w) == sum(
-            len(group[-1]) for group in asymptotic_sequences(sft, p, q, w))
+        assert count_asymptotic_sequences(sft, p, q, 2 * w) == sum(
+            len(group[-1]) for group in asymptotic_sequences(sft, p, q, 2 * w))
 
 
 THREE_SYMBOLS = make_sft([[1, 1, 0], [1, 0, 1], [1, 1, 1]])
@@ -575,7 +575,7 @@ def test_asymptotic_sequence_groups(sft, p_words, q_words):
              for left in q.orbits for lphase in range(left.period)
              for right in p.orbits for rphase in range(right.period)]
     for w in range(4):
-        groups = list(asymptotic_sequences(sft, p, q, w))
+        groups = list(asymptotic_sequences(sft, p, q, 2 * w))
         assert [group[:4] for group in groups] == tails
         for left, lphase, right, rphase, middles in groups:
             ends = (left.word[lphase],), (right.word[rphase],)
@@ -584,7 +584,7 @@ def test_asymptotic_sequence_groups(sft, p_words, q_words):
                               itertools.pairwise(ends[0] + m + ends[1]))]
             assert list(middles) == joining
         assert sum(len(group[-1]) for group in groups) == count_asymptotic_sequences(
-            sft, p, q, w)
+            sft, p, q, 2 * w)
 
 
 def filtered_sequences(sft, p_set, q_set, window):
@@ -610,7 +610,7 @@ def filtered_sequences(sft, p_set, q_set, window):
 @pytest.mark.parametrize("system", all_systems(), ids=lambda s: s.name)
 def test_asymptotic_sequences_equal_the_filtered_form_on_fixtures(system):
     for w in range(7):
-        assert list(asymptotic_sequences(system.sft, system.p_set, system.q_set, w)) == list(
+        assert list(asymptotic_sequences(system.sft, system.p_set, system.q_set, 2 * w)) == list(
             filtered_sequences(system.sft, system.p_set, system.q_set, w))
 
 
@@ -652,7 +652,7 @@ def test_asymptotic_sequences_equal_the_filtered_form_on_random_systems():
                  for r in p.orbits for right in r.word}
         assert len(pairs) > 1  # several (left, right) pairs share each call
         for w in range(5):
-            assert list(asymptotic_sequences(sft, p, q, w)) == list(
+            assert list(asymptotic_sequences(sft, p, q, 2 * w)) == list(
                 filtered_sequences(sft, p, q, w))
 
 
@@ -661,7 +661,7 @@ def test_enumerate_cap_raises_before_building_points(monkeypatch):
 
     p = make_orbit_set([[0]], FULL)
     q = make_orbit_set([[1]], FULL)
-    assert count_asymptotic_sequences(FULL, p, q, 3) == 64
+    assert count_asymptotic_sequences(FULL, p, q, 6) == 64
     # window 2 holds 16 sequences x 5 symbols, window 3 holds 64 x 7 = 448
     monkeypatch.setattr(points, "ENUMERATION_CAP", 447)
     assert len(enumerate_heteroclinic(FULL, p, q, 2)) == 16
@@ -687,8 +687,8 @@ def test_enumerate_cap_counts_symbols_on_a_long_cycle(monkeypatch):
     cycle = Sft(tuple(tuple(int(j == (i + 1) % n or i == j == 0) for j in range(n))
                       for i in range(n)))
     orbits = make_orbit_set([[0]], cycle)
-    assert count_asymptotic_sequences(cycle, orbits, orbits, 83) == 23975
-    assert count_asymptotic_sequences(cycle, orbits, orbits, 84) == 27041
+    assert count_asymptotic_sequences(cycle, orbits, orbits, 166) == 23975
+    assert count_asymptotic_sequences(cycle, orbits, orbits, 168) == 27041
 
     def no_points(*args):
         raise AssertionError("a point was built past the cap")

@@ -616,6 +616,49 @@ def test_oracle_window_guard():
     assert required_window(a, b, 5) == 5
 
 
+def test_oracle_window_guard_on_a_lopsided_pair():
+    # at k = 4 the off-diagonal pair pins [-6, 4): window 5 covers the
+    # unstable side but not the stable term's splice at -6
+    off, (_, b) = offdiagonal_stable(THREE), canonical_pair(THREE)
+    assert required_window(off, b, 4) == 6
+    with pytest.raises(WindowTooSmall, match="need window >= 6, got 5"):
+        trace_product_oracle(off, b, 4, 5, THREE.perron, THREE.p_set, THREE.q_set)
+
+
+def test_oracle_enumerates_the_span_widened_by_the_slack(monkeypatch):
+    # the oracle enumerates the sequences periodic outside the span of its
+    # conjugated terms' windows and splices, widened on both sides by
+    # window - required_window: a lopsided pair's run is shorter than
+    # 2 * window, a symmetric pair's is not
+    from sfttrace import rep
+
+    lengths = []
+
+    def spy(sft, p_set, q_set, length):
+        lengths.append(length)
+        return asymptotic_sequences(sft, p_set, q_set, length)
+
+    monkeypatch.setattr(rep, "asymptotic_sequences", spy)
+
+    def run_length(sys, a, b, k, window):
+        lengths.clear()
+        trace_product_oracle(a, b, k, window, sys.perron, sys.p_set, sys.q_set)
+        (length,) = lengths
+        return length
+
+    off, (_, b) = offdiagonal_stable(THREE), canonical_pair(THREE)
+    req = required_window(off, b, 4)
+    assert [run_length(THREE, off, b, 4, w) for w in (req, req + 1)] == [10, 12]
+    # at k = 0 the span is [-2, 0): the detour's two symbols
+    assert run_length(THREE, off, b, 0, required_window(off, b, 0)) == 2
+    for sys in (FULL, GOLDEN, THREE):
+        a, b = canonical_pair(sys)
+        for k in range(5):
+            req = required_window(a, b, k)
+            assert run_length(sys, a, b, k, req) == 2 * req
+            assert run_length(sys, a, b, k, req + 1) == 2 * req + 2
+
+
 @pytest.mark.parametrize("sys", [FULL, GOLDEN, THREE], ids=lambda s: s.name)
 def test_oracle_equivalence(sys):
     # the symbolic route and the basis-enumeration route agree exactly
@@ -863,7 +906,7 @@ def test_oracle_equals_vector_by_vector_application(case):
     a_k, b_k = apply_alpha(a, k), apply_alpha(b, -k)
     basis = [HeteroclinicPoint(left, left_phase, -req, middle, right, right_phase, req)
              for left, left_phase, right, right_phase, middles
-             in asymptotic_sequences(sys.sft, sys.p_set, sys.q_set, req)
+             in asymptotic_sequences(sys.sft, sys.p_set, sys.q_set, 2 * req)
              for middle in middles]
     diagonal_entries = [
         (apply_to_combination(a_k, apply_element(b_k, w)).get(w, 0j), 1) for w in basis
