@@ -65,8 +65,9 @@ class _Bisection(Value):
     (`at`) and the ray's symbol next to it (`edge`): a stable bisection's
     window is its rays' `end` and the edge their `terminal` symbol, an
     unstable one's the `start` and the `initial` symbol.  Target and source
-    must share both.  `window` is one property hop to the target ray's
-    coordinate, since the trace loops read it for every term.
+    must share both.  `window` and `edge` are one property hop each to the
+    target ray's coordinate and symbol, since the trace loops read them for
+    every term.
     """
 
     _fields = ("target", "source")
@@ -75,6 +76,7 @@ class _Bisection(Value):
         super().__init_subclass__(**kwargs)
         cls._at, cls._edge, cls._edge_name = attrgetter(at), attrgetter(edge), edge
         cls.window = property(attrgetter(f"target.{at}"))
+        cls.edge = property(attrgetter(f"target.{edge}"))
 
     def __init__(self, target: LeftRay | RightRay, source: LeftRay | RightRay):
         if self._at(target) != self._at(source):
@@ -268,7 +270,7 @@ def tau(a: AlgebraElement, p: PerronData) -> complex:
     total = 0j
     for c, b in a.terms:
         if b.is_diagonal:
-            total += c * measure(p, b._edge(b.source), b.window)
+            total += c * measure(p, b.edge, b.window)
     return require_finite(total, f"tau_{a.side[0]}")
 
 

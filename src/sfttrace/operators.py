@@ -10,16 +10,16 @@ applied to a finite set of columns: a term pair only moves points whose
 past and future follow its two sources outside a bridge window, so
 `product_operator` enumerates those points and takes each one's image
 under both elements, with no image formula of its own.  Its entries are
-exact sums of coefficient products, so the rank is exact (elimination
-over Q(i)) and the operator norm is the float nearest the exact norm
-(bisection with fraction-free positive-definiteness tests on each
-block's Gram matrix).  The vanishing-product and commutator checks are
-norms of such products along the shift.
+exact sums of coefficient products, Gaussian integers over one
+denominator, so the rank is exact (elimination over Q(i)) and the
+operator norm is the float nearest the exact norm (bisection with
+fraction-free positive-definiteness tests on each block's Gram matrix).
+The vanishing-product and commutator checks are norms of such products
+along the shift.
 
 Only `theorem13` and the acceptance battery use this module, so a trace
-run does not import it.  It reads from `rep` the exact decomposition of
-coefficients (`_dyadic`) and `decoupling_step`; `rep`, and with it the
-brute-force oracle, reads nothing from here.
+run does not import it.  It reads `dyadic` and `decoupling_step` from
+`rep`; `rep`, and with it the brute-force oracle, reads nothing from here.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .points import (
     matches_past,
     splice_point,
 )
-from .rep import _dyadic, decoupling_step
+from .rep import decoupling_step, dyadic
 from .sft import bridge_words, count_paths
 from .values import Value
 
@@ -106,40 +106,47 @@ def apply_element(x: AlgebraElement, w: HeteroclinicPoint) -> dict:
 class FiniteOperator(Value):
     """A finitely supported operator: (row point, column point) -> coefficient.
 
-    Built from `exact`, every entry as an exact (real, imaginary) pair of
-    Fractions; zero entries are dropped, and `entries` holds the nearest
-    complex floats of the rest.  Raises NonFiniteCoefficient when an entry
-    is beyond the float range.  Its fields are dicts, so it has no hash.
+    Every coefficient is a Gaussian integer in `numerators`, a (real,
+    imaginary) pair of ints, over the one positive int `den`, as
+    `product_operator` sums them.  Zero entries are dropped.  Raises
+    NonFiniteCoefficient when an entry is beyond the float range: the
+    largest part over den, one correctly rounded int division, overflows
+    exactly when some entry's float does.  `numerators` is a dict, so the
+    operator has no hash.  The stored form is not reduced: `==` compares
+    numerators and den, so the same entries over 2 and over 4 differ.
     """
 
-    _fields = ("exact", "entries")
+    _fields = ("numerators", "den")
     __hash__ = None
 
-    def __init__(self, exact: dict):
-        exact = {key: z for key, z in exact.items() if any(z)}
-        try:
-            entries = {key: complex(float(re), float(im)) for key, (re, im) in exact.items()}
+    def __init__(self, numerators: dict, den: int):
+        if not isinstance(den, int) or den < 1:
+            raise ValueError(f"operator denominator must be an int >= 1, not {den!r}")
+        numerators = {key: z for key, z in numerators.items() if any(z)}
+        try:  # int / int rounds correctly, and raises past the float range
+            max((abs(x) for z in numerators.values() for x in z), default=0) / den
         except OverflowError:
             raise NonFiniteCoefficient("an operator entry exceeds the float range") from None
-        self.__dict__.update(exact=exact, entries=entries)
+        self.__dict__.update(numerators=numerators, den=den)
 
     @property
     def is_zero(self) -> bool:
-        return not self.exact
+        return not self.numerators
 
     def __sub__(self, other: "FiniteOperator") -> "FiniteOperator":
-        out = dict(self.exact)
-        for key, (re, im) in other.exact.items():
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        out = {key: (re * s, im * s) for key, (re, im) in self.numerators.items()}
+        for key, (re, im) in other.numerators.items():
             r, i = out.get(key, (0, 0))
-            out[key] = (r - re, i - im)
-        return FiniteOperator(out)
+            out[key] = (r - re * t, i - im * t)
+        return FiniteOperator(out, den)
 
     def rank(self) -> int:
-        """Exact rank: sparse Gaussian elimination over Q(i), with no
-        threshold, so it does not change when every entry is scaled by a
-        common factor.
+        """Exact rank: sparse Gaussian elimination over Q(i) of the
+        numerators, which have the rank of the entries, with no threshold.
 
-        The rows of the exact entries are reduced one at a time against
+        The rows of the numerators are reduced one at a time against
         the pivot rows found so far, always at their lowest column, so a
         pivot row's other columns all lie above its pivot; each reduced
         row that is left nonzero becomes a pivot row and adds one to the
@@ -147,7 +154,7 @@ class FiniteOperator(Value):
         """
         columns: dict = {}
         rows: dict = {}
-        for (r, c), z in self.exact.items():
+        for (r, c), z in self.numerators.items():
             rows.setdefault(r, {})[columns.setdefault(c, len(columns))] = z
         pivots: dict[int, dict] = {}
         for row in rows.values():
@@ -161,7 +168,7 @@ class FiniteOperator(Value):
                 xr, xi = row[j]
                 pr, pi = pivot[j]
                 norm = pr * pr + pi * pi
-                fr, fi = (xr * pr + xi * pi) / norm, (xi * pr - xr * pi) / norm
+                fr, fi = Fraction(xr * pr + xi * pi, norm), Fraction(xi * pr - xr * pi, norm)
                 for i, (pr, pi) in pivot.items():
                     xr, xi = row.get(i, (0, 0))
                     xr -= fr * pr - fi * pi
@@ -178,15 +185,13 @@ def operator_norm(t: FiniteOperator) -> float:
     exact entries; exactly 0.0 for the zero operator.
 
     T is the direct sum of the blocks that its entries link (rows and
-    columns that share an entry), so ‖T‖ is the largest block norm.  Over
-    the common denominator of the entries every block is a matrix of
-    Gaussian integers.  The blocks go in decreasing order of their exact
-    Frobenius norm, which bounds the block norm, and the scan stops at the
-    first block whose bound cannot round above the best norm so far.  No
-    dense matrix of T is built.  Raises NonFiniteCoefficient when ‖T‖ is beyond
-    the float range.
+    columns that share an entry), so ‖T‖ is the largest block norm, each
+    block a matrix of Gaussian integers over `t.den`.  The blocks go in
+    decreasing order of their exact Frobenius norm, which bounds the block
+    norm, and the scan stops at the first block whose bound cannot round
+    above the best norm so far.  No dense matrix of T is built.  Raises
+    NonFiniteCoefficient when ‖T‖ is beyond the float range.
     """
-    den = math.lcm(*(x.denominator for z in t.exact.values() for x in z))
     rows: dict = {}
     cols: dict = {}
     parent: dict = {}  # rows are 0, 1, ..., columns -1, -2, ...
@@ -196,20 +201,19 @@ def operator_norm(t: FiniteOperator) -> float:
             parent[i] = i = parent[parent[i]]
         return i
 
-    for r, c in t.exact:
+    for r, c in t.numerators:
         parent[find(rows.setdefault(r, len(rows)))] = find(~cols.setdefault(c, len(cols)))
     blocks: dict = {}
-    for (r, c), (re, im) in t.exact.items():
-        blocks.setdefault(find(rows[r]), []).append(
-            (r, c, re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)))
+    for (r, c), (re, im) in t.numerators.items():
+        blocks.setdefault(find(rows[r]), []).append((r, c, re, im))
     bounded = sorted(((sum(re * re + im * im for *_, re, im in block), block)
                       for block in blocks.values()), key=lambda pair: -pair[0])
     best = 0.0
     for frobenius, block in bounded:
         # a bound below the midpoint above best rounds to best at most
-        if frobenius < ((Fraction(best) + Fraction(math.ulp(best)) / 2) * den) ** 2:
+        if frobenius < ((Fraction(best) + Fraction(math.ulp(best)) / 2) * t.den) ** 2:
             break
-        best = max(best, _block_norm(block, den))
+        best = max(best, _block_norm(block, t.den))
     return best
 
 
@@ -300,8 +304,9 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
     bridge on [lo, hi) is free, so every pair has finitely many such
     columns, one per word of `bridge_words` between the past's terminal
     and the future's initial symbol, and each column's entries are its
-    image under both elements, with every entry summed exactly
-    (`FiniteOperator.exact`).
+    image under both elements, with every entry summed exactly: a Gaussian
+    integer over den², den the one power of two that both elements'
+    coefficients are over (`rep.dyadic`).
     Raises WindowOverflow, before enumerating, when a bridge is wider than
     PRODUCT_WINDOW_CAP, or when the columns, counted exactly by path
     counts, times their bridge steps exceed ENUMERATION_CAP, the symbol
@@ -333,10 +338,8 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
     for past, future, width in spans:
         for bridge in bridge_words(sft, past.terminal, future.initial, width):
             columns[splice_point(past, bridge, future)] = None
-    # each entry sums coefficient products exactly, as a Gaussian integer
-    # over the product of the two elements' common denominators
-    first_terms, first_den = _gaussian_numerators(first)
-    second_terms, second_den = _gaussian_numerators(second)
+    den, numerators = dyadic(c for x in (a, b) for c, _ in x.terms)
+    first_terms, second_terms = ([(numerators[c], t) for c, t in x.terms] for x in (first, second))
     sums: dict = {}
     for w in columns:
         middle: dict = {}
@@ -347,16 +350,7 @@ def product_operator(a: AlgebraElement, b: AlgebraElement, p: PerronData,
             for (re, im), v in _moves(second.side, second_terms, y):
                 r, i = sums.get((v, w), (0, 0))
                 sums[v, w] = (r + re * yr - im * yi, i + re * yi + im * yr)
-    den = first_den * second_den
-    return FiniteOperator({key: (Fraction(r, den), Fraction(i, den))
-                           for key, (r, i) in sums.items()})
-
-
-def _gaussian_numerators(x: AlgebraElement):
-    """x's terms as ((re, im), term) with integer re and im, and the one
-    power of two that they are all over (`_dyadic`)."""
-    den, numerators = _dyadic(c for c, _ in x.terms)
-    return [(numerators[c], t) for c, t in x.terms], den
+    return FiniteOperator(sums, den * den)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ class IncompatibleAtZero(ValueError):
     """Bracket of two points whose symbols at index 0 differ."""
 
 
-def _cycle(word, phase, length):
+def cycle(word, phase, length):
     """`length` symbols of the periodic word, starting at word[phase] (mod
     its length)."""
     phase %= len(word)
@@ -484,10 +484,10 @@ class HeteroclinicPoint(Value):
         out = self.middle[max(lo - n, 0):max(min(hi, m) - n, 0)]
         if lo < n:
             end = min(hi, n)
-            out = _cycle(self.left_orbit.word, self.left_phase + lo - n + 1, end - lo) + out
+            out = cycle(self.left_orbit.word, self.left_phase + lo - n + 1, end - lo) + out
         if m < hi:
             start = max(lo, m)
-            out += _cycle(self.right_orbit.word, self.right_phase + start - m, hi - start)
+            out += cycle(self.right_orbit.word, self.right_phase + start - m, hi - start)
         return out
 
     def render(self, sft: Sft) -> str:

@@ -77,7 +77,7 @@ from operator import attrgetter
 
 from .algebra import AlgebraElement, SideMismatch, agreement_bound, apply_alpha, tau_s, tau_u
 from .perron import PerronData, require_finite
-from .points import PeriodicOrbitSet, _cycle, asymptotic_sequences, rays_agree
+from .points import PeriodicOrbitSet, asymptotic_sequences, cycle, rays_agree
 from .sft import count_paths
 from .values import Value
 
@@ -102,12 +102,13 @@ class ExactTrace(Value):
     Aggregation is exact, so two routes to the same trace compare exactly,
     independent of summation order: each float is p / 2^e exactly, so
     every coefficient is a real and an imaginary numerator over one
-    power-of-two denominator (`_dyadic`), and the total is summed in one
-    pass of integer multiply-adds (`_numerators`).  `dyadic` holds that
-    denominator and the coefficients' numerators: a table-built row refers
-    to its table's, shared by every row of a sweep, and a trace built any
-    other way derives its own when summed.  No total is stored; `render`
-    sums once per call, and a trace run renders each row once.
+    power-of-two denominator (the function `dyadic`), and the total is
+    summed in one pass of integer multiply-adds (`_numerators`).  The
+    field `dyadic` holds that denominator and the coefficients'
+    numerators: a table-built row refers to its table's, shared by every
+    row of a sweep, and a trace built any other way derives its own when
+    summed.  No total is stored; `render` sums once per call, and a trace
+    run renders each row once.
     """
 
     __slots__ = ("pairs", "dyadic")  # a long sweep keeps one trace per row
@@ -140,7 +141,7 @@ class ExactTrace(Value):
     def _numerators(self) -> tuple[int, int, int]:
         """(real numerator, imaginary numerator, denominator) of the exact
         total: the sum of count x coefficient numerator over the pairs."""
-        den, numerators = self.dyadic or _dyadic(c for c, _ in self.pairs)
+        den, numerators = self.dyadic or dyadic(c for c, _ in self.pairs)
         re = im = 0
         for c, n in self.pairs:
             p, q = numerators[c]
@@ -235,7 +236,7 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(h)
 
 
-def _dyadic(coefficients) -> tuple[int, dict]:
+def dyadic(coefficients) -> tuple[int, dict]:
     """(den, {c: (real numerator, imaginary numerator)}) for finite complex
     coefficients c, with c == complex(re / den, im / den) exactly: every
     finite float is p / 2^e, and den is the largest 2^e among them."""
@@ -291,7 +292,7 @@ class _PairTable:
         self.partner = a
         # (coefficient, term, window, diagonal flag, edge symbol, agreement
         # bound) per term, in term order
-        a_index, b_index = ([(c, t, t.window, t.is_diagonal, t._edge(t.source), agreement_bound(t))
+        a_index, b_index = ([(c, t, t.window, t.is_diagonal, t.edge, agreement_bound(t))
                              for c, t in x.terms] for x in (a, b))
         self.windows = [m for _, _, m, _, _, _ in b_index]
         self.unstable = [(f, m, f_diag, highest) for _, f, m, f_diag, _, highest in b_index]
@@ -307,7 +308,7 @@ class _PairTable:
         finite.sort(key=attrgetter("real", "imag"))
         self.reps = finite + other
         self.finite = len(finite)
-        self.dyadic = _dyadic(finite)
+        self.dyadic = dyadic(finite)
         slots = [[None] * len(b_index) for _ in a_index]
         for slot, c in enumerate(self.reps):
             for i, j in members[c]:
@@ -505,7 +506,7 @@ def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: i
              for ca, e in a_k.terms]
     pairs = []
     for left, lph, right, rph, middles in asymptotic_sequences(p.sft, p_set, q_set, end - start):
-        head, tail = _cycle(left.word, lph + 1 - pad, pad), _cycle(right.word, rph, pad)
+        head, tail = cycle(left.word, lph + 1 - pad, pad), cycle(right.word, rph, pad)
         # a roundtrip keeps both tails, so only terms that do can count here
         group_futures = [(cb, i, f_source[:-pad], g_target[:-pad])
                          for cb, i, f_orbit, f_source, g_orbit, g_target in futures

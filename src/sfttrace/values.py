@@ -13,7 +13,9 @@ rays, `HeteroclinicPoint`, `AlgebraElement`) builds that form in its
 constructor from any sequences it is given, and stores tuples.  Of the
 types with a canonical form, `rep.ExactTrace` alone has a constructor
 that trusts its input: its plain one, which the trace rows take;
-`ExactTrace.from_pairs` is its checked constructor.
+`ExactTrace.from_pairs` is its checked constructor.  `operators.FiniteOperator`
+has no canonical form: it checks its denominator but stores its numerators
+unreduced, so its `==` compares the stored form, not the value.
 """
 
 from operator import attrgetter

@@ -13,7 +13,7 @@ from sfttrace.algebra import (
     tau_s,
 )
 from sfttrace.fixtures import System, canonical_pair, full_shift, offdiagonal_stable
-from sfttrace.operators import product_operator
+from sfttrace.operators import FiniteOperator, product_operator
 from sfttrace.points import (
     HeteroclinicPoint,
     LeftRay,
@@ -56,6 +56,13 @@ GUARDS = {
     "product order": (
         lambda: product_operator(*canonical_pair(FULL), FULL.perron, "xy"),
         ValueError, "order must be 'ab' or 'ba'"),
+    "operator over a zero denominator": (
+        lambda: FiniteOperator({}, 0), ValueError, "operator denominator must be an int >= 1, not 0"),
+    "operator over a negative denominator": (
+        lambda: FiniteOperator({(LEFT, LEFT): (1, 0)}, -2),
+        ValueError, "operator denominator must be an int >= 1, not -2"),
+    "operator over a float denominator": (
+        lambda: FiniteOperator({}, 2.0), ValueError, "operator denominator must be an int >= 1, not 2.0"),
     "left ray read at its end": (
         lambda: LEFT.symbol_at(0), IndexError, "left ray undefined at 0 >= 0"),
     "left ray truncated past its end": (

@@ -110,10 +110,29 @@ def unitary_conjugation_check(x, n: int, sample_points) -> bool:
     return True
 
 
+def exact_operator(entries: dict) -> FiniteOperator:
+    """The operator with these exact entries, (real, imaginary) pairs of
+    Fractions, over the lcm of their denominators."""
+    den = math.lcm(*(x.denominator for z in entries.values() for x in z))
+    return FiniteOperator({key: (int(re * den), int(im * den))
+                           for key, (re, im) in entries.items()}, den)
+
+
 def float_operator(entries: dict) -> FiniteOperator:
     """The operator whose exact entries are these floats' own values."""
-    return FiniteOperator({key: (Fraction(z.real), Fraction(z.imag))
+    return exact_operator({key: (Fraction(z.real), Fraction(z.imag))
                            for key, z in entries.items()})
+
+
+def exact_entries(t: FiniteOperator) -> dict:
+    """t's entries as exact (real, imaginary) pairs of Fractions."""
+    return {key: (Fraction(re, t.den), Fraction(im, t.den))
+            for key, (re, im) in t.numerators.items()}
+
+
+def float_entries(t: FiniteOperator) -> dict:
+    """The nearest complex float of each of t's entries."""
+    return {key: complex(re / t.den, im / t.den) for key, (re, im) in t.numerators.items()}
 
 
 def split_point_full():
@@ -185,7 +204,7 @@ def test_product_operator_rank_one():
     a, b = canonical_pair(FULL)
     t_ab = product_operator(a, b, FULL.perron, "ab")
     w = split_point_full()
-    assert t_ab.entries == {(w, w): 1 + 0j}
+    assert float_entries(t_ab) == {(w, w): 1 + 0j}
     assert t_ab.rank() == 1
     t_ba = product_operator(a, b, FULL.perron, "ba")
     assert t_ba.rank() == 1
@@ -227,7 +246,7 @@ def test_product_operator_symbol_budget(monkeypatch):
     symbols = count_paths(GOLDEN.sft, 0, 0, 6) * 6
     for order in ("ab", "ba"):
         monkeypatch.setattr(operators, "ENUMERATION_CAP", symbols)
-        assert len(product_operator(a, b, GOLDEN.perron, order).entries) == 13
+        assert len(product_operator(a, b, GOLDEN.perron, order).numerators) == 13
         monkeypatch.setattr(operators, "ENUMERATION_CAP", symbols - 1)
         monkeypatch.setattr(operators, "bridge_words", None)  # nothing is enumerated
         with pytest.raises(WindowOverflow, match=f"need {symbols} bridge symbols"):
@@ -248,7 +267,7 @@ def test_product_operator_columns_are_complete(sys):
                                        required_window(a, b, 0))
         for order, first, second in (("ab", b, a), ("ba", a, b)):
             columns: dict = {}
-            for (v, w), c in product_operator(a, b, sys.perron, order).entries.items():
+            for (v, w), c in float_entries(product_operator(a, b, sys.perron, order)).items():
                 columns.setdefault(w, {})[v] = c
             assert set(columns) <= set(basis)
             for w in basis:
@@ -260,7 +279,7 @@ def test_operator_norm_examples():
     a, b = canonical_pair(FULL)
     t = product_operator(a, b, FULL.perron, "ab")
     assert operator_norm(t) == pytest.approx(1.0, abs=1e-10)
-    assert operator_norm(FiniteOperator({})) == 0.0
+    assert operator_norm(FiniteOperator({}, 1)) == 0.0
     w = split_point_full()
     v = shift_point(w, 1)
     assert operator_norm(float_operator({(w, v): 2 + 0j})) == pytest.approx(2.0, abs=1e-10)
@@ -331,6 +350,45 @@ def test_rank_of_a_difference_that_cancels():
     assert t.rank() == 1  # row 0 is (1 + 1j) times row 1
     assert (t - t).rank() == 0 and (t - t).is_zero
     assert (t - float_operator({(1, 1): 0.5 + 0.5j})).rank() == 2
+    # over the denominators 2, 128 and 3: each difference is the entrywise
+    # one, without the entries that cancel
+    over = {2: FiniteOperator({(0, 0): (3, 1), (1, 0): (2, 0), (1, 1): (1, -1)}, 2),
+            128: FiniteOperator({(0, 0): (192, 64), (1, 0): (128, 0), (0, 1): (1, 3)}, 128),
+            3: FiniteOperator({(1, 0): (3, 0), (1, 1): (1, 2), (2, 2): (-4, 0)}, 3)}
+    for x in over.values():
+        for y in over.values():
+            ex, ey = exact_entries(x), exact_entries(y)
+            expected = {}
+            for key in ex.keys() | ey.keys():
+                (xr, xi), (yr, yi) = ex.get(key, (0, 0)), ey.get(key, (0, 0))
+                if (xr, xi) != (yr, yi):
+                    expected[key] = (xr - yr, xi - yi)
+            assert exact_entries(x - y) == expected
+    assert set((over[2] - over[128]).numerators) == {(0, 1), (1, 1)}
+    assert (over[2] - over[128]).rank() == 1 and (over[3] - over[2]).rank() == 3
+
+
+def test_an_entry_beyond_the_float_range_raises():
+    # 2^1024 - 2^970 is halfway between the largest float and 2^1024: an
+    # entry raises exactly when its float overflows, in either part
+    half = 2 ** 1024 - 2 ** 970
+    outcomes = set()
+    for den in (1, 2 ** 60, 3 * 2 ** 10):
+        for n in (half * den - 1, half * den, half * den + 1):
+            try:
+                float(Fraction(n, den))
+                overflows = False
+            except OverflowError:
+                overflows = True
+            outcomes.add(overflows)
+            for z in ((n, 1), (-n, 1), (1, n), (1, -n)):
+                if overflows:
+                    with pytest.raises(NonFiniteCoefficient,
+                                       match="^an operator entry exceeds the float range$"):
+                        FiniteOperator({(0, 0): (1, 0), (0, 1): z}, den)
+                else:
+                    assert FiniteOperator({(0, 0): (1, 0), (0, 1): z}, den).den == den
+    assert outcomes == {False, True}
 
 
 @pytest.mark.parametrize("scale", [2.0 ** 60, 2.0 ** -40, 1e-8, 2.0 ** -60])
@@ -344,7 +402,7 @@ def test_product_rank_and_pattern_do_not_depend_on_scale(scale, pair):
         for order in ("ab", "ba"):
             t = product_operator(a, b, sys.perron, order)
             u = product_operator(scaled_a, scaled_b, sys.perron, order)
-            assert set(u.entries) == set(t.entries)
+            assert set(u.numerators) == set(t.numerators)
             assert u.rank() == t.rank() > 0
 
 
@@ -377,19 +435,19 @@ def test_product_rank_is_exact_for_inexact_coefficient_products():
                 for c in cs for d in ds}
     for order in ("ab", "ba"):
         t = product_operator(a, b, FULL.perron, order)
-        assert set(t.exact.values()) == products and len(t.exact) == 4
+        assert set(exact_entries(t).values()) == products and len(t.numerators) == 4
         assert t.rank() == 1
-        assert float_operator(t.entries).rank() == 2  # the nearest floats
+        assert float_operator(float_entries(t)).rank() == 2  # the nearest floats
 
 
 def test_zero_entries_are_dropped():
     # an explicit zero entry is no entry: it neither becomes a pivot row nor
     # makes the operator nonzero
     zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
-    t = FiniteOperator({(0, 0): zero, (1, 0): one})
+    t = exact_operator({(0, 0): zero, (1, 0): one})
     assert t.rank() == 1
-    assert t.exact == {(1, 0): one} and t.entries == {(1, 0): 1 + 0j}
-    lone = FiniteOperator({(0, 0): zero})
+    assert exact_entries(t) == {(1, 0): one} and float_entries(t) == {(1, 0): 1 + 0j}
+    lone = exact_operator({(0, 0): zero})
     assert lone.is_zero and lone.rank() == 0 and operator_norm(lone) == 0.0
 
 
@@ -443,7 +501,7 @@ def linked_blocks(t: FiniteOperator) -> list:
     """The entries of t, split into the blocks that they link: (rows,
     columns, entries) for each, found by merging sets."""
     groups: list = []
-    for (r, c), z in t.exact.items():
+    for (r, c), z in exact_entries(t).items():
         block = ({r}, {c}, {(r, c): z})
         for g in [g for g in groups if r in g[0] or c in g[1]]:
             block[0].update(g[0])
@@ -584,7 +642,7 @@ def test_trace_product_matches_operator_diagonal():
                 op = product_operator(
                     apply_alpha(a, k), apply_alpha(b, -k), sys.perron, "ab"
                 )
-                diag = [z for (row, col), z in op.exact.items() if row == col]
+                diag = [z for (row, col), z in exact_entries(op).items() if row == col]
                 assert tr.exact_total() == (sum(re for re, _ in diag),
                                             sum(im for _, im in diag)), (sys.name, name, k)
 

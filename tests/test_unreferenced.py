@@ -1,5 +1,6 @@
 """Every module-level function, class and constant of the package is read by
-other package code, or is public API named in ALLOWED.
+other package code, or is public API named in ALLOWED; and no module reads
+a private (`_`-prefixed) name of another.
 
 A definition counts as read when another top-level statement of the
 package names it, as a name or an attribute.  Its own body (recursion, a
@@ -81,3 +82,33 @@ def test_every_import_is_read_in_its_module():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
     assert not unread, "imported and never read: " + ", ".join(unread)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # `from .rep import _name` and `rep._name`, with `rep` bound by an import
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules: dict = {}  # local name -> the package module that it binds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").partition(".")[0] == "sfttrace"):
+                module = (node.module or "").rpartition(".")[2]
+                for alias in node.names:
+                    if module in ("", "sfttrace"):
+                        modules[alias.asname or alias.name] = alias.name
+                    elif _is_private(alias.name):
+                        found.append(f"{path.stem} ← {module}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                modules.update((alias.asname, alias.name.rpartition(".")[2])
+                               for alias in node.names
+                               if alias.asname and alias.name.startswith("sfttrace."))
+        found += [f"{path.stem} ← {modules[node.value.id]}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and _is_private(node.attr)]
+    assert not found, "private names read across modules: " + ", ".join(found)

@@ -11,7 +11,6 @@ import hashlib
 import pickle
 import random
 import weakref
-from fractions import Fraction
 
 import pytest
 
@@ -61,11 +60,10 @@ def _instances() -> dict:
     trace, diagnostics = trace_product_detail(config.a, config.b, 1, system.perron)
     report = scaled_trace_sequence(config.a, config.b, range(3), system.perron)
     point = enumerate_heteroclinic(system.sft, system.p_set, system.q_set, 1)[-1]
-    half = (Fraction(1, 2), Fraction(0))
     found = [system, system.sft, system.perron, system.p_set, system.p_set.orbits[0],
              config, config.a, config.a.terms[-1][1], config.a.terms[-1][1].target,
              config.b.terms[-1][1], config.b.terms[-1][1].source, trace, diagnostics,
-             report, report.rows[-1], point, FiniteOperator({(point, point): half}),
+             report, report.rows[-1], point, FiniteOperator({(point, point): (1, 0)}, 2),
              CheckRow("AC-0", "a check", True, "1", "0", 0.25)]
     instances = {type(x): x for x in found}
     assert set(instances) == set(CLASSES)
