@@ -44,7 +44,6 @@ orbits of P.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import math
 import os
@@ -392,6 +391,10 @@ def cmd_trace_run(config: ExperimentConfig, args) -> int:
         try:
             with open(path, "w", encoding="utf-8") as fh:
                 if not args.no_timestamp:
+                    # imported on use, like `operators` in `cmd_theorem13`:
+                    # a run without the timestamp does not load it
+                    import datetime
+
                     now = datetime.datetime.now(datetime.timezone.utc)
                     fh.write(f"# generated {now.isoformat()}\n")
                 zeros = report.write_csv(fh)

@@ -69,9 +69,7 @@ counts paths, reflects rays, or builds, canonicalizes or sorts points.
 from __future__ import annotations
 
 import math
-import statistics
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import compress
 from operator import attrgetter
 
@@ -149,7 +147,10 @@ class ExactTrace(Value):
             im += q * n
         return re, im, den
 
-    def exact_total(self) -> tuple[Fraction, Fraction]:
+    def exact_total(self) -> tuple:
+        """(real part, imaginary part) of the exact total, as Fractions."""
+        from fractions import Fraction  # only here, not on every start-up
+
         re, im, den = self._numerators()
         return Fraction(re, den), Fraction(im, den)
 
@@ -195,9 +196,13 @@ class ExactTrace(Value):
         return f"{_render_part(re, den)}{_render_part(im, den, '+')}j"
 
     def __eq__(self, other):
+        # re / den == re' / den' for positive dens, in integers, and so the
+        # imaginary parts
         if not isinstance(other, ExactTrace):
             return NotImplemented
-        return self.exact_total() == other.exact_total()
+        re, im, den = self._numerators()
+        other_re, other_im, other_den = other._numerators()
+        return re * other_den == other_re * den and im * other_den == other_im * den
 
     def __hash__(self):
         return hash(self.exact_total())
@@ -211,6 +216,8 @@ def _render_part(num: int, den: int, sign: str = "") -> str:
     try:
         return format(num / den, sign)
     except OverflowError:
+        from fractions import Fraction
+
         x = Fraction(num, den)
         e = x.denominator.bit_length() - 1
         whole, frac = divmod(abs(x.numerator) * 5 ** e, 10 ** e)
@@ -429,8 +436,12 @@ def trace_product(a: AlgebraElement, b: AlgebraElement, k: int, p: PerronData) -
 def decoupling_step(a: AlgebraElement, b: AlgebraElement) -> int:
     """The first n >= 0 at which the stable constraint window N - n of every
     term of a is at most the unstable one M + n of every term of b:
-    max(0, ceil((N - M) / 2)) over the term pairs."""
-    return max([0, *((e.window - f.window + 1) // 2 for _, e in a.terms for _, f in b.terms)])
+    max(0, ceil((N - M) / 2)) over the term pairs, 0 when a or b is zero.
+    The terms are in window order, so the widest gap is a's last window
+    less b's first."""
+    if a.is_zero or b.is_zero:
+        return 0
+    return max(0, (a.terms[-1][1].window - b.terms[0][1].window + 1) // 2)
 
 
 def _span(a: AlgebraElement, b: AlgebraElement, k: int) -> tuple[int, int]:
@@ -567,13 +578,23 @@ class TraceReport(Value):
         return self.rows[-1].abs_err if self.rows else math.nan
 
     def fitted_decay_rate(self) -> float:
-        """Least-squares slope of log-error per step over the rows with
-        nonzero error; nan when fewer than two such rows exist."""
+        """exp of the least-squares slope of log-error per step over the rows
+        with nonzero error; nan when fewer than two such rows exist.
+
+        The slope is summed here, with `math.fsum` in the order of
+        `statistics.linear_regression` on Python 3.11, which gives the same
+        float there: importing `statistics` loads `fractions`, `decimal`,
+        `numbers` and `random`, which cost every trace run a few
+        milliseconds of start-up and nothing else uses.
+        """
         pts = [(r.k, math.log(r.abs_err)) for r in self.rows if r.abs_err > 0]
         if len(pts) < 2:
             return math.nan
-        slope, _ = statistics.linear_regression(*zip(*pts))
-        return math.exp(slope)
+        k_bar = math.fsum(k for k, _ in pts) / len(pts)
+        y_bar = math.fsum(y for _, y in pts) / len(pts)
+        sxy = math.fsum((k - k_bar) * (y - y_bar) for k, y in pts)
+        sxx = math.fsum((d := k - k_bar) * d for k, _ in pts)
+        return math.exp(sxy / sxx)
 
 
 def format_complex(z: complex) -> str:

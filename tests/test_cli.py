@@ -1020,6 +1020,30 @@ def test_trace_run_csv_digest(tmp_path, capsys, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV_SHA256[name]
 
 
+# what `trace-run` prints after writing the CSV: no test of a digest reads
+# it, so a change in the fitted decay rate's rounding would pass them all
+TRACE_RUN_SUMMARIES = {
+    "golden_mean.json": (16, "1.1708203932499746", "8.815170815523743e-14", "0.148129"),
+    "full_shift.json": (21, "1.0", "0.0", None),  # every error 0: nothing to fit
+    "golden_mean.json-kmax3000": (3001, "1.1708203932499746", "3.3173463975799677e-13",
+                                  "1.00055"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_RUN_SUMMARIES))
+def test_trace_run_summary(tmp_path, capsys, name):
+    config, _, kmax = name.partition("-kmax")
+    rows, target, error, rate = TRACE_RUN_SUMMARIES[name]
+    out = tmp_path / "trace.csv"
+    assert main(["trace-run", "--config", str(CONFIG_DIR / config), "--out", str(out),
+                 "--no-timestamp", *(["--kmax", kmax] if kmax else [])]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote {out} ({rows} rows)\n"
+        f"target tau_s(a)*tau_u(b) = {target}\n"
+        f"final abs error          = {error}\n"
+        + (f"fitted error decay rate  = {rate} per step\n" if rate else ""))
+
+
 def test_trace_run_sums_each_exact_total_once(tmp_path, capsys, monkeypatch):
     # the CSV and the exact-zero check share one total per row: one pass
     # that sums the real and the imaginary part together

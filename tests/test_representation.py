@@ -1465,6 +1465,25 @@ def test_diagnostics_where_the_last_overlap_ends(seed, shift):
         assert (result[1][1] > 0) == overlapping, k
 
 
+def test_decoupling_step_reads_the_extreme_windows():
+    # the widest gap, a's last window less b's first, against the step of
+    # every term pair; a zero element (no terms, or terms that cancel) has
+    # no pair and decouples at once
+    rng = random.Random(32)
+    for sys in (FULL, GOLDEN, THREE):
+        x = random_element(rng, sys, "stable", 2)
+        stable_zeros = (element("stable", []), x - x)
+        unstable_zero = element("unstable", [])
+        for _ in range(40):
+            a = apply_alpha(random_element(rng, sys, "stable", rng.randint(1, 5)),
+                            rng.randint(-4, 4))
+            b = apply_alpha(random_element(rng, sys, "unstable", rng.randint(1, 5)),
+                            rng.randint(-4, 4))
+            for y, z in ((a, b), (a, unstable_zero), *((zero, b) for zero in stable_zeros)):
+                pairs = [(e.window - f.window + 1) // 2 for _, e in y.terms for _, f in z.terms]
+                assert decoupling_step(y, z) == max([0, *pairs])
+
+
 def test_overflowing_coefficient_products():
     from sfttrace.perron import NonFiniteCoefficient
 
