@@ -57,13 +57,17 @@ exactly.
 It reads each term's source and target as fixed-range words, on the
 span padded by the longest orbit period, so applying a term is a
 compare and replace of a tuple prefix or suffix and the roundtrip test
-is tuple equality.  The points come in groups that share their two
-tails, so each group builds its padding once, compares it once with each
-term's words, and keeps only the terms whose rays stay on its orbits and
-its padding, the only ones a roundtrip can use.  The kept words lose the
+is tuple equality.  It reads the words off the unshifted rays at
+coordinates moved by the conjugating shift, so it builds no shifted
+element.  The points come in groups that share their two tails, so each
+group builds its padding once, compares it once with each term's words,
+and keeps only the terms whose rays stay on its orbits and its padding,
+the only ones a roundtrip can use.  The kept words lose the
 padding, so a point is its middle, the symbols on the span, and each
-kept unstable term meets only the middles that end in its source.  It never
-counts paths, reflects rays, or builds, canonicalizes or sorts points.
+kept unstable term meets only the middles that end in its source: all of
+them when its source ends where they do.  Roundtrips are counted per
+distinct coefficient product.  It never counts paths, reflects rays, or
+builds, canonicalizes or sorts points.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ from bisect import bisect_left
 from itertools import compress
 from operator import attrgetter
 
-from .algebra import AlgebraElement, SideMismatch, agreement_bound, apply_alpha, tau_s, tau_u
+from .algebra import AlgebraElement, SideMismatch, agreement_bound, tau_s, tau_u
 from .perron import PerronData, require_finite
 from .points import PeriodicOrbitSet, asymptotic_sequences, cycle, rays_agree
 from .sft import count_paths
@@ -476,11 +480,13 @@ def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: i
 
     Every sequence involved is periodic outside [start, end), so (left
     orbit, symbols on [start - pad, end + pad), right orbit) determines it,
-    with pad the longest orbit period of P, Q and the conjugated terms'
-    rays: pad symbols fix each phase.  A term's source and target become
-    words on that range once per call: an unstable term at window m is a
-    compare and replace of the suffix from m, a stable term at window n of
-    the prefix up to n.
+    with pad the longest orbit period of P, Q and the terms' rays: pad
+    symbols fix each phase.  A term's source and target become words on
+    that range once per call, read off the unshifted rays at coordinates
+    moved by the shift, so no shifted element is built: alpha^k moves a
+    stable term's window n to n - k and alpha^-k an unstable term's m to
+    m + k, and a word of the conjugated term is a compare and replace of
+    the prefix up to n - k, or of the suffix from m + k.
 
     The sequences come in groups with one pair of tails: one head, the pad
     symbols below start, and one tail, the pad symbols from end on.  So
@@ -492,30 +498,31 @@ def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: i
     so the orbit tests are needed as well as the word compares.  The kept
     terms' words lose their padding, and a point of the group is its
     middle, the symbols on [start, end): for each kept unstable term, only
-    the middles that end in its source are replaced, and each image meets
-    every kept stable term.
+    the middles that end in its source are replaced, every middle when the
+    source ends at end and so pins no middle symbol, and each image meets
+    every kept stable term.  Each roundtrip adds 1 to the count of its
+    coefficient product.
     """
     req = required_window(a, b, k)
     if window < req:
         raise WindowTooSmall(f"need window >= {req}, got {window}")
     lo, hi = _span(a, b, k)
     start, end = lo - (window - req), hi + (window - req)
-    a_k = apply_alpha(a, k)
-    b_k = apply_alpha(b, -k)
-    rays = [ray for x in (a_k, b_k) for _, t in x.terms for ray in (t.target, t.source)]
+    rays = [ray for x in (a, b) for _, t in x.terms for ray in (t.target, t.source)]
     pad = max((o.period for o in (*p_set.orbits, *q_set.orbits, *(r.orbit for r in rays))),
               default=0)
     # (coefficient, index in a middle, source orbit, source word, target
-    # orbit, target word)
-    futures = [(cb, f.window - start, f.source.orbit,
-                tuple(map(f.source.symbol_at, range(f.window, end + pad))), f.target.orbit,
-                tuple(map(f.target.symbol_at, range(f.window, end + pad))))
-               for cb, f in b_k.terms]
-    pasts = [(ca, e.window - start, e.source.orbit,
-              tuple(map(e.source.symbol_at, range(start - pad, e.window))), e.target.orbit,
-              tuple(map(e.target.symbol_at, range(start - pad, e.window))))
-             for ca, e in a_k.terms]
-    pairs = []
+    # orbit, target word) of each conjugated term: a ray's symbol at m is
+    # the unshifted one at m - k (unstable) or m + k (stable)
+    futures = [(cb, f.window + k - start, f.source.orbit,
+                tuple(map(f.source.symbol_at, range(f.window, end + pad - k))), f.target.orbit,
+                tuple(map(f.target.symbol_at, range(f.window, end + pad - k))))
+               for cb, f in b.terms]
+    pasts = [(ca, e.window - k - start, e.source.orbit,
+              tuple(map(e.source.symbol_at, range(start - pad + k, e.window))), e.target.orbit,
+              tuple(map(e.target.symbol_at, range(start - pad + k, e.window))))
+             for ca, e in a.terms]
+    counts: dict = {}
     for left, lph, right, rph, middles in asymptotic_sequences(p.sft, p_set, q_set, end - start):
         head, tail = cycle(left.word, lph + 1 - pad, pad), cycle(right.word, rph, pad)
         # a roundtrip keeps both tails, so only terms that do can count here
@@ -529,12 +536,14 @@ def trace_product_oracle(a: AlgebraElement, b: AlgebraElement, k: int, window: i
         if not group_pasts:
             continue
         for cb, i, f_source, g_target in group_futures:
-            for middle in [w for w in middles if w[i:] == f_source]:
+            # a term whose source ends at the run's end pins no middle symbol
+            for middle in ([w for w in middles if w[i:] == f_source] if f_source else middles):
                 y = middle[:i] + g_target
                 for ca, j, e_source, e_target in group_pasts:
                     if y[:j] == e_source and e_target + y[j:] == middle:
-                        pairs.append((ca * cb, 1))
-    return ExactTrace.from_pairs(pairs)
+                        c = ca * cb
+                        counts[c] = counts.get(c, 0) + 1
+    return ExactTrace.from_pairs(counts.items())
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +616,17 @@ def format_complex(z: complex) -> str:
 def scaled_trace_sequence(a: AlgebraElement, b: AlgebraElement, k_range,
                           p: PerronData) -> TraceReport:
     """Rows (k, exact trace, lambda^{-2k}-scaled value, error against the
-    report's target) for monotone k, where the target is the product of
-    the two traces; NonFiniteCoefficient when that product is beyond the
+    report's target) in increasing k, for distinct k, in any order, where
+    the target is the product of the two traces; ValueError naming a
+    repeated k, and NonFiniteCoefficient when that product is beyond the
     float range."""
+    ks = sorted(k_range)
+    for k, after in zip(ks, ks[1:]):
+        if k == after:
+            raise ValueError(f"k = {k} is repeated; each row needs its own k")
     target = require_finite(tau_s(a, p) * tau_u(b, p), "tau_s(a) * tau_u(b)")
     rows = []
-    for k in sorted(k_range):
+    for k in ks:
         tr = trace_product(a, b, k, p)
         scaled = tr.scaled(p.lam, k)
         rows.append(TraceRow(k, tr, scaled, abs(scaled - target)))

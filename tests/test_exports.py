@@ -3,7 +3,6 @@ modules' own objects; a bare `import sfttrace` loads no module, and no
 command loads a standard-library module that only other commands use."""
 
 import importlib
-import json
 import os
 import re
 import subprocess
@@ -47,13 +46,12 @@ EXPORTS = {
 }
 
 
-def _run(script: str, cwd, *args: str, flags: tuple = ()) -> str:
+def _run(script: str, cwd, *args: str) -> str:
     """Standard output of `script` with `args` in a fresh interpreter that
-    imports the package from this checkout; `flags` are the interpreter's
-    own options."""
+    imports the package from this checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, *flags, "-c", script, *args], env=env, cwd=cwd,
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -90,42 +88,22 @@ def test_readme_library_sketch_runs(tmp_path):
     assert 0 <= float(_run(sketch.group(1), tmp_path)) < 1e-12
 
 
-# standard-library modules that nothing before a trace's first row uses:
-# `statistics` and what it loads, and `datetime`
-DEFERRED = ("statistics", "fractions", "decimal", "numbers", "random", "datetime")
-CONFIG = str(SRC.parent / "configs" / "golden_mean.json")
-
-
-def _deferred_loads(cwd, body: str, *args: str) -> list:
-    """The modules of DEFERRED that `body` loads in a fresh interpreter,
-    counted from after `import argparse, json`, which every command runs
-    first.  The interpreter runs without `site` (-S), which may load some of
-    them itself (`random`, through a .pth file)."""
-    script = ("import argparse, json, sys\n"
-              "before = set(sys.modules)\n"
-              f"{body}\n"
-              f"print(json.dumps([m for m in {DEFERRED!r}\n"
-              "                  if m in sys.modules and m not in before]))\n")
-    return json.loads(_run(script, cwd, *args, flags=("-S",)).splitlines()[-1])
-
-
-def test_bench_set_up_loads_no_deferred_module(tmp_path):
+def test_bench_set_up_loads_no_deferred_module(loads):
     # what the benchmark's probe times before a workload's first item
-    body = ("from sfttrace import cli, fixtures, perron\n"
-            "perron.compute_perron(cli.load_config(sys.argv[1]).sft)")
-    assert _deferred_loads(tmp_path, body, CONFIG) == []
+    _, deferred = loads()
+    assert deferred == []
 
 
 # theorem13 and verify are left out: the exact rank of a finite operator
 # eliminates with `Fraction` pivots, and the acceptance battery draws its
 # random elements from a seeded `random.Random`
-@pytest.mark.parametrize("argv,loads", [
+@pytest.mark.parametrize("argv,deferred_loads", [
     (["inspect"], []),
     (["measures"], []),
     (["enumerate", "--window", "3"], []),
     (["trace-run", "--no-timestamp"], []),
     (["trace-run"], ["datetime"]),  # the CSV's first line is the time of the run
 ], ids=["inspect", "measures", "enumerate", "trace-run-no-timestamp", "trace-run"])
-def test_each_command_loads_only_the_deferred_modules_it_runs(tmp_path, argv, loads):
-    body = "from sfttrace.cli import main\nassert main(sys.argv[1:]) == 0"
-    assert _deferred_loads(tmp_path, body, *argv, "--config", CONFIG) == loads
+def test_each_command_loads_only_the_deferred_modules_it_runs(loads, argv, deferred_loads):
+    _, deferred = loads(argv)
+    assert deferred == deferred_loads

@@ -798,6 +798,23 @@ def test_scaled_sequence_empty_range():
     assert report.rows == ()
 
 
+def test_scaled_sequence_rejects_a_repeated_k(monkeypatch):
+    # two rows at one k would leave the decay fit a zero spread in k
+    from sfttrace import rep
+
+    a, b = canonical_pair(GOLDEN)
+
+    def no_row(*args):
+        raise AssertionError("a row was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(rep, "trace_product", no_row)
+        with pytest.raises(ValueError, match="k = 3 is repeated"):
+            scaled_trace_sequence(a, b, [3, 0, 3], GOLDEN.perron)
+    report = scaled_trace_sequence(a, b, [3, 0, 1], GOLDEN.perron)
+    assert [row.k for row in report.rows] == [0, 1, 3]
+
+
 def test_scaled_sequence_matches_cold_counts():
     # the sweep carries each system's path-count memo from k to k (lengths
     # up to 2k + 5 pass the memo's row window); every reference trace
@@ -1010,7 +1027,7 @@ def test_oracle_counts_points_whose_junction_slides_past_the_window(sys, q_word,
 def test_oracle_calls_no_symbolic_or_point_building_code(monkeypatch):
     # the oracle is an independent route: it must not reach time reversal,
     # path counts or the symbolic trace's term-pair table, nor build points
-    # through splicing or canonicalization
+    # through splicing or canonicalization, nor shifted elements
     from sfttrace import algebra, points, rep, sft as sft_mod
 
     cases = [(sys, name, a, b, k, trace_product(a, b, k, sys.perron))
@@ -1019,7 +1036,7 @@ def test_oracle_calls_no_symbolic_or_point_building_code(monkeypatch):
     banned = [points.reflect, sft_mod.count_paths, points.splice_point,
               points.HeteroclinicPoint, points.matches_past, points.matches_future,
               points.enumerate_heteroclinic, points.lowest_difference, points.rays_agree,
-              algebra.agreement_bound, rep._pair_table, rep._PairTable,
+              algebra.agreement_bound, algebra.apply_alpha, rep._pair_table, rep._PairTable,
               rep.trace_product_detail]
 
     def forbidden(*args, **kwargs):
