@@ -74,7 +74,7 @@ from .points import (
     make_orbit_set,
     make_right_ray,
 )
-from .rep import format_complex, scaled_trace_sequence
+from .rep import csv_writer, fitted_decay_rate, format_complex, scaled_trace_rows
 from .sft import Sft, make_sft
 from .values import Value
 
@@ -376,6 +376,29 @@ def cmd_enumerate(config: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
+def _stream_rows(fh, target: complex, rows):
+    """Write the CSV of `rows` to `fh` row by row, through `csv_writer`,
+    keeping of each row only what the summary reads: (k's, errors, the
+    first k of the trailing run of exactly zero traces or None)."""
+    # imported on use, like `datetime` in `cmd_trace_run`: no other command
+    # needs it, and loading it (an extension module) costs about 0.3 ms
+    from array import array
+
+    write = csv_writer(fh, target)
+    # two numbers a row, however long its trace: the row's own k, and its
+    # error as 8 bytes
+    ks, errors = [], array("d")
+    first_zero = None
+    for row in rows:
+        if not write(row):
+            first_zero = None
+        elif first_zero is None:
+            first_zero = row.k
+        ks.append(row.k)
+        errors.append(row.abs_err)
+    return ks, errors, first_zero
+
+
 def cmd_trace_run(config: ExperimentConfig, args) -> int:
     k_lo, k_hi = config.k_range
     if args.kmax is not None:
@@ -385,7 +408,10 @@ def cmd_trace_run(config: ExperimentConfig, args) -> int:
     p = compute_perron(config.sft)
     if config.a.is_zero or config.b.is_zero:
         raise ValidationError("trace runs need nonzero elements a and b")
-    report = scaled_trace_sequence(config.a, config.b, range(k_lo, k_hi + 1), p)
+    # the target first: a target beyond the float range writes no CSV; each
+    # row is written as it is computed, so a row that fails leaves the
+    # header and the rows before it
+    target, rows = scaled_trace_rows(config.a, config.b, range(k_lo, k_hi + 1), p)
     path = args.out or config.output
     if path:
         try:
@@ -397,25 +423,23 @@ def cmd_trace_run(config: ExperimentConfig, args) -> int:
 
                     now = datetime.datetime.now(datetime.timezone.utc)
                     fh.write(f"# generated {now.isoformat()}\n")
-                zeros = report.write_csv(fh)
+                ks, errors, first_zero = _stream_rows(fh, target, rows)
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
-        print(f"wrote {path} ({len(report.rows)} rows)")
+        print(f"wrote {path} ({len(ks)} rows)")
     else:
-        zeros = report.write_csv(sys.stdout)
-    print(f"target tau_s(a)*tau_u(b) = {format_complex(report.target)}")
-    print(f"final abs error          = {report.final_error()!r}")
-    rate = report.fitted_decay_rate()
+        ks, errors, first_zero = _stream_rows(sys.stdout, target, rows)
+    final_error = errors[-1] if errors else math.nan
+    print(f"target tau_s(a)*tau_u(b) = {format_complex(target)}")
+    print(f"final abs error          = {final_error!r}")
+    rate = fitted_decay_rate(ks, errors)
     if not math.isnan(rate):
         print(f"fitted error decay rate  = {rate:.6g} per step")
-    if zeros and zeros[-1]:
-        first_zero = len(zeros) - 1
-        while first_zero > 0 and zeros[first_zero - 1]:
-            first_zero -= 1
-        print(f"exact-zero regime: every trace vanishes for k >= {report.rows[first_zero].k}")
+    if first_zero is not None:
+        print(f"exact-zero regime: every trace vanishes for k >= {first_zero}")
     tol = config.tolerances.get("final_abs_err")
-    if tol is not None and report.rows and report.final_error() > tol:
-        print(f"FAIL final error {report.final_error():.3e} > {tol:g}")
+    if tol is not None and errors and final_error > tol:
+        print(f"FAIL final error {final_error:.3e} > {tol:g}")
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -44,10 +44,16 @@ imaginary numerator over one power-of-two denominator; a sweep's rows
 share the numerators of their table's slots, decomposed once per (a, b),
 and store no total of their own; an integer total prints straight from
 its numerator, and only a non-integer one becomes a rational.  A trace
-run computes each row's total once: the CSV rendering prints "0" exactly
-when the total is 0, so the exact-zero check reads the rendered rows.
-Totals print in full however many digits they have, past the
-interpreter's limit on int-to-string conversions too.
+run streams its rows (`scaled_trace_rows`): each is computed, rendered,
+written and dropped before the next, so a sweep's memory does not grow
+with its length beyond two numbers a row for the fit, and a row that
+fails leaves the rows before it written.  It computes each row's total
+once: the CSV rendering prints "0" exactly when the total is 0, so the
+exact-zero check reads the rendered rows.  Totals print in full however
+many digits they have, past the interpreter's limit on int-to-string
+conversions too; from about 900 digits on they print in pieces split at
+cached powers of ten, which is faster than one `str` call, though still
+quadratic.
 
 An independent brute-force route (`trace_product_oracle`) enumerates
 every basis point periodic outside the span its conjugated terms pin,
@@ -113,13 +119,14 @@ class ExactTrace(Value):
     run renders each row once.
     """
 
-    __slots__ = ("pairs", "dyadic")  # a long sweep keeps one trace per row
+    __slots__ = ("pairs", "dyadic")  # a report keeps one trace per row
     _fields = ("pairs",)  # the repr leaves `dyadic` out
 
     def __init__(self, pairs: tuple[tuple[complex, int], ...], dyadic: tuple | None = None):
-        # dyadic: (denominator, {coefficient: (real numerator, imaginary numerator)})
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "dyadic", dyadic)
+        # dyadic: (denominator, {coefficient: (real numerator, imaginary numerator)});
+        # the slot descriptors set the frozen slots (`_set_pairs`, `_set_dyadic`)
+        _set_pairs(self, pairs)
+        _set_dyadic(self, dyadic)
 
     def __reduce__(self):  # copy and pickle rebuild through __init__, past the frozen slots
         return ExactTrace, (self.pairs, self.dyadic)
@@ -137,7 +144,7 @@ class ExactTrace(Value):
             require_finite(c, "trace coefficient")
         order = sorted(merged, key=attrgetter("real", "imag"))
         # built from a list: tuple() of an iterator held about 30 bytes more
-        # per trace, which a long sweep keeps once per row
+        # per trace, which a report keeps once per row
         return ExactTrace(tuple([(c, merged[c]) for c in order]))
 
     def _numerators(self) -> tuple[int, int, int]:
@@ -193,11 +200,11 @@ class ExactTrace(Value):
         beyond the float range exactly, however many digits they have
         (`_decimal`)."""
         re, im, den = self._numerators()
-        if not im and not re % den:
-            return _decimal(re // den)
-        if not im:
-            return _render_part(re, den)
-        return f"{_render_part(re, den)}{_render_part(im, den, '+')}j"
+        if im:
+            return f"{_render_part(re, den)}{_render_part(im, den, '+')}j"
+        if den == 1:  # integer coefficients: the numerator is the total
+            return _decimal(re)
+        return _render_part(re, den) if re % den else _decimal(re // den)
 
     def __eq__(self, other):
         # re / den == re' / den' for positive dens, in integers, and so the
@@ -210,6 +217,9 @@ class ExactTrace(Value):
 
     def __hash__(self):
         return hash(self.exact_total())
+
+
+_set_pairs, _set_dyadic = ExactTrace.pairs.__set__, ExactTrace.dyadic.__set__
 
 
 def _render_part(num: int, den: int, sign: str = "") -> str:
@@ -229,21 +239,40 @@ def _render_part(num: int, den: int, sign: str = "") -> str:
                 + ("." + _decimal(frac).zfill(e) if e else ""))
 
 
+# One `str` call is quadratic in the digits; from about 900 digits on, a
+# split at a cached power of ten and a `str` call per piece is faster
+# (measured on CPython 3.11: about 5 % at 1000 digits, a third at 8400).
+_SPLIT_BITS = 2990  # about 900 digits
+_SPLIT = 450  # the smallest split size, in digits; the others are 450 * 2^j
+_POWERS: dict = {}  # split size h -> 10^h, computed once
+
+
 def _decimal(n: int) -> str:
     """str(n), also past the interpreter's limit on the digits of an
     int-to-string conversion (`sys.get_int_max_str_digits()`), which is left
-    as it is.  An integer within the limit takes the one `str` call; a longer
-    one is split at 10^h, h half its digits, into a high and a low piece,
-    each printed the same way, the low one zero-padded to h digits.
+    as it is.  An integer of at most about 900 digits (`_SPLIT_BITS`) takes
+    one `str` call; a longer one, or one past a limit lowered below that, is
+    split at 10^h into a high and a low piece, each printed the same way, the
+    low one zero-padded to h digits.  The split size h is the least 450 * 2^j
+    with 4h digits at least about n's, so each piece has at most about
+    three quarters of n's digits and the high one is never 0; 10^h is
+    computed once per size and kept in `_POWERS`.
     """
-    try:
-        return str(n)
-    except ValueError:
-        pass
     if n < 0:
         return "-" + _decimal(-n)
-    h = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
-    high, low = divmod(n, 10 ** h)
+    bits = n.bit_length()
+    if bits <= _SPLIT_BITS:
+        try:
+            return str(n)
+        except ValueError:  # past a digit limit below the threshold: split at 450
+            pass
+    h = _SPLIT
+    while 14 * h < bits:  # 14 > 4 * log2(10): stop once 4h digits hold about n's
+        h *= 2
+    power = _POWERS.get(h)
+    if power is None:
+        power = _POWERS[h] = 10 ** h
+    high, low = divmod(n, power)
     return _decimal(high) + _decimal(low).zfill(h)
 
 
@@ -268,9 +297,12 @@ class TraceDiagnostics(Value):
 
     def __init__(self, bridge_pairs: int = 0, overlap_pairs: int = 0, offdiag_pairs: int = 0,
                  offdiag_fixed_points: int = 0):
-        self.__dict__.update(bridge_pairs=bridge_pairs, overlap_pairs=overlap_pairs,
-                             offdiag_pairs=offdiag_pairs,
-                             offdiag_fixed_points=offdiag_fixed_points)
+        # one store per field: `update` with keywords builds a dict first
+        fields = self.__dict__
+        fields["bridge_pairs"] = bridge_pairs
+        fields["overlap_pairs"] = overlap_pairs
+        fields["offdiag_pairs"] = offdiag_pairs
+        fields["offdiag_fixed_points"] = offdiag_fixed_points
 
 
 class _PairTable:
@@ -419,16 +451,20 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
     # a diagonal bridge pair counts the admissible bridges; an off-diagonal
     # one has no fixed points, since the replacement would alter a pinned
     # coordinate
-    for gap, s, t, adds in table.groups[bisect_left(table.group_gaps, -twice):]:
+    groups, gaps = table.groups, table.group_gaps
+    if gaps and gaps[0] < -twice:  # a group at a gap below -2k is not live yet
+        groups = groups[bisect_left(gaps, -twice):]
+    for gap, s, t, adds in groups:
         n = count_paths(sft, s, t, twice + gap + 1)
         if n:
             for slot in adds:
                 counts[slot] += n
-    for slot in range(table.finite, len(counts)):
-        if counts[slot]:
-            require_finite(table.reps[slot], "trace coefficient")
+    if table.finite < len(counts):
+        for slot in range(table.finite, len(counts)):
+            if counts[slot]:
+                require_finite(table.reps[slot], "trace coefficient")
     # built from a list: tuple() of an iterator held about 30 bytes more per
-    # trace, which a long sweep keeps once per row
+    # trace, which a report keeps once per row
     row = ExactTrace(tuple(list(compress(zip(table.reps, counts), counts))), table.dyadic)
     return row, TraceDiagnostics(table.total - overlap, overlap, table.offdiag, fixed)
 
@@ -554,7 +590,11 @@ class TraceRow(Value):
     _fields = ("k", "trace", "scaled", "abs_err")
 
     def __init__(self, k: int, trace: ExactTrace, scaled: complex, abs_err: float):
-        self.__dict__.update(k=k, trace=trace, scaled=scaled, abs_err=abs_err)
+        fields = self.__dict__  # one store per field, as in `TraceDiagnostics`
+        fields["k"] = k
+        fields["trace"] = trace
+        fields["scaled"] = scaled
+        fields["abs_err"] = abs_err
 
 
 class TraceReport(Value):
@@ -567,43 +607,41 @@ class TraceReport(Value):
 
     def write_csv(self, fh) -> list[bool]:
         """Write the header and one line per row to `fh`; return, per row,
-        whether its trace is exactly zero.
-
-        `render` computes each row's exact total once and prints "0" exactly
-        when both parts are 0 (a nonzero integer has a nonzero digit, every
-        other value prints a float repr or an exact decimal), so the zero
-        flags cost no second total.
-        """
-        fh.write("k,trace,scaled,target,abs_err\n")
-        target = format_complex(self.target)
-        zeros = []
-        for r in self.rows:
-            trace = r.trace.render()
-            zeros.append(trace == "0")
-            fh.write(f"{r.k},{trace},{format_complex(r.scaled)},{target},{r.abs_err!r}\n")
-        return zeros
+        whether its trace is exactly zero.  The lines come from `csv_writer`,
+        the writer `trace-run` streams its rows through, so a report and a
+        run of the same rows write the same bytes."""
+        write = csv_writer(fh, self.target)
+        return [write(r) for r in self.rows]
 
     def final_error(self) -> float:
         return self.rows[-1].abs_err if self.rows else math.nan
 
     def fitted_decay_rate(self) -> float:
-        """exp of the least-squares slope of log-error per step over the rows
-        with nonzero error; nan when fewer than two such rows exist.
+        return fitted_decay_rate([r.k for r in self.rows], [r.abs_err for r in self.rows])
 
-        The slope is summed here, with `math.fsum` in the order of
-        `statistics.linear_regression` on Python 3.11, which gives the same
-        float there: importing `statistics` loads `fractions`, `decimal`,
-        `numbers` and `random`, which cost every trace run a few
-        milliseconds of start-up and nothing else uses.
-        """
-        pts = [(r.k, math.log(r.abs_err)) for r in self.rows if r.abs_err > 0]
-        if len(pts) < 2:
-            return math.nan
-        k_bar = math.fsum(k for k, _ in pts) / len(pts)
-        y_bar = math.fsum(y for _, y in pts) / len(pts)
-        sxy = math.fsum((k - k_bar) * (y - y_bar) for k, y in pts)
-        sxx = math.fsum((d := k - k_bar) * d for k, _ in pts)
-        return math.exp(sxy / sxx)
+
+def fitted_decay_rate(ks, errors) -> float:
+    """exp of the least-squares slope of log-error per step over the rows
+    with nonzero error, given as the sequences of their k's and their
+    errors; nan when fewer than two such rows exist.
+
+    The slope is summed here, with `math.fsum` in the order of
+    `statistics.linear_regression` on Python 3.11, which gives the same
+    float there: importing `statistics` loads `fractions`, `decimal`,
+    `numbers` and `random`, which cost every trace run a few
+    milliseconds of start-up and nothing else uses.  It keeps one flag and
+    one logarithm per row, no pair: a long sweep's fit adds little to its
+    peak memory.
+    """
+    nonzero = [err > 0 for err in errors]
+    ys = [math.log(err) for err in compress(errors, nonzero)]
+    if len(ys) < 2:
+        return math.nan
+    k_bar = math.fsum(compress(ks, nonzero)) / len(ys)
+    y_bar = math.fsum(ys) / len(ys)
+    sxy = math.fsum((k - k_bar) * (y - y_bar) for k, y in zip(compress(ks, nonzero), ys))
+    sxx = math.fsum((d := k - k_bar) * d for k in compress(ks, nonzero))
+    return math.exp(sxy / sxx)
 
 
 def format_complex(z: complex) -> str:
@@ -613,21 +651,63 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{z.imag:+}j"
 
 
-def scaled_trace_sequence(a: AlgebraElement, b: AlgebraElement, k_range,
-                          p: PerronData) -> TraceReport:
-    """Rows (k, exact trace, lambda^{-2k}-scaled value, error against the
-    report's target) in increasing k, for distinct k, in any order, where
-    the target is the product of the two traces; ValueError naming a
-    repeated k, and NonFiniteCoefficient when that product is beyond the
-    float range."""
+def csv_writer(fh, target: complex):
+    """Write the CSV header to `fh` and return the row writer: a function
+    that writes one `TraceRow` as the line `k,trace,scaled,target,abs_err`
+    and returns whether its trace is exactly zero.
+
+    `render` computes each row's exact total once and prints "0" exactly
+    when both parts are 0 (a nonzero integer has a nonzero digit, every
+    other value prints a float repr or an exact decimal), so the zero flag
+    costs no second total.  A real scaled value is formatted inline, as
+    `format_complex` would.
+    """
+    fh.write("k,trace,scaled,target,abs_err\n")
+    write = fh.write
+    rest = f",{format_complex(target)},"
+
+    def write_row(row: TraceRow) -> bool:
+        trace = row.trace.render()
+        scaled = row.scaled
+        if scaled.imag:
+            write(f"{row.k},{trace},{format_complex(scaled)}{rest}{row.abs_err!r}\n")
+        else:
+            write(f"{row.k},{trace},{scaled.real!r}{rest}{row.abs_err!r}\n")
+        return trace == "0"
+
+    return write_row
+
+
+def scaled_trace_rows(a: AlgebraElement, b: AlgebraElement, k_range, p: PerronData):
+    """(target, rows): the product of the two traces, and a generator of the
+    rows (k, exact trace, lambda^{-2k}-scaled value, error against the
+    target) in increasing k, for distinct k given in any order.  The k are
+    checked and the target computed here, before any row: ValueError
+    naming a repeated k, and NonFiniteCoefficient when the target is beyond
+    the float range.  Each row is computed when it is asked for, through
+    `trace_product` as the module names it then, so a caller that writes
+    each row and drops it holds one trace at a time."""
     ks = sorted(k_range)
     for k, after in zip(ks, ks[1:]):
         if k == after:
             raise ValueError(f"k = {k} is repeated; each row needs its own k")
     target = require_finite(tau_s(a, p) * tau_u(b, p), "tau_s(a) * tau_u(b)")
-    rows = []
-    for k in ks:
-        tr = trace_product(a, b, k, p)
-        scaled = tr.scaled(p.lam, k)
-        rows.append(TraceRow(k, tr, scaled, abs(scaled - target)))
+    lam = p.lam
+
+    def rows():
+        for k in ks:
+            tr = trace_product(a, b, k, p)
+            scaled = tr.scaled(lam, k)
+            yield TraceRow(k, tr, scaled, abs(scaled - target))
+
+    return target, rows()
+
+
+def scaled_trace_sequence(a: AlgebraElement, b: AlgebraElement, k_range,
+                          p: PerronData) -> TraceReport:
+    """Every row of `scaled_trace_rows`, computed at once and held in one
+    report with its target; the same errors, raised before any row.
+    `trace-run` does not hold its rows: it streams them through
+    `csv_writer`, which `TraceReport.write_csv` uses too."""
+    target, rows = scaled_trace_rows(a, b, k_range, p)
     return TraceReport(tuple(rows), target)

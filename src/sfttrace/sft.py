@@ -130,12 +130,14 @@ class _PathRows:
         self._windows: dict[int, tuple[int, deque]] = {}
 
     def row(self, i: int, length: int) -> list[int]:
-        first, rows = self._windows.get(i, (0, None))
-        if rows is not None and first <= length < first + len(rows):
-            # a sweep has almost always advanced this row already
-            return rows[length - first]
+        window = self._windows.get(i)
+        if window is not None:
+            first, rows = window
+            if first <= length < first + len(rows):
+                # a sweep has almost always advanced this row already
+                return rows[length - first]
         n = len(self._succ)
-        if rows is None or length < first:
+        if window is None or length < first:
             first, rows = 0, deque([[int(s == i) for s in range(n)]], maxlen=_ROW_WINDOW)
         while first + len(rows) <= length:
             nxt = [0] * n

@@ -1669,6 +1669,34 @@ def test_decimal_pads_every_low_piece():
         sys_.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("lowered", [False, True], ids=["default-limit", "limit-640"])
+def test_decimal_equals_str_around_the_split_threshold_and_at_1e5_digits(lowered):
+    # the threshold's digits -1, 0 and +1, its bit length at both sides, and
+    # 10^5 digits, for n and -n; str(n) is taken with the limit lifted
+    from sfttrace import rep
+
+    sys_ = sys_modules["sys"]
+    limit = sys_.get_int_max_str_digits()
+    rng = random.Random(20261022)
+    sys_.set_int_max_str_digits(0)
+    threshold = len(str(2 ** rep._SPLIT_BITS))
+    cases = [2 ** rep._SPLIT_BITS - 1, 2 ** rep._SPLIT_BITS]
+    cases += [rng.randrange(10 ** (d - 1), 10 ** d)
+              for d in (threshold - 1, threshold, threshold + 1, 10 ** 5)]
+    cases += [10 ** (threshold - 1), 10 ** 10 ** 5 - 1]
+    expected = [str(n) for n in cases]
+    try:
+        sys_.set_int_max_str_digits(640 if lowered else limit)
+        for n, text in zip(cases, expected):
+            assert rep._decimal(n) == text and rep._decimal(-n) == "-" + text
+    finally:
+        sys_.set_int_max_str_digits(limit)
+    # one power per split size 450 * 2^j, each computed once and exact
+    sizes = [450 * 2 ** j for j in range(10)]
+    assert set(rep._POWERS) <= set(sizes)
+    assert all(rep._POWERS[h] == 10 ** h for h in rep._POWERS)
+
+
 # subnormals, the extremes of the exponent range and both zeros
 _EDGE_FLOATS = [5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-300,
                 1.7976931348623157e308, -1e308, 0.0, -0.0, 1.0, -0.375]
