@@ -74,7 +74,7 @@ from .points import (
     make_orbit_set,
     make_right_ray,
 )
-from .rep import csv_writer, fitted_decay_rate, format_complex, scaled_trace_rows
+from .rep import fitted_decay_rate, format_complex, scaled_trace_rows, write_rows
 from .sft import Sft, make_sft
 from .values import Value
 
@@ -376,29 +376,6 @@ def cmd_enumerate(config: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def _stream_rows(fh, target: complex, rows):
-    """Write the CSV of `rows` to `fh` row by row, through `csv_writer`,
-    keeping of each row only what the summary reads: (k's, errors, the
-    first k of the trailing run of exactly zero traces or None)."""
-    # imported on use, like `datetime` in `cmd_trace_run`: no other command
-    # needs it, and loading it (an extension module) costs about 0.3 ms
-    from array import array
-
-    write = csv_writer(fh, target)
-    # two numbers a row, however long its trace: the row's own k, and its
-    # error as 8 bytes
-    ks, errors = [], array("d")
-    first_zero = None
-    for row in rows:
-        if not write(row):
-            first_zero = None
-        elif first_zero is None:
-            first_zero = row.k
-        ks.append(row.k)
-        errors.append(row.abs_err)
-    return ks, errors, first_zero
-
-
 def cmd_trace_run(config: ExperimentConfig, args) -> int:
     k_lo, k_hi = config.k_range
     if args.kmax is not None:
@@ -423,12 +400,12 @@ def cmd_trace_run(config: ExperimentConfig, args) -> int:
 
                     now = datetime.datetime.now(datetime.timezone.utc)
                     fh.write(f"# generated {now.isoformat()}\n")
-                ks, errors, first_zero = _stream_rows(fh, target, rows)
+                ks, errors, first_zero = write_rows(fh, target, rows)
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
         print(f"wrote {path} ({len(ks)} rows)")
     else:
-        ks, errors, first_zero = _stream_rows(sys.stdout, target, rows)
+        ks, errors, first_zero = write_rows(sys.stdout, target, rows)
     final_error = errors[-1] if errors else math.nan
     print(f"target tau_s(a)*tau_u(b) = {format_complex(target)}")
     print(f"final abs error          = {final_error!r}")

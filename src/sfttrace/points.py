@@ -128,14 +128,6 @@ class Orbit(Value):
                 raise InadmissibleOrbit(f"{least} is not primitive")
         self.__dict__.update(word=least)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.word == other.word
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.word,))
-
     @property
     def period(self) -> int:
         return len(self.word)
@@ -207,15 +199,6 @@ class LeftRay(Value):
             body = body[1:]
         self.__dict__.update(orbit=orbit, phase=phase, splice=splice, body=body, end=end)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.orbit, self.phase, self.splice, self.body, self.end)
-                    == (other.orbit, other.phase, other.splice, other.body, other.end))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.orbit, self.phase, self.splice, self.body, self.end))
-
     def symbol_at(self, m: int) -> int:
         if m >= self.end:
             raise IndexError(f"left ray undefined at {m} >= {self.end}")
@@ -270,15 +253,6 @@ class RightRay(Value):
             splice -= 1
             body = body[:-1]
         self.__dict__.update(orbit=orbit, phase=phase, start=start, body=body, splice=splice)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.orbit, self.phase, self.start, self.body, self.splice)
-                    == (other.orbit, other.phase, other.start, other.body, other.splice))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.orbit, self.phase, self.start, self.body, self.splice))
 
     def symbol_at(self, m: int) -> int:
         if m < self.start:
@@ -401,7 +375,8 @@ class HeteroclinicPoint(Value):
     its canonical form; it does not check the transitions against a system.
 
     Points are dict keys throughout the representation, so each one hashes
-    its field tuple once, when first hashed.
+    its field tuple (`_values`) once, when first hashed; its equality is
+    `Value`'s.
     """
 
     _fields = ("left_orbit", "left_phase", "n_left", "middle", "right_orbit", "right_phase",
@@ -446,21 +421,11 @@ class HeteroclinicPoint(Value):
                              middle=middle, right_orbit=right_orbit, right_phase=right_phase,
                              m_right=m_right)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.left_orbit, self.left_phase, self.n_left, self.middle,
-                     self.right_orbit, self.right_phase, self.m_right)
-                    == (other.left_orbit, other.left_phase, other.n_left, other.middle,
-                        other.right_orbit, other.right_phase, other.m_right))
-        return NotImplemented
-
     _hash = None  # not a field: set by the first __hash__
 
     def __hash__(self):
         if self._hash is None:
-            self.__dict__["_hash"] = hash((
-                self.left_orbit, self.left_phase, self.n_left, self.middle,
-                self.right_orbit, self.right_phase, self.m_right))
+            self.__dict__["_hash"] = hash(self._values)
         return self._hash
 
     @property

@@ -44,12 +44,14 @@ imaginary numerator over one power-of-two denominator; a sweep's rows
 share the numerators of their table's slots, decomposed once per (a, b),
 and store no total of their own; an integer total prints straight from
 its numerator, and only a non-integer one becomes a rational.  A trace
-run streams its rows (`scaled_trace_rows`): each is computed, rendered,
-written and dropped before the next, so a sweep's memory does not grow
-with its length beyond two numbers a row for the fit, and a row that
-fails leaves the rows before it written.  It computes each row's total
-once: the CSV rendering prints "0" exactly when the total is 0, so the
-exact-zero check reads the rendered rows.  Totals print in full however
+run streams its rows: `scaled_trace_rows` computes each when it is asked
+for, and one fold, `write_rows`, renders, writes and drops it before the
+next, so a sweep's memory does not grow with its length beyond two
+numbers a row for the fit, and a row that fails leaves the rows before
+it written.  It computes each row's total once: the CSV rendering prints
+"0" exactly when the total is 0, so the exact-zero check reads the
+rendered rows.  `TraceReport` holds the rows and target of a sweep for
+the library and the tests; no run builds one.  Totals print in full however
 many digits they have, past the interpreter's limit on int-to-string
 conversions too; from about 900 digits on they print in pieces split at
 cached powers of ten, which is faster than one `str` call, though still
@@ -111,25 +113,23 @@ class ExactTrace(Value):
     independent of summation order: each float is p / 2^e exactly, so
     every coefficient is a real and an imaginary numerator over one
     power-of-two denominator (the function `dyadic`), and the total is
-    summed in one pass of integer multiply-adds (`_numerators`).  The
-    field `dyadic` holds that denominator and the coefficients'
+    summed in one pass of integer multiply-adds (`_numerators`); `==` and
+    the hash compare that total, not the pairs.  `dyadic`, kept beside the
+    one field `pairs`, holds that denominator and the coefficients'
     numerators: a table-built row refers to its table's, shared by every
     row of a sweep, and a trace built any other way derives its own when
     summed.  No total is stored; `render` sums once per call, and a trace
-    run renders each row once.
+    run renders each row once and holds none.
     """
 
-    __slots__ = ("pairs", "dyadic")  # a report keeps one trace per row
-    _fields = ("pairs",)  # the repr leaves `dyadic` out
+    _fields = ("pairs",)  # `dyadic` is no field: the repr leaves it out
 
     def __init__(self, pairs: tuple[tuple[complex, int], ...], dyadic: tuple | None = None):
         # dyadic: (denominator, {coefficient: (real numerator, imaginary numerator)});
-        # the slot descriptors set the frozen slots (`_set_pairs`, `_set_dyadic`)
-        _set_pairs(self, pairs)
-        _set_dyadic(self, dyadic)
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, past the frozen slots
-        return ExactTrace, (self.pairs, self.dyadic)
+        # one store per field, as in `TraceDiagnostics`: a sweep builds one trace a row
+        fields = self.__dict__
+        fields["pairs"] = pairs
+        fields["dyadic"] = dyadic
 
     @staticmethod
     def from_pairs(pairs) -> "ExactTrace":
@@ -143,9 +143,7 @@ class ExactTrace(Value):
         for c in merged:
             require_finite(c, "trace coefficient")
         order = sorted(merged, key=attrgetter("real", "imag"))
-        # built from a list: tuple() of an iterator held about 30 bytes more
-        # per trace, which a report keeps once per row
-        return ExactTrace(tuple([(c, merged[c]) for c in order]))
+        return ExactTrace(tuple((c, merged[c]) for c in order))
 
     def _numerators(self) -> tuple[int, int, int]:
         """(real numerator, imaginary numerator, denominator) of the exact
@@ -217,9 +215,6 @@ class ExactTrace(Value):
 
     def __hash__(self):
         return hash(self.exact_total())
-
-
-_set_pairs, _set_dyadic = ExactTrace.pairs.__set__, ExactTrace.dyadic.__set__
 
 
 def _render_part(num: int, den: int, sign: str = "") -> str:
@@ -463,9 +458,7 @@ def trace_product_detail(a: AlgebraElement, b: AlgebraElement, k: int,
         for slot in range(table.finite, len(counts)):
             if counts[slot]:
                 require_finite(table.reps[slot], "trace coefficient")
-    # built from a list: tuple() of an iterator held about 30 bytes more per
-    # trace, which a report keeps once per row
-    row = ExactTrace(tuple(list(compress(zip(table.reps, counts), counts))), table.dyadic)
+    row = ExactTrace(tuple(compress(zip(table.reps, counts), counts)), table.dyadic)
     return row, TraceDiagnostics(table.total - overlap, overlap, table.offdiag, fixed)
 
 
@@ -605,20 +598,6 @@ class TraceReport(Value):
     def __init__(self, rows: tuple[TraceRow, ...], target: complex):
         self.__dict__.update(rows=rows, target=target)
 
-    def write_csv(self, fh) -> list[bool]:
-        """Write the header and one line per row to `fh`; return, per row,
-        whether its trace is exactly zero.  The lines come from `csv_writer`,
-        the writer `trace-run` streams its rows through, so a report and a
-        run of the same rows write the same bytes."""
-        write = csv_writer(fh, self.target)
-        return [write(r) for r in self.rows]
-
-    def final_error(self) -> float:
-        return self.rows[-1].abs_err if self.rows else math.nan
-
-    def fitted_decay_rate(self) -> float:
-        return fitted_decay_rate([r.k for r in self.rows], [r.abs_err for r in self.rows])
-
 
 def fitted_decay_rate(ks, errors) -> float:
     """exp of the least-squares slope of log-error per step over the rows
@@ -651,31 +630,42 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{z.imag:+}j"
 
 
-def csv_writer(fh, target: complex):
-    """Write the CSV header to `fh` and return the row writer: a function
-    that writes one `TraceRow` as the line `k,trace,scaled,target,abs_err`
-    and returns whether its trace is exactly zero.
+def write_rows(fh, target: complex, rows):
+    """Write the CSV header and the line `k,trace,scaled,target,abs_err` of
+    each `TraceRow` to `fh`, each as it comes, and return what the summary
+    of a run reads: (the rows' k's, their errors, the first k of the
+    trailing run of exactly zero traces or None).
 
     `render` computes each row's exact total once and prints "0" exactly
     when both parts are 0 (a nonzero integer has a nonzero digit, every
-    other value prints a float repr or an exact decimal), so the zero flag
+    other value prints a float repr or an exact decimal), so the zero check
     costs no second total.  A real scaled value is formatted inline, as
-    `format_complex` would.
+    `format_complex` would.  Of each row it keeps two numbers, however long
+    its trace: its k, and its error as 8 bytes of an `array`.
     """
+    # imported on use, like `datetime` in `cli.cmd_trace_run`: no other
+    # command writes rows, and loading it (an extension module) costs about
+    # 0.3 ms
+    from array import array
+
     fh.write("k,trace,scaled,target,abs_err\n")
     write = fh.write
     rest = f",{format_complex(target)},"
-
-    def write_row(row: TraceRow) -> bool:
-        trace = row.trace.render()
-        scaled = row.scaled
+    ks, errors = [], array("d")
+    first_zero = None
+    for row in rows:
+        k, trace, scaled, abs_err = row.k, row.trace.render(), row.scaled, row.abs_err
         if scaled.imag:
-            write(f"{row.k},{trace},{format_complex(scaled)}{rest}{row.abs_err!r}\n")
+            write(f"{k},{trace},{format_complex(scaled)}{rest}{abs_err!r}\n")
         else:
-            write(f"{row.k},{trace},{scaled.real!r}{rest}{row.abs_err!r}\n")
-        return trace == "0"
-
-    return write_row
+            write(f"{k},{trace},{scaled.real!r}{rest}{abs_err!r}\n")
+        if trace != "0":
+            first_zero = None
+        elif first_zero is None:
+            first_zero = k
+        ks.append(k)
+        errors.append(abs_err)
+    return ks, errors, first_zero
 
 
 def scaled_trace_rows(a: AlgebraElement, b: AlgebraElement, k_range, p: PerronData):
@@ -708,6 +698,6 @@ def scaled_trace_sequence(a: AlgebraElement, b: AlgebraElement, k_range,
     """Every row of `scaled_trace_rows`, computed at once and held in one
     report with its target; the same errors, raised before any row.
     `trace-run` does not hold its rows: it streams them through
-    `csv_writer`, which `TraceReport.write_csv` uses too."""
+    `write_rows`."""
     target, rows = scaled_trace_rows(a, b, k_range, p)
     return TraceReport(tuple(rows), target)

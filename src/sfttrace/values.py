@@ -8,6 +8,13 @@ equals a right ray), the hash of the field tuple, the repr
 `cached_property` or a stash writes into `__dict__` and changes none of
 these.  It generates no code, so it imports neither `dataclasses` nor `inspect`.
 
+The field list is the one statement of what identifies a value: each
+class builds one getter of its fields when it is defined, and takes its
+`__eq__` and `__hash__` from that getter unless it writes its own.  Three
+do: `points.HeteroclinicPoint` keeps its hash once computed, from the
+field tuple `_values`; `rep.ExactTrace` compares and hashes its exact
+total; and `operators.FiniteOperator` is unhashable (`__hash__ = None`).
+
 Each type with a canonical form (`Sft`, `Orbit`, `PeriodicOrbitSet`, the
 rays, `HeteroclinicPoint`, `AlgebraElement`) builds that form in its
 constructor from any sequences it is given, and stores tuples.  Of the
@@ -27,16 +34,25 @@ class Value:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         get = attrgetter(*cls._fields)
-        # attrgetter of one name gives the value, of several a tuple
-        cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
+        if len(cls._fields) > 1:
+            def __hash__(self):
+                return hash(get(self))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values == other._values
-        return NotImplemented
+            cls._values = property(get)
+        else:  # attrgetter of one name gives the value, not a 1-tuple
+            def __hash__(self):
+                return hash((get(self),))
 
-    def __hash__(self):
-        return hash(self._values)
+            cls._values = property(lambda self: (get(self),))
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return get(self) == get(other)
+            return NotImplemented
+
+        for name, method in (("__eq__", __eq__), ("__hash__", __hash__)):
+            if name not in cls.__dict__:
+                setattr(cls, name, method)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

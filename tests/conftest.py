@@ -15,8 +15,9 @@ SRC = Path(sfttrace.__file__).resolve().parent.parent
 GOLDEN_MEAN = str(SRC.parent / "configs" / "golden_mean.json")
 
 # standard-library modules that nothing before a trace's first row uses:
-# `statistics` and what it loads, and `datetime`
-DEFERRED = ("statistics", "fractions", "decimal", "numbers", "random", "datetime")
+# `statistics` and what it loads, `datetime`, and `array`, which only
+# `rep.write_rows` imports, though every command imports `rep`
+DEFERRED = ("statistics", "fractions", "decimal", "numbers", "random", "datetime", "array")
 
 COMMAND = "from sfttrace.cli import main\nassert main(sys.argv[1:]) == 0"
 # what the benchmark's probe times before a workload's first item

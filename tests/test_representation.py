@@ -60,6 +60,7 @@ from sfttrace.rep import (
     ExactTrace,
     WindowTooSmall,
     decoupling_step,
+    fitted_decay_rate,
     required_window,
     scaled_trace_sequence,
     trace_product,
@@ -789,7 +790,8 @@ def test_fitted_decay_rate_is_the_exact_least_squares_slope():
         ybar = sum(y for _, y in pts) / len(pts)
         slope = (sum((k - kbar) * (y - ybar) for k, y in pts)
                  / sum((k - kbar) ** 2 for k, _ in pts))
-        assert report.fitted_decay_rate() == pytest.approx(math.exp(slope), rel=1e-12)
+        fitted = fitted_decay_rate([r.k for r in report.rows], [r.abs_err for r in report.rows])
+        assert fitted == pytest.approx(math.exp(slope), rel=1e-12)
 
 
 def test_scaled_sequence_empty_range():

@@ -1,7 +1,7 @@
 """`trace-run` streams its rows: each is computed, written and dropped, and
-the CSV and the summary equal what the whole report gives."""
+the CSV and the summary equal what the whole report gives, written out
+here without `rep.write_rows`."""
 
-import io
 import json
 import math
 import random
@@ -47,29 +47,35 @@ def _many_terms_config(path) -> str:
 
 
 def _expected(config_path: str, kmax, out) -> tuple[str, str]:
-    """(CSV, summary) of `trace-run` as the whole report gives them: its
-    `write_csv`, final error, decay rate, zero regime and tolerance check."""
+    """(CSV, summary) of `trace-run`, built from the whole report without
+    the writer under test: each line from the row's `render` and
+    `format_complex`, the final error, the decay rate of
+    `rep.fitted_decay_rate`, the zero regime from the exact totals and the
+    tolerance check."""
     config = load_config(config_path)
     k_lo, k_hi = config.k_range
     report = scaled_trace_sequence(config.a, config.b, range(k_lo, (kmax or k_hi) + 1),
                                    compute_perron(config.sft))
-    csv = io.StringIO()
-    zeros = report.write_csv(csv)
-    lines = [f"wrote {out} ({len(report.rows)} rows)"] if out else []
-    lines += [f"target tau_s(a)*tau_u(b) = {format_complex(report.target)}",
-              f"final abs error          = {report.final_error()!r}"]
-    rate = report.fitted_decay_rate()
+    rows, target = report.rows, report.target
+    csv = HEADER + "".join(f"{r.k},{r.trace.render()},{format_complex(r.scaled)},"
+                           f"{format_complex(target)},{r.abs_err!r}\n" for r in rows)
+    final_error = rows[-1].abs_err if rows else math.nan
+    lines = [f"wrote {out} ({len(rows)} rows)"] if out else []
+    lines += [f"target tau_s(a)*tau_u(b) = {format_complex(target)}",
+              f"final abs error          = {final_error!r}"]
+    rate = rep.fitted_decay_rate([r.k for r in rows], [r.abs_err for r in rows])
     if not math.isnan(rate):
         lines.append(f"fitted error decay rate  = {rate:.6g} per step")
+    zeros = [r.trace.exact_total() == (0, 0) for r in rows]
     if zeros[-1]:
         first = len(zeros) - 1
         while first and zeros[first - 1]:
             first -= 1
-        lines.append(f"exact-zero regime: every trace vanishes for k >= {report.rows[first].k}")
+        lines.append(f"exact-zero regime: every trace vanishes for k >= {rows[first].k}")
     tol = config.tolerances.get("final_abs_err")
-    if tol is not None and report.final_error() > tol:
-        lines.append(f"FAIL final error {report.final_error():.3e} > {tol:g}")
-    return csv.getvalue(), "".join(f"{line}\n" for line in lines)
+    if tol is not None and final_error > tol:
+        lines.append(f"FAIL final error {final_error:.3e} > {tol:g}")
+    return csv, "".join(f"{line}\n" for line in lines)
 
 
 @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])

@@ -8,12 +8,16 @@ checks and canonicalizes, and stores tuples built from any sequence."""
 import copy
 import gc
 import hashlib
+import importlib
 import pickle
+import pkgutil
 import random
 import weakref
 
 import pytest
 
+import sfttrace
+from sfttrace import values
 from sfttrace.acceptance import CheckRow
 from sfttrace.algebra import AlgebraElement, StableBisection, UnstableBisection, element
 from sfttrace.cli import ExperimentConfig, parse_config
@@ -86,6 +90,31 @@ def test_twins_are_equal_and_hash_their_fields(cls):
         assert hash(x) == hash(y) == hash(x.exact_total())
     else:
         assert hash(x) == hash(y) == hash(_fields(x))
+
+
+# the only `__eq__` and `__hash__` that a package class writes itself: a
+# trace compares its exact total, a point keeps its hash once computed, and
+# a finite operator, which holds a dict, has none; every other value class
+# takes both from its field list (`Value.__init_subclass__`)
+WRITTEN = {("ExactTrace", "__eq__"), ("ExactTrace", "__hash__"),
+           ("HeteroclinicPoint", "__hash__"), ("FiniteOperator", "__hash__")}
+
+
+def test_equality_and_hash_come_from_the_field_list():
+    written = set()
+    for info in pkgutil.iter_modules(sfttrace.__path__):
+        module = importlib.import_module(f"sfttrace.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                for name in ("__eq__", "__hash__"):
+                    # what `Value` derives is defined in `values`; `None` is not
+                    if name in vars(cls) and getattr(vars(cls)[name], "__module__",
+                                                     None) != values.__name__:
+                        written.add((cls.__name__, name))
+    assert written == WRITTEN
+    for cls, x in _instances().items():
+        if cls is not ExactTrace and cls not in UNHASHABLE:
+            assert hash(x) == hash(_fields(x))
 
 
 def test_classes_never_cross_equal():
